@@ -224,7 +224,7 @@ def crofton_consistency(field, r=0.05, samples=100_000, seed=0,
         ok = ok and agree
         rows[name] = {"value": est.value, "stderr": est.stderr,
                       "tolerance": tol, "agrees": bool(agree)}
-    return {"direct_length": direct, "estimates": rows, "consistent": ok,
+    return {"direct_length": direct, "estimates": rows, "consistent": bool(ok),
             "samples": samples, "r": r, "seed": seed}
 
 

@@ -108,10 +108,17 @@ def _ring_offsets(radius_cells, min_angles=256):
     return radius_cells * np.cos(th), radius_cells * np.sin(th)
 
 
-def _sup_disks_flat(values, centers_idx, radius_cells, chunk_elems=8_000_000):
+_SUP_BLOCK = 64  # centers per gather block; keeps the temporaries in cache
+
+
+def _sup_disks_flat(values, centers_idx, radius_cells):
     """Per-center max of |values| over lattice disks plus an exact bilinear
     boundary ring (the ring carries the sup whenever the maximizer sits on
-    the disk boundary, which is the generic case for nested sup ratios)."""
+    the disk boundary, which is the generic case for nested sup ratios).
+
+    The grid is wrap-padded once, so every disk point and ring corner is a
+    flat offset from the center's index into the padded array.
+    """
     n = values.shape[0]
     di, dj = _disk_offsets(radius_cells)
     rx, ry = _ring_offsets(radius_cells)
@@ -119,23 +126,37 @@ def _sup_disks_flat(values, centers_idx, radius_cells, chunk_elems=8_000_000):
     fj = np.floor(ry).astype(np.int64)
     wx = rx - fi
     wy = ry - fj
-    absvals = np.abs(values)
-    n_centers = centers_idx.shape[0]
-    out = np.empty(n_centers)
-    per = max(1, chunk_elems // max(di.size + 4 * fi.size, 1))
-    for lo in range(0, n_centers, per):
-        hi = min(lo + per, n_centers)
-        ci = centers_idx[lo:hi, 0][:, None]
-        cj = centers_idx[lo:hi, 1][:, None]
-        best = absvals[(ci + di[None, :]) % n, (cj + dj[None, :]) % n].max(axis=1)
-        ii = (ci + fi[None, :]) % n
-        jj = (cj + fj[None, :]) % n
-        i1 = (ii + 1) % n
-        j1 = (jj + 1) % n
-        low = values[ii, jj] + wx * (values[i1, jj] - values[ii, jj])
-        high = values[ii, j1] + wx * (values[i1, j1] - values[ii, j1])
-        ring = np.abs(low + wy * (high - low))
-        out[lo:hi] = np.maximum(best, ring.max(axis=1))
+    pad = int(np.ceil(radius_cells)) + 2
+    padded = np.pad(values, pad, mode="wrap").ravel()
+    w = n + 2 * pad
+    absvals = np.abs(padded)
+    disk = di * w + dj
+    ring = fi * w + fj
+    # corners (i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1) of each ring cell
+    v00s, v10s, v01s, v11s = padded, padded[w:], padded[1:], padded[w + 1:]
+    base = (centers_idx[:, 0] % n + pad) * w + (centers_idx[:, 1] % n + pad)
+    out = np.empty(base.size)
+    for lo in range(0, base.size, _SUP_BLOCK):
+        b = base[lo:lo + _SUP_BLOCK, None]
+        best = absvals.take(b + disk).max(axis=1)
+        idx = b + ring
+        v00 = v00s.take(idx)
+        v01 = v01s.take(idx)
+        # low = v00 + wx (v10 - v00), high = v01 + wx (v11 - v01) and
+        # low + wy (high - low), in place but in the same operation order
+        low = v10s.take(idx)
+        low -= v00
+        low *= wx
+        low += v00
+        high = v11s.take(idx)
+        high -= v01
+        high *= wx
+        high += v01
+        high -= low
+        high *= wy
+        high += low
+        ring_sup = np.abs(high, out=high).max(axis=1)
+        out[lo:lo + _SUP_BLOCK] = np.maximum(best, ring_sup)
     return out
 
 

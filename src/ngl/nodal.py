@@ -22,7 +22,14 @@ _CASE_PAIRS = {
     8: ((2, 3),), 7: ((2, 3),),
     3: ((3, 1),), 12: ((3, 1),),
     6: ((0, 2),), 9: ((0, 2),),
+    # saddles with a nonnegative center; a negative center swaps 5 and 10
+    5: ((0, 1), (2, 3)),
+    10: ((3, 0), (1, 2)),
 }
+# _PAIR_EDGES[case, rank] = (e1, e2) of the rank-th segment of a cell
+_PAIR_EDGES = np.zeros((16, 2, 2), dtype=np.intp)
+for _c, _pairs in _CASE_PAIRS.items():
+    _PAIR_EDGES[_c, :len(_pairs)] = _pairs
 
 
 @dataclass
@@ -54,104 +61,54 @@ def extract_nodal_set(field: GridField) -> NodalSet:
     v = field.values
     n = field.grid_n
     h = field.spacing
+    s = (v >= 0).view(np.uint8)
+    valid = True
     if field.domain == TORUS:
-        fA = v
-        fB = np.roll(v, -1, axis=0)
-        fD = np.roll(v, -1, axis=1)
-        fC = np.roll(fB, -1, axis=1)
+        sB = np.roll(s, -1, axis=0)
+        case = (s | sB << 1 | np.roll(sB, -1, axis=1) << 2
+                | np.roll(s, -1, axis=1) << 3)
         xs = np.arange(n) * h
         ys = np.arange(n) * h
-        valid = np.ones((n, n), dtype=bool)
     else:
-        fA = v[:-1, :-1]
-        fB = v[1:, :-1]
-        fD = v[:-1, 1:]
-        fC = v[1:, 1:]
+        case = s[:-1, :-1] | s[1:, :-1] << 1 | s[1:, 1:] << 2 | s[:-1, 1:] << 3
         xs = field.origin[0] + np.arange(n - 1) * h
         ys = field.origin[1] + np.arange(n - 1) * h
         if field.mask is not None:
             m = field.mask
             valid = m[:-1, :-1] & m[1:, :-1] & m[:-1, 1:] & m[1:, 1:]
-        else:
-            valid = np.ones((n - 1, n - 1), dtype=bool)
 
-    X = xs[:, None]
-    Y = ys[None, :]
-    sA = fA >= 0
-    sB = fB >= 0
-    sC = fC >= 0
-    sD = fD >= 0
-    case = (sA * 1 + sB * 2 + sC * 4 + sD * 8).astype(np.int8)
+    # only cells the contour passes through, in row-major (cell index) order
+    ci, cj = np.nonzero((case != 0) & (case != 15) & valid)
+    if ci.size == 0:
+        return NodalSet(segments=np.empty((0, 4)), domain=field.domain,
+                        origin=field.origin, side=field.side)
+    c = case[ci, cj]
+    i1 = (ci + 1) % n
+    j1 = (cj + 1) % n
+    fA = v[ci, cj]
+    fB = v[i1, cj]
+    fC = v[i1, j1]
+    fD = v[ci, j1]
+    X = xs[ci]
+    Y = ys[cj]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tB = fA / (fA - fB)
+        tR = fB / (fB - fC)
+        tT = fD / (fD - fC)
+        tL = fA / (fA - fD)
+    ex = np.stack([X + tB * h, X + h, X + tT * h, X])
+    ey = np.stack([Y, Y + tR * h, Y + h, Y + tL * h])
 
-    def crossing(fa, fb):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = fa / (fa - fb)
-        return t
-
-    tB = crossing(fA, fB)
-    tR = crossing(fB, fC)
-    tT = crossing(fD, fC)
-    tL = crossing(fA, fD)
-
-    shape = case.shape
-    ex = np.empty((4,) + shape)
-    ey = np.empty((4,) + shape)
-    ex[0] = X + tB * h
-    ey[0] = np.broadcast_to(Y, shape)
-    ex[1] = np.broadcast_to(X + h, shape)
-    ey[1] = Y + tR * h
-    ex[2] = X + tT * h
-    ey[2] = np.broadcast_to(Y + h, shape)
-    ex[3] = np.broadcast_to(X, shape)
-    ey[3] = Y + tL * h
-
-    seg_chunks = []
-    key_chunks = []
-    ci = np.arange(shape[0])[:, None]
-    cj = np.arange(shape[1])[None, :]
-    CI = np.broadcast_to(ci, shape)
-    CJ = np.broadcast_to(cj, shape)
-
-    def emit(mask, e1, e2, pair_rank):
-        if not mask.any():
-            return
-        seg = np.stack([ex[e1][mask], ey[e1][mask],
-                        ex[e2][mask], ey[e2][mask]], axis=1)
-        key = np.stack([CI[mask], CJ[mask],
-                        np.full(int(mask.sum()), pair_rank)], axis=1)
-        seg_chunks.append(seg)
-        key_chunks.append(key)
-
-    for c, pairs in _CASE_PAIRS.items():
-        mask = (case == c) & valid
-        for rank, (e1, e2) in enumerate(pairs):
-            emit(mask, e1, e2, rank)
-
-    center = 0.25 * (fA + fB + fC + fD)
-    for c in (5, 10):
-        mask = (case == c) & valid
-        if not mask.any():
-            continue
-        pos = mask & (center >= 0)
-        neg = mask & (center < 0)
-        if c == 5:
-            emit(pos, 0, 1, 0)
-            emit(pos, 2, 3, 1)
-            emit(neg, 3, 0, 0)
-            emit(neg, 1, 2, 1)
-        else:
-            emit(pos, 3, 0, 0)
-            emit(pos, 1, 2, 1)
-            emit(neg, 0, 1, 0)
-            emit(neg, 2, 3, 1)
-
-    if seg_chunks:
-        segments = np.concatenate(seg_chunks, axis=0)
-        keys = np.concatenate(key_chunks, axis=0)
-        order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
-        segments = segments[order]
-    else:
-        segments = np.empty((0, 4))
+    saddle = (c == 5) | (c == 10)
+    center_neg = 0.25 * (fA + fB + fC + fD) < 0
+    c = np.where(saddle & center_neg, 15 - c, c)
+    # one segment per cell, two per saddle cell, in (cell, pair rank) order
+    cell = np.repeat(np.arange(ci.size), 1 + saddle)
+    rank = np.zeros(cell.size, dtype=np.intp)
+    rank[1:] = cell[1:] == cell[:-1]
+    e1, e2 = _PAIR_EDGES[c[cell], rank].T
+    segments = np.stack([ex[e1, cell], ey[e1, cell],
+                         ex[e2, cell], ey[e2, cell]], axis=1)
     return NodalSet(segments=segments, domain=field.domain,
                     origin=field.origin, side=field.side)
 

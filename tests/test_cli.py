@@ -88,6 +88,16 @@ def test_crofton_command_json(tmp_path):
     assert out["samples"] == 30000
 
 
+def test_crofton_eigenfunction_curve_json(tmp_path):
+    cfg = small_config(tmp_path / "out", metric={"grid_n": 64},
+                       eigen={"count": 4},
+                       crofton={"curve": "eigenfunction", "samples": 2000})
+    run("crofton", cfg)
+    with open(tmp_path / "out" / "crofton.json") as f:
+        out = json.load(f)
+    assert type(out["consistency"]["consistent"]) is bool
+
+
 def test_cli_flag_overrides(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({

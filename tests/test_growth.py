@@ -3,7 +3,8 @@ import pytest
 
 from ngl.errors import InfiniteGrowthError, ResolutionError
 from ngl.eigen import analytic_eigenpair, analytic_spectrum
-from ngl.growth import (average_local_growth, donnelly_fefferman_constant,
+from ngl.growth import (_disk_offsets, _ring_offsets, _sup_disks_flat,
+                        average_local_growth, donnelly_fefferman_constant,
                         growth_exponent, growth_field, lq_growth_exponent,
                         quartile_trend_ratio, verify_length_growth_bound)
 from ngl.surface import make_metric
@@ -153,6 +154,60 @@ def test_growth_field_curved_metric_smoke():
     samples = growth_field(pair_flat, metric, k0=0.5, sample_grid_m=4)
     assert len(samples) == 16
     assert all(np.isfinite(s.beta) and s.beta >= 0 for s in samples)
+
+
+# --------------------------------------------------------------- sup kernel
+
+
+def modulo_gather_sup_disks(values, centers_idx, radius_cells):
+    """Reference sup kernel: periodic 2-D gathers with explicit modulo."""
+    n = values.shape[0]
+    di, dj = _disk_offsets(radius_cells)
+    rx, ry = _ring_offsets(radius_cells)
+    fi = np.floor(rx).astype(np.int64)
+    fj = np.floor(ry).astype(np.int64)
+    wx = rx - fi
+    wy = ry - fj
+    ci = centers_idx[:, 0][:, None]
+    cj = centers_idx[:, 1][:, None]
+    best = np.abs(values)[(ci + di) % n, (cj + dj) % n].max(axis=1)
+    ii = (ci + fi) % n
+    jj = (cj + fj) % n
+    i1 = (ii + 1) % n
+    j1 = (jj + 1) % n
+    low = values[ii, jj] + wx * (values[i1, jj] - values[ii, jj])
+    high = values[ii, j1] + wx * (values[i1, j1] - values[ii, j1])
+    ring = np.abs(low + wy * (high - low))
+    return np.maximum(best, ring.max(axis=1))
+
+
+def lattice_centers(n, m):
+    ci = np.round(np.arange(m) / m * n).astype(np.int64) % n
+    return np.stack(np.meshgrid(ci, ci, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("mode", [(1, 0), (2, 3), (4, 1)])
+@pytest.mark.parametrize("radius", [10.0, 10.5, 25.49])
+def test_sup_kernel_matches_modulo_gather_on_eigenfunctions(mode, radius):
+    values = analytic_eigenpair(*mode, phase=0.3, grid_n=320).field.values
+    centers = lattice_centers(320, 32)
+    np.testing.assert_array_equal(
+        _sup_disks_flat(values, centers, radius),
+        modulo_gather_sup_disks(values, centers, radius))
+
+
+@pytest.mark.parametrize("radius", [10.0, 10.5, 25.49, 171.3])
+def test_sup_kernel_matches_modulo_gather_on_random_fields(radius):
+    # n = 300 with m = 7 centers (m does not divide n); 501 random unsorted
+    # centers (not a multiple of the block size); 171.3 > n / 2 pads wider
+    # than the grid itself
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((300, 300))
+    for centers in (lattice_centers(300, 7),
+                    rng.integers(0, 300, size=(501, 2))):
+        np.testing.assert_array_equal(
+            _sup_disks_flat(values, centers, radius),
+            modulo_gather_sup_disks(values, centers, radius))
 
 
 # --------------------------------------------------------------- averaging

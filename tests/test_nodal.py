@@ -4,7 +4,7 @@ import pytest
 from ngl.eigen import analytic_eigenpair
 from ngl.nodal import (circle_intersections, extract_nodal_set, nodal_length,
                        singular_points)
-from ngl.surface import GridField, PLANAR, make_metric
+from ngl.surface import GridField, PLANAR, TORUS, make_metric
 
 from conftest import torus_field
 
@@ -145,6 +145,135 @@ def test_circle_intersections_empty():
 
 
 # ---------------------------------------------------------------- structure
+
+
+_REFERENCE_PAIRS = {
+    1: ((3, 0),), 14: ((3, 0),),
+    2: ((0, 1),), 13: ((0, 1),),
+    4: ((1, 2),), 11: ((1, 2),),
+    8: ((2, 3),), 7: ((2, 3),),
+    3: ((3, 1),), 12: ((3, 1),),
+    6: ((0, 2),), 9: ((0, 2),),
+}
+
+
+def full_grid_segments(field):
+    """Reference marching squares: crossings and endpoints on every cell,
+    one mask per case, segments sorted by (cell, pair rank)."""
+    v = field.values
+    n = field.grid_n
+    h = field.spacing
+    if field.domain == TORUS:
+        fA = v
+        fB = np.roll(v, -1, axis=0)
+        fD = np.roll(v, -1, axis=1)
+        fC = np.roll(fB, -1, axis=1)
+        xs = np.arange(n) * h
+        ys = np.arange(n) * h
+        valid = np.ones((n, n), dtype=bool)
+    else:
+        fA, fB, fD, fC = v[:-1, :-1], v[1:, :-1], v[:-1, 1:], v[1:, 1:]
+        xs = field.origin[0] + np.arange(n - 1) * h
+        ys = field.origin[1] + np.arange(n - 1) * h
+        valid = np.ones((n - 1, n - 1), dtype=bool)
+        if field.mask is not None:
+            m = field.mask
+            valid = m[:-1, :-1] & m[1:, :-1] & m[:-1, 1:] & m[1:, 1:]
+    X = xs[:, None]
+    Y = ys[None, :]
+    case = ((fA >= 0) * 1 + (fB >= 0) * 2 + (fC >= 0) * 4
+            + (fD >= 0) * 8).astype(np.int8)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tB, tR = fA / (fA - fB), fB / (fB - fC)
+        tT, tL = fD / (fD - fC), fA / (fA - fD)
+    shape = case.shape
+    ex = np.stack([X + tB * h, np.broadcast_to(X + h, shape),
+                   X + tT * h, np.broadcast_to(X, shape)])
+    ey = np.stack([np.broadcast_to(Y, shape), Y + tR * h,
+                   np.broadcast_to(Y + h, shape), Y + tL * h])
+    CI, CJ = np.indices(shape)
+    segs, keys = [], []
+
+    def emit(mask, e1, e2, rank):
+        segs.append(np.stack([ex[e1][mask], ey[e1][mask],
+                              ex[e2][mask], ey[e2][mask]], axis=1))
+        keys.append(np.stack([CI[mask], CJ[mask],
+                              np.full(int(mask.sum()), rank)], axis=1))
+
+    for c, pairs in _REFERENCE_PAIRS.items():
+        for rank, (e1, e2) in enumerate(pairs):
+            emit((case == c) & valid, e1, e2, rank)
+    center = 0.25 * (fA + fB + fC + fD)
+    for c, pos_pairs, neg_pairs in ((5, ((0, 1), (2, 3)), ((3, 0), (1, 2))),
+                                    (10, ((3, 0), (1, 2)), ((0, 1), (2, 3)))):
+        mask = (case == c) & valid
+        for sel, pairs in ((mask & (center >= 0), pos_pairs),
+                           (mask & (center < 0), neg_pairs)):
+            for rank, (e1, e2) in enumerate(pairs):
+                emit(sel, e1, e2, rank)
+    segments = np.concatenate(segs, axis=0)
+    keys = np.concatenate(keys, axis=0)
+    return segments[np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))]
+
+
+def _oracle_fields():
+    rng = np.random.default_rng(5)
+    n = 96
+    h = 1.0 / (n - 1)
+    coords = -0.5 + np.arange(n) * h
+    x, y = np.meshgrid(coords, coords, indexing="ij")
+    disk = x * x + y * y <= 0.4 ** 2
+    planar = np.sin(9 * x) * np.cos(7 * y) + 0.1 * x
+    return {
+        "torus_eigenfunction": analytic_eigenpair(3, 2, phase=0.4,
+                                                  grid_n=128).field,
+        "torus_product": torus_field(
+            lambda x, y: np.sin(6 * np.pi * x) * np.sin(4 * np.pi * y), 64),
+        "torus_random": GridField(rng.standard_normal((50, 50))),
+        "planar": GridField(planar, domain=PLANAR, origin=(-0.5, -0.5)),
+        "planar_masked": GridField(planar, domain=PLANAR, origin=(-0.5, -0.5),
+                                   mask=disk),
+        "planar_random_masked": GridField(
+            rng.standard_normal((n, n)), domain=PLANAR, origin=(-0.5, -0.5),
+            mask=rng.random((n, n)) < 0.8),
+        "exact_zeros": GridField(np.round(rng.standard_normal((40, 40)))),
+        "sign_only": GridField(rng.choice([-1.0, 1.0, 2.0, -2.0], (60, 60))),
+        "planar_sign_only": GridField(rng.choice([-1.0, 0.0, 3.0], (60, 60)),
+                                      domain=PLANAR),
+        "two_by_two_torus": GridField(np.array([[1.0, -1.0], [-2.0, 1.5]])),
+        "two_by_two_planar": GridField(np.array([[1.0, -1.0], [-2.0, 1.5]]),
+                                       domain=PLANAR),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_fields()))
+def test_extraction_matches_full_grid_reference(name):
+    field = _oracle_fields()[name]
+    got = extract_nodal_set(field).segments
+    want = full_grid_segments(field)
+    assert len(want) > 0
+    assert got.shape == want.shape
+    assert got.flags.c_contiguous
+    np.testing.assert_array_equal(got, want)
+
+
+def test_sign_only_field_has_saddles_of_both_center_signs():
+    v = _oracle_fields()["sign_only"].values
+    fA, fB = v, np.roll(v, -1, axis=0)
+    fD, fC = np.roll(v, -1, axis=1), np.roll(fB, -1, axis=1)
+    case = (fA >= 0) * 1 + (fB >= 0) * 2 + (fC >= 0) * 4 + (fD >= 0) * 8
+    center = 0.25 * (fA + fB + fC + fD)
+    for c in (5, 10):
+        assert np.any((case == c) & (center >= 0))
+        assert np.any((case == c) & (center < 0))
+
+
+@pytest.mark.parametrize("values", [np.zeros((16, 16)), np.full((16, 16), -3.0),
+                                    np.full((2, 2), 2.0)])
+@pytest.mark.parametrize("domain", [TORUS, PLANAR])
+def test_constant_fields_have_empty_segments(values, domain):
+    segments = extract_nodal_set(GridField(values, domain=domain)).segments
+    assert segments.shape == (0, 4)
 
 
 def test_extraction_deterministic(sin_x_256):
