@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintError
+from .surface import polar_quadrature
 
 # --------------------------------------------------------------------------
 # radial weight profile
@@ -489,6 +490,8 @@ def c1_test_family(rng, weight: CarlemanWeight, size) -> list:
 # --------------------------------------------------------------------------
 # quadrature
 
+_BAND_NODES = (48, 512)   # radial x angular nodes of each polar disk band
+
 
 def _grid_quadrature(box, min_feature, cap=1200):
     x0, x1, y0, y1 = box
@@ -541,17 +544,6 @@ def _split_domain(u: TestField, weight: CarlemanWeight):
     return X[keep], Y[keep], w, bands
 
 
-def _disk_band_quadrature(center, r_inner, r_outer, n_radial=48, n_angular=512):
-    nodes, weights = np.polynomial.legendre.leggauss(n_radial)
-    rad = 0.5 * (r_outer - r_inner) * nodes + 0.5 * (r_outer + r_inner)
-    wr = 0.5 * (r_outer - r_inner) * weights
-    th = np.arange(n_angular) * (2 * np.pi / n_angular)
-    X = center[0] + rad[:, None] * np.cos(th)[None, :]
-    Y = center[1] + rad[:, None] * np.sin(th)[None, :]
-    W = (rad * wr)[:, None] * (2 * np.pi / n_angular) * np.ones_like(X)
-    return X, Y, W
-
-
 @dataclass
 class SubharmonicReport:
     lhs: float
@@ -579,7 +571,7 @@ def check_subharmonic_inequality(u: TestField, weight: CarlemanWeight) -> Subhar
     rhs = float(np.sum(t * u_sq * e_t) * w)
     u_mass = float(np.sum(u_sq * e_t) * w)
     for center, r_in, r_out in bands:
-        Xb, Yb, Wb = _disk_band_quadrature(center, r_in, r_out)
+        Xb, Yb, Wb = polar_quadrature(center, r_in, r_out, *_BAND_NODES)
         phi = np.exp(weight.log_phi0(Xb, Yb) + t * (Xb * Xb + Yb * Yb))
         db = np.abs(np.asarray(u.dbar(Xb, Yb))) ** 2
         ub = np.abs(np.asarray(u.value(Xb, Yb))) ** 2
@@ -643,7 +635,7 @@ def carleman_c1_check(f: TestField, weight: CarlemanWeight) -> C1Report:
     lhs = float(np.sum(lap * lap * wgt) * w)
     l2 = float(np.sum(fval * fval * wgt) * w)
     for center, r_in, r_out in bands:
-        Xb, Yb, Wb = _disk_band_quadrature(center, r_in, r_out)
+        Xb, Yb, Wb = polar_quadrature(center, r_in, r_out, *_BAND_NODES)
         wgt_b = np.exp(weight.log_p_sq_inv(Xb, Yb) + t * (Xb * Xb + Yb * Yb))
         lap_b = np.asarray(f.laplacian(Xb, Yb)).real
         f_b = np.asarray(f.value(Xb, Yb)).real
@@ -654,7 +646,7 @@ def carleman_c1_check(f: TestField, weight: CarlemanWeight) -> C1Report:
     for cx, cy in weight.centers:
         r_in = (1 - 2 * weight.a) * weight.delta
         r_out = (1 - weight.a) * weight.delta
-        Xb, Yb, Wb = _disk_band_quadrature((cx, cy), r_in, r_out)
+        Xb, Yb, Wb = polar_quadrature((cx, cy), r_in, r_out, *_BAND_NODES)
         wgt_b = np.exp(weight.log_p_sq_inv(Xb, Yb) + t * (Xb * Xb + Yb * Yb))
         grad_term += float(np.sum(np.asarray(f.grad_sq(Xb, Yb)) * wgt_b * Wb))
     if weight.centers:
@@ -663,36 +655,3 @@ def carleman_c1_check(f: TestField, weight: CarlemanWeight) -> C1Report:
     if denom <= 0.0 or lhs <= 0.0:
         return C1Report(lhs, t2_term, grad_term, float("nan"), degenerate=True)
     return C1Report(lhs, t2_term, grad_term, lhs / denom, degenerate=False)
-
-
-# --------------------------------------------------------------------------
-# discrete complex-derivative operators (for the operator-identity checks)
-
-
-def dee_fd(values, h):
-    """(1/2)(d/dx - i d/dy) by centered differences (interior only)."""
-    vx = (np.roll(values, -1, axis=0) - np.roll(values, 1, axis=0)) / (2 * h)
-    vy = (np.roll(values, -1, axis=1) - np.roll(values, 1, axis=1)) / (2 * h)
-    return 0.5 * (vx - 1j * vy)
-
-
-def dbar_fd(values, h):
-    """(1/2)(d/dx + i d/dy) by centered differences (interior only)."""
-    vx = (np.roll(values, -1, axis=0) - np.roll(values, 1, axis=0)) / (2 * h)
-    vy = (np.roll(values, -1, axis=1) - np.roll(values, 1, axis=1)) / (2 * h)
-    return 0.5 * (vx + 1j * vy)
-
-
-def dbar_star_fd(values, h, phi_values):
-    """Adjoint of dbar in the weighted inner product with weight exp(-phi).
-
-    Integration by parts carries a sign: dbar* = -exp(phi) d (exp(-phi) .),
-    which is the convention under which [dbar, dbar*] u = (1/4)(lap phi) u.
-    """
-    return -np.exp(phi_values) * dee_fd(np.exp(-phi_values) * values, h)
-
-
-def laplacian_fd(values, h):
-    return (np.roll(values, -1, axis=0) + np.roll(values, 1, axis=0)
-            + np.roll(values, -1, axis=1) + np.roll(values, 1, axis=1)
-            - 4 * values) / (h * h)

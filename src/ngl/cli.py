@@ -64,14 +64,52 @@ def canonical_hash(cfg) -> str:
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
+def _is_number(val):
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _check_schema(cfg, default, where=""):
+    """Reject keys the defaults do not have and leaves whose type does not
+    match the default's; ``metric.params`` is free-form."""
+    for key, val in cfg.items():
+        name = where + key
+        if key not in default:
+            raise ConfigError(f"unknown config key {name!r}")
+        ref = default[key]
+        if isinstance(ref, dict):
+            if not isinstance(val, dict):
+                raise ConfigError(f"{name} must be an object")
+            if name != "metric.params":
+                _check_schema(val, ref, name + ".")
+            continue
+        if isinstance(ref, str):
+            ok = isinstance(val, str)
+        elif isinstance(ref, int):
+            ok = isinstance(val, int) and not isinstance(val, bool)
+        elif isinstance(ref, list):
+            ok = isinstance(val, list) and all(_is_number(v) for v in val)
+        else:   # float, or None standing for an optional number
+            ok = _is_number(val) or (ref is None and val is None)
+        if not ok:
+            raise ConfigError(f"{name} has the wrong type: {val!r}")
+
+
 def load_config(path=None, overrides=None, command=None):
     user = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as f:
-            user = json.load(f)
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                user = json.load(f)
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+        if not isinstance(user, dict):
+            raise ConfigError(f"{path} must hold a JSON object")
     cfg = deep_merge(DEFAULT_CONFIG, user)
     if overrides:
         cfg = deep_merge(cfg, overrides)
+    _check_schema(cfg, DEFAULT_CONFIG)
     validate_config(cfg, command=command)
     return cfg
 
@@ -85,21 +123,6 @@ def _profile_sup(cfg):
         return 1.0 + abs(float(params.get("amplitude",
                                           0.2 if profile == "wave" else 0.3)))
     raise ConfigError(f"unknown metric profile {profile!r}")
-
-
-def _flat_lambda_of_count(count):
-    """Eigenvalue of the count-th nonconstant flat-torus mode."""
-    shells = []
-    bound = 2
-    while True:
-        vals = sorted(m * m + n * n for m in range(-bound, bound + 1)
-                      for n in range(-bound, bound + 1)
-                      if (m, n) != (0, 0) and m * m + n * n <= bound * bound)
-        if len(vals) >= count:
-            shells = vals
-            break
-        bound += 1
-    return 4 * math.pi ** 2 * shells[count - 1]
 
 
 _GROWTH_COMMANDS = ("growth", "thm1", "all")
@@ -121,9 +144,16 @@ def validate_config(cfg, command=None):
     if k0 <= 0:
         raise ConfigError("growth.k0 must be positive")
     q_sup = _profile_sup(cfg)
+    from .eigen import flat_modes
+
+    def flat_lambda(count):
+        """Eigenvalue of the count-th nonconstant flat-torus mode."""
+        m, n, _ = flat_modes(count)[-1]
+        return 4 * math.pi ** 2 * (m * m + n * n)
+
     if command in _GROWTH_COMMANDS:
         # wavelength disks of the largest configured mode must span >= 10 cells
-        lam_max = _flat_lambda_of_count(eig["count"]) * q_sup
+        lam_max = flat_lambda(eig["count"]) * q_sup
         need = 10 * math.sqrt(lam_max * q_sup) / k0
         if grid_n < need:
             raise ConfigError(
@@ -131,7 +161,9 @@ def validate_config(cfg, command=None):
                 f"{eig['count']} modes at k0 = {k0}; need grid_n >= "
                 f"{math.ceil(need)}")
     if command in _LOCALIZE_COMMANDS:
-        lam_loc = _flat_lambda_of_count(cfg["localize"]["index"]) * q_sup
+        if cfg["localize"]["index"] < 1:
+            raise ConfigError("localize.index must be at least 1")
+        lam_loc = flat_lambda(cfg["localize"]["index"]) * q_sup
         q_inf = max(2.0 - q_sup, 0.01)   # profiles here are symmetric about 1
         tau_min = 2.0 * q_inf / 5.0
         need = 10 * math.sqrt(lam_loc) / (tau_min * k0)
@@ -148,6 +180,8 @@ def validate_config(cfg, command=None):
         raise ConfigError("schrodinger.a must lie in (0, 1/3)")
     if cfg["crofton"]["samples"] < 1:
         raise ConfigError("crofton.samples must be positive")
+    if cfg["crofton"]["r"] <= 0:
+        raise ConfigError("crofton.r must be positive")
     if cfg["crofton"]["kernel"] not in ("disk", "circle"):
         raise ConfigError("crofton.kernel must be disk or circle")
     rp = cfg["harmonic"]["rho_plus"]

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nodal import NodalSet, extract_nodal_set, nodal_length
+from .nodal import (NodalSet, clip_lengths, crossing_counts, extract_nodal_set,
+                    nodal_length)
 from .surface import TORUS
 
 _CHUNK = 2048
@@ -53,67 +54,6 @@ def _window_for(curve: NodalSet, r):
     return ((xs.min() - r, xs.max() + r), (ys.min() - r, ys.max() + r))
 
 
-def _segment_probe_geometry(curve: NodalSet, px, py):
-    """Per (probe, segment) quadratic coefficients of |p0 + t d - p|^2."""
-    seg = curve.segments
-    p0x = seg[:, 0][None, :]
-    p0y = seg[:, 1][None, :]
-    dx = (seg[:, 2] - seg[:, 0])[None, :]
-    dy = (seg[:, 3] - seg[:, 1])[None, :]
-    fx = p0x - px[:, None]
-    fy = p0y - py[:, None]
-    if curve.domain == TORUS:
-        # shift each segment to the period image nearest the probe
-        mx = fx + 0.5 * dx
-        my = fy + 0.5 * dy
-        fx = fx - np.round(mx)
-        fy = fy - np.round(my)
-    a = dx * dx + dy * dy
-    b = 2 * (dx * fx + dy * fy)
-    c = fx * fx + fy * fy
-    return a, b, c
-
-
-def _clip_lengths(curve, px, py, r):
-    """Total curve length inside the disk of radius r around each probe."""
-    a, b, c = _segment_probe_geometry(curve, px, py)
-    c = c - r * r
-    disc = b * b - 4 * a * c
-    seg_len = np.sqrt(np.maximum(a, 1e-300))
-    out = np.zeros(px.shape[0])
-    pos = disc > 0
-    if pos.any():
-        aa = np.broadcast_to(a, disc.shape)[pos]
-        bb = b[pos]
-        sq = np.sqrt(disc[pos])
-        t1 = (-bb - sq) / (2 * aa)
-        t2 = (-bb + sq) / (2 * aa)
-        overlap = np.clip(np.minimum(t2, 1.0) - np.maximum(t1, 0.0), 0.0, 1.0)
-        contrib = np.zeros_like(disc)
-        contrib[pos] = overlap * np.broadcast_to(seg_len, disc.shape)[pos]
-        out = contrib.sum(axis=1)
-    return out
-
-
-def _crossing_counts(curve, px, py, r):
-    """Number of curve crossings of the probe circle of radius r."""
-    a, b, c = _segment_probe_geometry(curve, px, py)
-    c = c - r * r
-    disc = b * b - 4 * a * c
-    counts = np.zeros(px.shape[0], dtype=np.int64)
-    pos = disc > 0
-    if pos.any():
-        aa = np.broadcast_to(a, disc.shape)[pos]
-        sq = np.sqrt(disc[pos])
-        t1 = (-b[pos] - sq) / (2 * aa)
-        t2 = (-b[pos] + sq) / (2 * aa)
-        hits = np.zeros(disc.shape, dtype=np.int64)
-        hits[pos] = (((t1 >= 0.0) & (t1 < 1.0)).astype(np.int64)
-                     + ((t2 >= 0.0) & (t2 < 1.0)).astype(np.int64))
-        counts = hits.sum(axis=1)
-    return counts
-
-
 def _estimate(curve, r, samples, seed, kernel):
     if samples <= 0:
         raise ValueError("need a positive sample count")
@@ -127,9 +67,9 @@ def _estimate(curve, r, samples, seed, kernel):
     for lo in range(0, samples, _CHUNK):
         hi = min(lo + _CHUNK, samples)
         if kernel == "disk":
-            vals[lo:hi] = _clip_lengths(curve, px[lo:hi], py[lo:hi], r)
+            vals[lo:hi] = clip_lengths(curve, px[lo:hi], py[lo:hi], r)
         else:
-            vals[lo:hi] = _crossing_counts(curve, px[lo:hi], py[lo:hi], r)
+            vals[lo:hi] = crossing_counts(curve, px[lo:hi], py[lo:hi], r)
     norm = np.pi * r * r if kernel == "disk" else 4.0 * r
     value = area * float(vals.mean()) / norm
     stderr = area * float(vals.std(ddof=1)) / np.sqrt(samples) / norm

@@ -8,6 +8,7 @@ positive semidefinite) and Q the diagonal of q samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,12 +174,13 @@ def analytic_eigenpair(m, n_wave, phase=0.0, grid_n=256) -> EigenPair:
                      residual=res)
 
 
-def analytic_spectrum(grid_n, count, include_constant=True) -> Spectrum:
-    """First ``count`` flat-torus eigenpairs in closed form.
+def flat_modes(count) -> list[tuple[int, int, float]]:
+    """First ``count`` nonconstant flat-torus modes as (m, n, phase).
 
     Enumerates lattice shells m^2 + n^2 ascending; each representative
-    (m, n) with m > 0 or (m = 0, n > 0) contributes a cosine and a sine
-    eigenfunction, which reproduces the exact multiplicities.
+    (m, n) with m > 0 or (m = 0, n > 0) contributes a cosine (phase 0) and
+    then a sine (phase -pi/2) eigenfunction, which reproduces the exact
+    multiplicities.  The eigenvalue of a mode is 4 pi^2 (m^2 + n^2).
     """
     bound = 2
     while True:
@@ -192,12 +194,18 @@ def analytic_spectrum(grid_n, count, include_constant=True) -> Spectrum:
     reps.sort(key=lambda mn: (mn[0] ** 2 + mn[1] ** 2, mn[0], mn[1]))
     modes = []
     for m, n in reps:
-        modes.append((m, n, 0.0))          # cos(2 pi (m x + n y))
-        modes.append((m, n, -np.pi / 2))   # sin(2 pi (m x + n y))
+        modes.append((m, n, 0.0))            # cos(2 pi (m x + n y))
+        modes.append((m, n, -math.pi / 2))   # sin(2 pi (m x + n y))
+    return modes[:count]
+
+
+def analytic_spectrum(grid_n, count, include_constant=True) -> Spectrum:
+    """First ``count`` flat-torus eigenpairs in closed form, in the order of
+    :func:`flat_modes`, after the constant mode unless excluded."""
     pairs = []
     if include_constant:
         pairs.append(analytic_eigenpair(0, 0, grid_n=grid_n))
-    for m, n, phase in modes[:count]:
+    for m, n, phase in flat_modes(count):
         pairs.append(analytic_eigenpair(m, n, phase=phase, grid_n=grid_n))
     metric = ConformalMetric(q=np.ones((grid_n, grid_n)), q_minus=1.0,
                              q_plus=1.0, volume=1.0, alpha0=0.2, profile="flat")
@@ -206,14 +214,3 @@ def analytic_spectrum(grid_n, count, include_constant=True) -> Spectrum:
 
 def counting_function(spectrum: Spectrum, threshold) -> int:
     return sum(1 for p in spectrum.pairs if p.lam <= threshold)
-
-
-def lattice_count(threshold) -> int:
-    """Number of integer pairs (m, n) with 4 pi^2 (m^2 + n^2) <= threshold."""
-    bound = int(np.floor(np.sqrt(threshold / (4 * np.pi ** 2)))) + 1
-    count = 0
-    for m in range(-bound, bound + 1):
-        for n in range(-bound, bound + 1):
-            if 4 * np.pi ** 2 * (m * m + n * n) <= threshold:
-                count += 1
-    return count

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surface import GridField, PLANAR
+from .surface import GridField
 
 _ZERO_SKIP = 1e-12  # samples below this fraction of max count as on the zero set
 
@@ -33,9 +33,6 @@ class CircleTrace:
     def n_samples(self) -> int:
         return self.values.size
 
-    def angles(self) -> np.ndarray:
-        return np.arange(self.n_samples) * (2 * np.pi / self.n_samples)
-
     def fourier(self):
         """(a, b) cosine/sine coefficients, a[0] the mean, up to degree n/2."""
         n = self.n_samples
@@ -47,13 +44,6 @@ class CircleTrace:
             a[-1] = coef[-1].real
             b[-1] = 0.0
         return a, b
-
-    def reconstruction_error(self) -> float:
-        a, b = self.fourier()
-        th = self.angles()
-        k = np.arange(a.size)
-        rec = (np.cos(np.outer(th, k)) @ a) + (np.sin(np.outer(th, k)) @ b)
-        return float(np.max(np.abs(rec - self.values)))
 
 
 def trace_from_function(fn, n_samples=512) -> CircleTrace:
@@ -121,15 +111,6 @@ class HarmonicExtension:
                 + np.sin(np.outer(th, k)) @ (self.b * rk))
         return float(np.max(np.abs(vals)))
 
-    def to_grid(self, rho, grid_n=257) -> GridField:
-        coords = np.linspace(-rho, rho, grid_n)
-        X, Y = np.meshgrid(coords, coords, indexing="ij")
-        inside = X * X + Y * Y <= rho * rho
-        vals = np.zeros_like(X)
-        vals[inside] = self.evaluate(X[inside], Y[inside])
-        return GridField(vals, domain=PLANAR, origin=(-rho, -rho),
-                         side=2 * rho, mask=inside)
-
 
 def harmonic_extend(trace: CircleTrace, rho=1.0) -> HarmonicExtension:
     """Series extension of the trace; harmonic to machine precision inside.
@@ -176,10 +157,6 @@ class SignGrowthReport:
     n_sign_changes: int
     rhs_log: float
     holds: bool
-
-    @property
-    def rhs_bound(self) -> float:
-        return float(np.exp(min(self.rhs_log, 700.0)))
 
 
 def growth_vs_signs_check(trace: CircleTrace, r0) -> SignGrowthReport:
@@ -232,19 +209,3 @@ def growth_vs_boundary_zeros_check(fieldlike, rho_plus=1.0 / 32.0,
     trace = trace_from_function(lambda cx, cy: ev(cx, cy), n_samples=n_trace)
     zero_count = sign_changes(trace)
     return lhs, zero_count, lhs / (1.0 + zero_count)
-
-
-def trace_to_csv(trace: CircleTrace, path) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        f.write("theta,value\n")
-        for th, v in zip(trace.angles(), trace.values):
-            f.write(f"{float(th)!r},{float(v)!r}\n")
-
-
-def trace_from_csv(path) -> CircleTrace:
-    values = []
-    with open(path, "r", encoding="ascii") as f:
-        next(f)
-        for line in f:
-            values.append(float(line.strip().split(",")[1]))
-    return CircleTrace(np.array(values))

@@ -1,4 +1,5 @@
-"""Nodal sets of sampled fields: extraction, length, singular points, crossings.
+"""Nodal sets of sampled fields: extraction, length, singular points, and
+the length and crossings of a curve inside / on probe disks.
 
 Extraction is cell-local marching squares with linear edge interpolation.
 Exact zeros at grid nodes count as positive, which makes the 16-case table
@@ -205,46 +206,65 @@ def _merge_wrap_labels(labels):
     return out
 
 
-def circle_intersections(nodal_set: NodalSet, center, radius,
-                         tol=1e-12) -> int:
-    """Number of crossings of the nodal polyline with a circle.
+def _segment_probe_geometry(curve: NodalSet, px, py):
+    """Per (probe, segment) quadratic coefficients of |p0 + t d - p|^2."""
+    seg = curve.segments
+    p0x = seg[:, 0][None, :]
+    p0y = seg[:, 1][None, :]
+    dx = (seg[:, 2] - seg[:, 0])[None, :]
+    dy = (seg[:, 3] - seg[:, 1])[None, :]
+    fx = p0x - px[:, None]
+    fy = p0y - py[:, None]
+    if curve.domain == TORUS:
+        # shift each segment to the period image nearest the probe
+        mx = fx + 0.5 * dx
+        my = fy + 0.5 * dy
+        fx = fx - np.round(mx)
+        fy = fy - np.round(my)
+    a = dx * dx + dy * dy
+    b = 2 * (dx * fx + dy * fy)
+    c = fx * fx + fy * fy
+    return a, b, c
 
-    Transversal crossings count per intersection point; tangential grazings
-    count once.  On the torus, each segment is shifted to the period image
-    nearest the circle center before intersecting.
-    """
-    if len(nodal_set) == 0:
-        return 0
-    seg = nodal_set.segments
-    p0 = seg[:, 0:2].copy()
-    p1 = seg[:, 2:4].copy()
-    if nodal_set.domain == TORUS:
-        if radius >= 0.5:
-            raise ValueError("torus circle radius must be below 1/2")
-        mid = 0.5 * (p0 + p1)
-        shift = np.round(mid - np.asarray(center))
-        p0 -= shift
-        p1 -= shift
-    d = p1 - p0
-    f = p0 - np.asarray(center, dtype=float)
-    a = np.sum(d * d, axis=1)
-    b = 2 * np.sum(d * f, axis=1)
-    c0 = np.sum(f * f, axis=1) - radius * radius
-    disc = b * b - 4 * a * c0
-    scale = b * b + np.abs(4 * a * c0) + 1e-300
-    count = 0
-    two = disc > tol * scale
-    if two.any():
-        sq = np.sqrt(disc[two])
-        aa = a[two]
-        bb = b[two]
-        for roots in ((-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa)):
-            count += int(np.sum((roots >= -1e-9) & (roots < 1.0 - 1e-9)))
-    grazing = (np.abs(disc) <= tol * scale) & (a > 0)
-    if grazing.any():
-        t0 = -b[grazing] / (2 * a[grazing])
-        count += int(np.sum((t0 >= -1e-9) & (t0 < 1.0 - 1e-9)))
-    return count
+
+def clip_lengths(curve, px, py, r):
+    """Total curve length inside the disk of radius r around each probe."""
+    a, b, c = _segment_probe_geometry(curve, px, py)
+    c = c - r * r
+    disc = b * b - 4 * a * c
+    seg_len = np.sqrt(np.maximum(a, 1e-300))
+    out = np.zeros(px.shape[0])
+    pos = disc > 0
+    if pos.any():
+        aa = np.broadcast_to(a, disc.shape)[pos]
+        bb = b[pos]
+        sq = np.sqrt(disc[pos])
+        t1 = (-bb - sq) / (2 * aa)
+        t2 = (-bb + sq) / (2 * aa)
+        overlap = np.clip(np.minimum(t2, 1.0) - np.maximum(t1, 0.0), 0.0, 1.0)
+        contrib = np.zeros_like(disc)
+        contrib[pos] = overlap * np.broadcast_to(seg_len, disc.shape)[pos]
+        out = contrib.sum(axis=1)
+    return out
+
+
+def crossing_counts(curve, px, py, r):
+    """Number of curve crossings of the probe circle of radius r."""
+    a, b, c = _segment_probe_geometry(curve, px, py)
+    c = c - r * r
+    disc = b * b - 4 * a * c
+    counts = np.zeros(px.shape[0], dtype=np.int64)
+    pos = disc > 0
+    if pos.any():
+        aa = np.broadcast_to(a, disc.shape)[pos]
+        sq = np.sqrt(disc[pos])
+        t1 = (-b[pos] - sq) / (2 * aa)
+        t2 = (-b[pos] + sq) / (2 * aa)
+        hits = np.zeros(disc.shape, dtype=np.int64)
+        hits[pos] = (((t1 >= 0.0) & (t1 < 1.0)).astype(np.int64)
+                     + ((t2 >= 0.0) & (t2 < 1.0)).astype(np.int64))
+        counts = hits.sum(axis=1)
+    return counts
 
 
 def segments_to_csv(nodal_set: NodalSet, path) -> None:

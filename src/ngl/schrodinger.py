@@ -19,7 +19,7 @@ from .errors import ConstraintError, InfiniteGrowthError, ResolutionError
 from .eigen import EigenPair
 from .growth import growth_exponent
 from .surface import (ConformalMetric, EuclideanDisk, GridField, PLANAR,
-                      sup_on_region)
+                      polar_quadrature, sup_on_region)
 
 PATCH_RADIUS = 3.0          # the planar field lives on |z| <= 3
 CORE_RADIUS = 1.0 / 60.0    # all rapid-disk machinery happens inside here
@@ -261,15 +261,9 @@ def check_beta_related(delta, beta_star_value):
 
 def _annulus_f2_integral(pf_eval, center, r_inner, r_outer,
                          n_radial=24, n_angular=512):
-    nodes, weights = np.polynomial.legendre.leggauss(n_radial)
-    rad = 0.5 * (r_outer - r_inner) * nodes + 0.5 * (r_outer + r_inner)
-    wr = 0.5 * (r_outer - r_inner) * weights
-    th = np.arange(n_angular) * (2 * np.pi / n_angular)
-    px = center[0] + rad[:, None] * np.cos(th)[None, :]
-    py = center[1] + rad[:, None] * np.sin(th)[None, :]
+    px, py, w = polar_quadrature(center, r_inner, r_outer, n_radial, n_angular)
     vals = np.asarray(pf_eval(px, py))
-    return float(np.sum(vals * vals * rad[:, None] * wr[:, None])
-                 * (2 * np.pi / n_angular))
+    return float(np.sum(vals * vals * w))
 
 
 @dataclass

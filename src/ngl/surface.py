@@ -9,6 +9,7 @@ evaluation over disks and annuli.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 from dataclasses import dataclass
@@ -581,19 +582,39 @@ def _grid_lq_disk(field: GridField, center, r, qexp, sub=8):
     return total ** (1.0 / qexp)
 
 
+@functools.lru_cache(maxsize=None)
+def _polar_tables(n_radial, n_angular):
+    """Read-only Legendre nodes/weights and cos/sin angle tables."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_radial)
+    th = np.arange(n_angular) * (2 * np.pi / n_angular)
+    tables = (nodes, weights, np.cos(th), np.sin(th))
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
+
+
+def polar_quadrature(center, r_inner, r_outer, n_radial, n_angular):
+    """Gauss-Legendre (radial) x trapezoid (angular) rule on an annulus.
+
+    Returns points ``(px, py)`` of shape (n_radial, n_angular) and weights
+    ``w`` of shape (n_radial, 1) that broadcast against them; a disk is the
+    annulus with ``r_inner = 0``.
+    """
+    nodes, weights, cos_th, sin_th = _polar_tables(n_radial, n_angular)
+    rad = 0.5 * (r_outer - r_inner) * nodes + 0.5 * (r_outer + r_inner)
+    wr = 0.5 * (r_outer - r_inner) * weights
+    px = center[0] + rad[:, None] * cos_th[None, :]
+    py = center[1] + rad[:, None] * sin_th[None, :]
+    w = (rad * wr)[:, None] * (2 * np.pi / n_angular)
+    return px, py, w
+
+
 def _callable_lq_polar(fn, center, r_inner, r_outer, qexp,
                        n_radial=64, n_angular=512):
     """L^q over a disk/annulus by Gauss-Legendre (radial) x trapezoid (angular)."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_radial)
-    rad = 0.5 * (r_outer - r_inner) * nodes + 0.5 * (r_outer + r_inner)
-    wr = 0.5 * (r_outer - r_inner) * weights
-    th = np.arange(n_angular) * (2 * np.pi / n_angular)
-    dth = 2 * np.pi / n_angular
-    px = center[0] + rad[:, None] * np.cos(th)[None, :]
-    py = center[1] + rad[:, None] * np.sin(th)[None, :]
+    px, py, w = polar_quadrature(center, r_inner, r_outer, n_radial, n_angular)
     vals = np.abs(np.asarray(fn(px, py)))
-    integral = float(np.sum((vals ** qexp) * rad[:, None] * wr[:, None]) * dth)
-    return integral ** (1.0 / qexp)
+    return float(np.sum((vals ** qexp) * w)) ** (1.0 / qexp)
 
 
 def _grid_lq_metric_disk(field: GridField, region: MetricDisk, qexp, sub=8):

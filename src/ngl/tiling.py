@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConstraintError
-from .nodal import NodalSet
+from .nodal import NodalSet, clip_lengths
 from .schrodinger import (CORE_RADIUS, DiskAnnuli, PlanarField, beta_star,
                           check_beta_related, classify_rapid)
 
@@ -237,30 +237,6 @@ def clip_length_to_square(nodal_set: NodalSet, square: Square,
     return float(lengths.sum())
 
 
-def clip_length_to_disk(nodal_set: NodalSet, center=(0.0, 0.0),
-                        radius=CORE_RADIUS) -> float:
-    if len(nodal_set) == 0:
-        return 0.0
-    seg = nodal_set.segments
-    p0x = seg[:, 0] - center[0]
-    p0y = seg[:, 1] - center[1]
-    dx = seg[:, 2] - seg[:, 0]
-    dy = seg[:, 3] - seg[:, 1]
-    a = dx * dx + dy * dy
-    b = 2 * (dx * p0x + dy * p0y)
-    c = p0x * p0x + p0y * p0y - radius * radius
-    disc = b * b - 4 * a * c
-    out = 0.0
-    pos = disc > 0
-    if pos.any():
-        sq = np.sqrt(disc[pos])
-        t1 = (-b[pos] - sq) / (2 * a[pos])
-        t2 = (-b[pos] + sq) / (2 * a[pos])
-        overlap = np.clip(np.minimum(t2, 1.0) - np.maximum(t1, 0.0), 0.0, 1.0)
-        out = float(np.sum(overlap * np.sqrt(a[pos])))
-    return out
-
-
 def slow_square_budgets(state: TilingState, nodal_set: NodalSet):
     """Clipped nodal length per slow square, normalized by the level side."""
     rows = []
@@ -291,7 +267,8 @@ def total_bound_report(state: TilingState, nodal_set: NodalSet) -> TotalBoundRep
     (slow squares of every level plus any remaining rapid squares) and
     checks it against direct clipping; the two must agree to 1 percent.
     """
-    h1_disk = clip_length_to_disk(nodal_set)
+    h1_disk = float(clip_lengths(nodal_set, np.zeros(1), np.zeros(1),
+                                 CORE_RADIUS)[0])
     recon = 0.0
     for sq in state.all_slow():
         recon += clip_length_to_square(nodal_set, sq, state.delta0)

@@ -3,8 +3,7 @@ import pytest
 
 from ngl.carleman import (BumpComponent, TestField, build_psi0, build_weight,
                           carleman_c1_check, check_subharmonic_inequality,
-                          dbar_fd, dbar_star_fd, dee_fd, default_h_profile,
-                          laplacian_fd, random_test_field)
+                          default_h_profile, random_test_field)
 from ngl.errors import ConstraintError
 
 
@@ -269,6 +268,37 @@ def test_c1_requires_t_at_least_one(radial):
 
 
 # --------------------------------------------------------------- fd identities
+# centered-difference complex derivatives, the oracles for the operator
+# identity [dbar, dbar*] u = (1/4)(lap phi) u behind the weighted estimate
+
+
+def dee_fd(values, h):
+    """(1/2)(d/dx - i d/dy) by centered differences (interior only)."""
+    vx = (np.roll(values, -1, axis=0) - np.roll(values, 1, axis=0)) / (2 * h)
+    vy = (np.roll(values, -1, axis=1) - np.roll(values, 1, axis=1)) / (2 * h)
+    return 0.5 * (vx - 1j * vy)
+
+
+def dbar_fd(values, h):
+    """(1/2)(d/dx + i d/dy) by centered differences (interior only)."""
+    vx = (np.roll(values, -1, axis=0) - np.roll(values, 1, axis=0)) / (2 * h)
+    vy = (np.roll(values, -1, axis=1) - np.roll(values, 1, axis=1)) / (2 * h)
+    return 0.5 * (vx + 1j * vy)
+
+
+def dbar_star_fd(values, h, phi_values):
+    """Adjoint of dbar in the weighted inner product with weight exp(-phi).
+
+    Integration by parts carries a sign: dbar* = -exp(phi) d (exp(-phi) .),
+    which is the convention under which [dbar, dbar*] u = (1/4)(lap phi) u.
+    """
+    return -np.exp(phi_values) * dee_fd(np.exp(-phi_values) * values, h)
+
+
+def laplacian_fd(values, h):
+    return (np.roll(values, -1, axis=0) + np.roll(values, 1, axis=0)
+            + np.roll(values, -1, axis=1) + np.roll(values, 1, axis=1)
+            - 4 * values) / (h * h)
 
 
 def _grid(n, L=8.0):
@@ -321,3 +351,33 @@ def test_identity_commutator():
         errs.append(err)
         assert err < h  # first order suffices
     assert errs[1] < errs[0]
+
+
+# --------------------------------------------------------------- disk bands
+
+
+def reference_band_quadrature(center, r_inner, r_outer, n_radial=48, n_angular=512):
+    """Polar band rule with fresh nodes and full-size weights."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_radial)
+    rad = 0.5 * (r_outer - r_inner) * nodes + 0.5 * (r_outer + r_inner)
+    wr = 0.5 * (r_outer - r_inner) * weights
+    th = np.arange(n_angular) * (2 * np.pi / n_angular)
+    X = center[0] + rad[:, None] * np.cos(th)[None, :]
+    Y = center[1] + rad[:, None] * np.sin(th)[None, :]
+    W = (rad * wr)[:, None] * (2 * np.pi / n_angular) * np.ones_like(X)
+    return X, Y, W
+
+
+def test_band_sums_equal_reference_rule(radial):
+    from ngl.carleman import _BAND_NODES
+    from ngl.surface import polar_quadrature
+    w = build_weight(three_centers(), 1e-3, t=5.0, radial=radial)
+    for c in w.centers:
+        args = (c, (1 - 2 * w.a) * w.delta, 1.2 * w.delta)
+        X, Y, W = polar_quadrature(*args, *_BAND_NODES)
+        Xr, Yr, Wr = reference_band_quadrature(*args)
+        np.testing.assert_array_equal(X, Xr)
+        np.testing.assert_array_equal(Y, Yr)
+        phi = np.exp(w.log_phi0(X, Y) + w.t * (X * X + Y * Y))
+        for vals in (phi, w.delta_log_phi(X, Y) * np.cos(3e3 * X + Y) ** 2):
+            assert float(np.sum(vals * phi * W)) == float(np.sum(vals * phi * Wr))

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -52,6 +55,9 @@ def test_validation_failures():
     bad = deep_merge(DEFAULT_CONFIG, {"metric": {"grid_n": 128}})
     with pytest.raises(ConfigError, match="need grid_n"):
         validate_config(bad, command="thm1")
+    bad = deep_merge(DEFAULT_CONFIG, {"localize": {"index": 0}})
+    with pytest.raises(ConfigError, match="localize.index"):
+        validate_config(bad, command="localize")
 
 
 def test_main_exit_codes(tmp_path):
@@ -200,3 +206,96 @@ def test_all_command_aggregates(tmp_path):
     assert (tmp_path / "out" / "record.json").exists()
     assert (tmp_path / "out" / "tiling.svg").exists()
     assert (tmp_path / "out" / "disk_config.svg").exists()
+
+
+# --------------------------------------------------------------- config faults
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read"),
+    ('{"metric": {"grid_n": 64,}}', "not valid JSON"),
+    ('[1, 2]', "JSON object"),
+    ('{"metric": {"grid-n": 64}}', "unknown config key 'metric.grid-n'"),
+    ('{"harmonic": {"n_traces": 5}, "tilling": {}}', "unknown config key 'tilling'"),
+    ('{"metric": {"grid_n": "64"}}', "metric.grid_n has the wrong type"),
+    ('{"metric": {"grid_n": 64.0}}', "metric.grid_n has the wrong type"),
+    ('{"eigen": {"count": true}}', "eigen.count has the wrong type"),
+    ('{"growth": {"k0": false}}', "growth.k0 has the wrong type"),
+    ('{"tiling": {"delta0": "small"}}', "tiling.delta0 has the wrong type"),
+    ('{"carleman": {"t_values": [1.0, "5"]}}', "carleman.t_values has the wrong type"),
+    ('{"eigen": 4}', "eigen must be an object"),
+    ('{"crofton": {"r": 0.0}}', "crofton.r must be positive"),
+    ('{"crofton": {"r": -0.05}}', "crofton.r must be positive"),
+])
+def test_config_faults_exit_2_with_one_line(tmp_path, capsys, content, message):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_text(content)
+    code = main(["crofton", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("configuration error: ")
+    assert message in err
+
+
+def test_config_accepts_documented_types():
+    cfg = load_config(overrides={
+        "growth": {"k0": 1},                     # int where a float is expected
+        "tiling": {"delta0": 0.004},             # number where None is the default
+        "eigen": {"maxiter": None},
+        "metric": {"params": {"anything": [1]}},  # free-form
+    })
+    assert cfg["growth"]["k0"] == 1
+
+
+# --------------------------------------------------------------- lazy package
+
+
+def test_every_exported_name_resolves():
+    import ngl
+    assert len(ngl.__all__) == len(set(ngl.__all__))
+    for name in ngl.__all__:
+        assert getattr(ngl, name) is not None, name
+    assert set(ngl.__all__) <= set(dir(ngl))
+    with pytest.raises(AttributeError):
+        ngl.no_such_name
+
+
+def test_threads_flag_applies_before_numpy_loads(tmp_path):
+    """``--threads`` must set the thread variables before numpy is imported."""
+    script = textwrap.dedent("""
+        import json, os, sys
+
+        VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS")
+        seen = []
+
+        class Recorder:
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy" and not seen:
+                    seen.append({v: os.environ.get(v) for v in VARS})
+                return None
+
+        sys.meta_path.insert(0, Recorder())
+        import ngl.cli
+        loaded_early = "numpy" in sys.modules
+        code = ngl.cli.main(sys.argv[1:])
+        print(json.dumps({"loaded_early": loaded_early, "code": code,
+                          "seen": seen}))
+    """)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"metric": {"grid_n": 32}, "eigen": {"count": 2}}))
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith("_NUM_THREADS")}
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "spectrum", "--threads", "3",
+         "--config", str(cfg), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["code"] == 0
+    assert result["loaded_early"] is False
+    assert result["seen"] == [{"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": "3",
+                               "MKL_NUM_THREADS": "3", "NUMEXPR_NUM_THREADS": "3"}]

@@ -6,7 +6,7 @@ from ngl.crofton import (circle_count_length,
                          synthetic_circle, synthetic_segment,
                          validate_circle_kinematic_constant)
 from ngl.eigen import analytic_eigenpair
-from ngl.nodal import NodalSet
+from ngl.nodal import NodalSet, extract_nodal_set
 
 
 def test_kinematic_constant_four_digits():
@@ -108,3 +108,75 @@ def test_consistency_eigenfunction():
     pair = analytic_eigenpair(1, 1, grid_n=192)
     report = crofton_consistency(pair.field, r=0.05, samples=40_000, seed=9)
     assert report["consistent"]
+
+
+# --------------------------------------------------------------- probe kernels
+# the per-probe kernels as first written for the estimators, kept as the
+# bitwise reference for the shared kernels in ngl.nodal
+
+
+def reference_geometry(curve, px, py):
+    seg = curve.segments
+    p0x = seg[:, 0][None, :]
+    p0y = seg[:, 1][None, :]
+    dx = (seg[:, 2] - seg[:, 0])[None, :]
+    dy = (seg[:, 3] - seg[:, 1])[None, :]
+    fx = p0x - px[:, None]
+    fy = p0y - py[:, None]
+    if curve.domain == "torus":
+        fx = fx - np.round(fx + 0.5 * dx)
+        fy = fy - np.round(fy + 0.5 * dy)
+    return dx * dx + dy * dy, 2 * (dx * fx + dy * fy), fx * fx + fy * fy
+
+
+def reference_clip_lengths(curve, px, py, r):
+    a, b, c = reference_geometry(curve, px, py)
+    disc = b * b - 4 * a * (c - r * r)
+    pos = disc > 0
+    aa = np.broadcast_to(a, disc.shape)[pos]
+    sq = np.sqrt(disc[pos])
+    t1 = (-b[pos] - sq) / (2 * aa)
+    t2 = (-b[pos] + sq) / (2 * aa)
+    overlap = np.clip(np.minimum(t2, 1.0) - np.maximum(t1, 0.0), 0.0, 1.0)
+    contrib = np.zeros_like(disc)
+    contrib[pos] = overlap * np.broadcast_to(
+        np.sqrt(np.maximum(a, 1e-300)), disc.shape)[pos]
+    return contrib.sum(axis=1)
+
+
+def reference_crossing_counts(curve, px, py, r):
+    a, b, c = reference_geometry(curve, px, py)
+    disc = b * b - 4 * a * (c - r * r)
+    pos = disc > 0
+    aa = np.broadcast_to(a, disc.shape)[pos]
+    sq = np.sqrt(disc[pos])
+    t1 = (-b[pos] - sq) / (2 * aa)
+    t2 = (-b[pos] + sq) / (2 * aa)
+    hits = np.zeros(disc.shape, dtype=np.int64)
+    hits[pos] = (((t1 >= 0.0) & (t1 < 1.0)).astype(np.int64)
+                 + ((t2 >= 0.0) & (t2 < 1.0)).astype(np.int64))
+    return hits.sum(axis=1)
+
+
+def reference_estimate(curve, r, samples, seed, kernel):
+    from ngl.crofton import _probe_points, _window_for
+    px, py, area = _probe_points(seed, samples, _window_for(curve, r))
+    fn = reference_clip_lengths if kernel == "disk" else reference_crossing_counts
+    vals = np.concatenate([fn(curve, px[lo:lo + 2048], py[lo:lo + 2048], r)
+                           for lo in range(0, samples, 2048)])
+    norm = np.pi * r * r if kernel == "disk" else 4.0 * r
+    return (area * float(vals.mean()) / norm,
+            area * float(vals.std(ddof=1)) / np.sqrt(samples) / norm)
+
+
+@pytest.mark.parametrize("curve_name", ["torus", "planar"])
+def test_estimates_bit_identical_to_reference_kernels(curve_name):
+    if curve_name == "torus":
+        curve = extract_nodal_set(analytic_eigenpair(2, 1, grid_n=96).field)
+    else:
+        curve = synthetic_circle(0.3, n_seg=512)
+    for kernel, fn in (("disk", disk_average_length),
+                       ("circle", circle_count_length)):
+        est = fn(curve, 0.07, 5000, seed=13)
+        assert (est.value, est.stderr) == reference_estimate(curve, 0.07, 5000,
+                                                             13, kernel)

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from ngl.errors import ConvergenceError
 from ngl.eigen import (analytic_eigenpair, analytic_spectrum,
-                       assemble_operators, counting_function, lattice_count,
+                       assemble_operators, counting_function, flat_modes,
                        solve_spectrum)
 from ngl.surface import make_metric
 
@@ -166,6 +168,17 @@ def test_analytic_residual_symbol_deficit():
     assert pair.residual > 0
 
 
+def lattice_count(threshold) -> int:
+    """Weyl-count oracle: integer pairs (m, n) with 4 pi^2 (m^2 + n^2) <= threshold."""
+    bound = int(np.floor(np.sqrt(threshold / (4 * np.pi ** 2)))) + 1
+    count = 0
+    for m in range(-bound, bound + 1):
+        for n in range(-bound, bound + 1):
+            if 4 * np.pi ** 2 * (m * m + n * n) <= threshold:
+                count += 1
+    return count
+
+
 def test_weyl_counting_function_exact():
     spec = analytic_spectrum(128, 44)
     threshold = 4 * np.pi ** 2 * 10
@@ -185,3 +198,46 @@ def test_analytic_spectrum_shells():
     lams = np.array([p.lam for p in spec.pairs]) / (4 * np.pi ** 2)
     expected = [0] + [1] * 4 + [2] * 4 + [4] * 4 + [5] * 8
     np.testing.assert_allclose(lams, expected, atol=1e-12)
+
+
+# --------------------------------------------------------------- lattice shells
+# two independent enumerations: the half-lattice mode list of the closed-form
+# spectrum and the full-lattice shell list of the grid-resolution check
+
+
+def reference_mode_list(count):
+    bound = 2
+    while True:
+        reps = [(m, n) for m in range(0, bound + 1)
+                for n in range(-bound, bound + 1)
+                if (m > 0 or (m == 0 and n > 0)) and m * m + n * n <= bound * bound]
+        if 2 * len(reps) >= count:
+            break
+        bound += 1
+    reps.sort(key=lambda mn: (mn[0] ** 2 + mn[1] ** 2, mn[0], mn[1]))
+    modes = []
+    for m, n in reps:
+        modes.append((m, n, 0.0))
+        modes.append((m, n, -np.pi / 2))
+    return modes[:count]
+
+
+def reference_lambda_of_count(count):
+    bound = 2
+    while True:
+        vals = sorted(m * m + n * n for m in range(-bound, bound + 1)
+                      for n in range(-bound, bound + 1)
+                      if (m, n) != (0, 0) and m * m + n * n <= bound * bound)
+        if len(vals) >= count:
+            break
+        bound += 1
+    return 4 * math.pi ** 2 * vals[count - 1]
+
+
+def test_flat_modes_match_reference_enumerations():
+    for count in range(1, 401):
+        modes = flat_modes(count)
+        assert modes == reference_mode_list(count)
+        m, n, _ = modes[-1]
+        assert 4 * math.pi ** 2 * (m * m + n * n) == reference_lambda_of_count(count)
+

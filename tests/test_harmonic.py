@@ -5,8 +5,8 @@ import pytest
 
 from ngl.harmonic import (CircleTrace, growth_vs_boundary_zeros_check,
                           growth_vs_signs_check, harmonic_extend,
-                          robertson_constant, sign_changes, trace_from_csv,
-                          trace_from_function, trace_to_csv)
+                          robertson_constant, sign_changes,
+                          trace_from_function)
 
 
 def poly_trace(n):
@@ -16,18 +16,20 @@ def poly_trace(n):
 # --------------------------------------------------------------- traces
 
 
+def reconstruction_error(trace):
+    """Max deviation of the series sum_k a_k cos(k t) + b_k sin(k t) built
+    from ``trace.fourier()`` from the samples it came from."""
+    a, b = trace.fourier()
+    th = np.arange(trace.n_samples) * (2 * np.pi / trace.n_samples)
+    k = np.arange(a.size)
+    rec = (np.cos(np.outer(th, k)) @ a) + (np.sin(np.outer(th, k)) @ b)
+    return float(np.max(np.abs(rec - trace.values)))
+
+
 def test_fourier_reconstruction_bandlimited():
     tr = trace_from_function(lambda x, y: 2 + np.real((x + 1j * y) ** 7)
                              - 3 * np.imag((x + 1j * y) ** 2))
-    assert tr.reconstruction_error() < 1e-10
-
-
-def test_trace_csv_roundtrip(tmp_path):
-    tr = poly_trace(3)
-    path = tmp_path / "trace.csv"
-    trace_to_csv(tr, path)
-    back = trace_from_csv(path)
-    np.testing.assert_array_equal(tr.values, back.values)
+    assert reconstruction_error(tr) < 1e-10
 
 
 # --------------------------------------------------------------- sign changes
@@ -111,13 +113,6 @@ def test_maximum_principle():
         interior = max(interior, float(np.max(np.abs(
             ext.evaluate(r * np.cos(th), r * np.sin(th))))))
     assert interior <= boundary_sup + 1e-9
-
-
-def test_extension_to_grid_masked():
-    ext = harmonic_extend(poly_trace(2))
-    grid = ext.to_grid(0.5, grid_n=65)
-    assert grid.mask is not None
-    assert grid.values[~grid.mask].max() == 0.0
 
 
 # --------------------------------------------------------------- constants

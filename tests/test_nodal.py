@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ngl.eigen import analytic_eigenpair
-from ngl.nodal import (circle_intersections, extract_nodal_set, nodal_length,
+from ngl.nodal import (crossing_counts, extract_nodal_set, nodal_length,
                        singular_points)
 from ngl.surface import GridField, PLANAR, TORUS, make_metric
 
@@ -118,6 +118,14 @@ def test_singular_tolerances_validated(sin_x_256):
 
 
 # ---------------------------------------------------------------- circle crossings
+
+
+def circle_intersections(ns, center, radius):
+    """Crossings of one probe circle, through the batched probe kernel."""
+    counts = crossing_counts(ns, np.array([center[0]], dtype=float),
+                             np.array([center[1]], dtype=float), radius)
+    assert counts.shape == (1,)
+    return int(counts[0])
 
 
 def test_circle_intersections_far_line(sin_x_256):

@@ -301,3 +301,29 @@ def test_localization_commutes_with_growth(localized_sine):
     sup_minus = sup_on_region(pair.field, EuclideanDisk((0.0, 0.5), 0.25 * s))
     direct = float(np.log(sup_plus / sup_minus))
     assert abs(beta - direct) < 5e-3
+
+
+def reference_annulus_f2(fn, center, r_inner, r_outer, n_radial=24, n_angular=512):
+    """Squared mass over an annulus with fresh Legendre nodes on every call."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_radial)
+    rad = 0.5 * (r_outer - r_inner) * nodes + 0.5 * (r_outer + r_inner)
+    wr = 0.5 * (r_outer - r_inner) * weights
+    th = np.arange(n_angular) * (2 * np.pi / n_angular)
+    px = center[0] + rad[:, None] * np.cos(th)[None, :]
+    py = center[1] + rad[:, None] * np.sin(th)[None, :]
+    vals = np.asarray(fn(px, py))
+    return float(np.sum(vals * vals * rad[:, None] * wr[:, None])
+                 * (2 * np.pi / n_angular))
+
+
+def test_annulus_mass_matches_reference_rule():
+    from ngl.schrodinger import _annulus_f2_integral
+    rng = np.random.default_rng(11)
+    fn = lambda x, y: np.real((40 * (x + 1j * y) + 0.2) ** 9) + np.exp(x)
+    for _ in range(300):
+        center = tuple(rng.uniform(-0.015, 0.015, 2))
+        r0 = rng.uniform(1e-5, 1e-3)
+        r1 = r0 + rng.uniform(1e-5, 1e-3)
+        got = _annulus_f2_integral(fn, center, r0, r1)
+        assert got == pytest.approx(reference_annulus_f2(fn, center, r0, r1),
+                                    rel=1e-14, abs=0.0)

@@ -7,8 +7,8 @@ from ngl.errors import EmptyRegionError
 from ngl.surface import (EuclideanAnnulus, EuclideanDisk, GridField,
                          flat_torus_distance, geodesic_distance,
                          lq_norm_on_region, make_metric, metric_disk,
-                         polyline_metric_length, read_gfd, sup_on_region,
-                         write_gfd)
+                         polar_quadrature, polyline_metric_length, read_gfd,
+                         sup_on_region, write_gfd)
 
 from conftest import torus_field
 
@@ -270,3 +270,51 @@ def test_gfd_roundtrip(tmp_path):
     assert g.side == 6.0
     assert g.origin == (-3.0, -3.0)
     np.testing.assert_array_equal(f.values, g.values)
+
+
+# ---------------------------------------------------------------- polar quadrature
+
+
+def reference_lq_polar(fn, center, r_inner, r_outer, qexp,
+                       n_radial=64, n_angular=512):
+    """Gauss-Legendre x trapezoid L^q norm with fresh nodes on every call."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_radial)
+    rad = 0.5 * (r_outer - r_inner) * nodes + 0.5 * (r_outer + r_inner)
+    wr = 0.5 * (r_outer - r_inner) * weights
+    th = np.arange(n_angular) * (2 * np.pi / n_angular)
+    px = center[0] + rad[:, None] * np.cos(th)[None, :]
+    py = center[1] + rad[:, None] * np.sin(th)[None, :]
+    vals = np.abs(np.asarray(fn(px, py)))
+    integral = float(np.sum((vals ** qexp) * rad[:, None] * wr[:, None])
+                     * (2 * np.pi / n_angular))
+    return integral ** (1.0 / qexp)
+
+
+def test_polar_quadrature_tables_cached_read_only():
+    px, py, w = polar_quadrature((0.1, -0.2), 0.0, 0.5, 8, 16)
+    assert px.shape == py.shape == (8, 16) and w.shape == (8, 1)
+    # the weights integrate 1 and |z - c|^2 exactly over the disk
+    assert np.sum(w * np.ones_like(px)) == pytest.approx(np.pi * 0.25, rel=1e-14)
+    rr = (px - 0.1) ** 2 + (py + 0.2) ** 2
+    assert np.sum(w * rr) == pytest.approx(np.pi * 0.5 ** 4 / 2, rel=1e-14)
+    from ngl.surface import _polar_tables
+    tables = _polar_tables(8, 16)
+    assert _polar_tables(8, 16) is tables
+    for arr in tables:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_callable_lq_matches_reference_rule():
+    rng = np.random.default_rng(3)
+    fn = lambda x, y: np.exp(x) * np.cos(3 * y) + x * y
+    for _ in range(50):
+        center = tuple(rng.uniform(-1, 1, 2))
+        r_in = rng.uniform(0.0, 0.3) if rng.random() < 0.5 else 0.0
+        r_out = r_in + rng.uniform(0.01, 0.5)
+        qexp = float(rng.choice([1.0, 2.0, 3.5]))
+        region = (EuclideanAnnulus(center, r_in, r_out) if r_in > 0
+                  else EuclideanDisk(center, r_out))
+        got = lq_norm_on_region(fn, region, qexp)
+        ref = reference_lq_polar(fn, center, r_in, r_out, qexp)
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from ngl.errors import ConstraintError
-from ngl.nodal import extract_nodal_set, singular_points
-from ngl.schrodinger import core_field, planar_field_from_function
-from ngl.tiling import (P_SIDE, Square, clip_length_to_disk,
-                        coverage_check, default_delta0, init_tiling,
-                        level_counts, refine, run_tiling, slow_square_budgets,
-                        tiling_to_csv, total_bound_report)
+from ngl.nodal import NodalSet, clip_lengths, extract_nodal_set, singular_points
+from ngl.schrodinger import CORE_RADIUS, core_field, planar_field_from_function
+from ngl.tiling import (P_SIDE, Square, coverage_check, default_delta0,
+                        init_tiling, level_counts, refine, run_tiling,
+                        slow_square_budgets, tiling_to_csv, total_bound_report)
 
 
 def constant_field():
@@ -198,11 +197,44 @@ def test_reconstruction_consistency_under_refinement():
     assert np.isfinite(rep.ratio)
 
 
+def core_disk_length(ns):
+    return float(clip_lengths(ns, np.zeros(1), np.zeros(1), CORE_RADIUS)[0])
+
+
 def test_clip_length_to_disk_line():
-    from ngl.nodal import NodalSet
     seg = np.array([[0.0, -0.5, 0.0, 0.5]])
     ns = NodalSet(seg, domain="planar")
-    assert clip_length_to_disk(ns) == pytest.approx(2.0 / 60.0, abs=1e-12)
+    assert core_disk_length(ns) == pytest.approx(2.0 / 60.0, abs=1e-12)
+
+
+def reference_core_disk_length(ns, radius=CORE_RADIUS):
+    """Segment-by-segment clipping to the disk |z| < radius."""
+    seg = ns.segments
+    p0x, p0y = seg[:, 0], seg[:, 1]
+    dx = seg[:, 2] - seg[:, 0]
+    dy = seg[:, 3] - seg[:, 1]
+    a = dx * dx + dy * dy
+    b = 2 * (dx * p0x + dy * p0y)
+    c = p0x * p0x + p0y * p0y - radius * radius
+    disc = b * b - 4 * a * c
+    pos = disc > 0
+    sq = np.sqrt(disc[pos])
+    t1 = (-b[pos] - sq) / (2 * a[pos])
+    t2 = (-b[pos] + sq) / (2 * a[pos])
+    overlap = np.clip(np.minimum(t2, 1.0) - np.maximum(t1, 0.0), 0.0, 1.0)
+    return float(np.sum(overlap * np.sqrt(a[pos])))
+
+
+def test_core_disk_length_matches_segment_clipping():
+    fn = lambda x, y: np.real((60 * (x + 1j * y) + 0.3 - 0.2j) ** 5) + 0.1
+    core = core_field(planar_field_from_function(fn, planar_grid_n=256),
+                      grid_n=257)
+    ns = extract_nodal_set(core)
+    assert len(ns) > 100
+    ref = reference_core_disk_length(ns)
+    assert ref > 0
+    assert core_disk_length(ns) == pytest.approx(ref, rel=1e-12)
+    assert core_disk_length(NodalSet(np.empty((0, 4)), domain="planar")) == 0.0
 
 
 def test_tiling_csv_format(tmp_path):
