@@ -16,8 +16,8 @@ import importlib
 
 _EXPORTS = {
     "errors": ("ConfigError", "ConstraintError", "ConvergenceError",
-               "EmptyRegionError", "InfiniteGrowthError", "NglError",
-               "ResolutionError"),
+               "CorruptFileError", "EmptyRegionError", "InfiniteGrowthError",
+               "NglError", "ResolutionError"),
     "surface": ("ConformalMetric", "EuclideanAnnulus", "EuclideanDisk",
                 "GridField", "MetricDisk", "flat_torus_distance",
                 "geodesic_distance", "lq_norm_on_region", "make_metric",

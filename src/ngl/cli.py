@@ -21,7 +21,8 @@ import os
 import sys
 
 from .errors import (ConfigError, ConstraintError, ConvergenceError,
-                     InfiniteGrowthError, NglError, ResolutionError)
+                     CorruptFileError, InfiniteGrowthError, NglError,
+                     ResolutionError)
 
 DEFAULT_CONFIG = {
     "schema_version": 1,
@@ -225,9 +226,12 @@ class ResultRecord:
 
 
 def _write_json(obj, path):
-    with open(path, "w", encoding="ascii") as f:
+    # write aside, then rename: a reader never sees a half-written file
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "w", encoding="ascii") as f:
         json.dump(obj, f, sort_keys=True, indent=1)
         f.write("\n")
+    os.replace(tmp, path)
 
 
 # --------------------------------------------------------------------------
@@ -247,7 +251,7 @@ def _spectrum_cache_key(cfg):
 def _get_spectrum(cfg, out_dir, record=None):
     """Solve (or load from cache) the configured spectrum."""
     from .eigen import Spectrum, EigenPair, analytic_spectrum, solve_spectrum
-    from .surface import read_gfd, write_gfd
+    from .surface import TORUS, read_gfd, write_gfd
 
     metric = _build_metric(cfg)
     solver = cfg["eigen"]["solver"]
@@ -256,15 +260,24 @@ def _get_spectrum(cfg, out_dir, record=None):
     cache_dir = os.path.join(out_dir, "spectrum_cache", _spectrum_cache_key(cfg))
     index_path = os.path.join(cache_dir, "index.json")
     count = cfg["eigen"]["count"]
+    status = "miss"
     if os.path.exists(index_path):
-        with open(index_path, "r", encoding="ascii") as f:
-            index = json.load(f)
-        if len(index) >= count + 1:
+        # anything unreadable, short or of the wrong shape is recomputed
+        try:
+            with open(index_path, "r", encoding="ascii") as f:
+                index = json.load(f)
+            if len(index) < count + 1:
+                raise CorruptFileError(f"{index_path}: {len(index)} entries")
             pairs = []
             for entry in index[:count + 1]:
                 field = read_gfd(os.path.join(cache_dir, entry["file"]))
-                pairs.append(EigenPair(lam=entry["lambda"], field=field,
-                                       residual=entry["residual"]))
+                if field.grid_n != metric.grid_n or field.domain != TORUS:
+                    raise CorruptFileError(f"{entry['file']}: wrong grid")
+                pairs.append(EigenPair(lam=float(entry["lambda"]), field=field,
+                                       residual=float(entry["residual"])))
+        except (OSError, ValueError, KeyError, TypeError, CorruptFileError):
+            status = "recomputed"
+        else:
             if record is not None:
                 record.constants["spectrum_cache"] = "hit"
             return metric, Spectrum(pairs=pairs, metric=metric)
@@ -284,7 +297,7 @@ def _get_spectrum(cfg, out_dir, record=None):
                       "file": name})
     _write_json(index, index_path)
     if record is not None:
-        record.constants["spectrum_cache"] = "miss"
+        record.constants["spectrum_cache"] = status
     return metric, spectrum
 
 

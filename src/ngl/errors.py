@@ -31,3 +31,7 @@ class ConstraintError(NglError):
 
 class ConfigError(NglError):
     """Invalid experiment configuration."""
+
+
+class CorruptFileError(NglError):
+    """A stored file fails its integrity checks (header, size, samples)."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
+from scipy import interpolate
 
 from .errors import ConstraintError, InfiniteGrowthError, ResolutionError
 from .eigen import EigenPair
@@ -26,19 +26,72 @@ CORE_RADIUS = 1.0 / 60.0    # all rapid-disk machinery happens inside here
 _RESIDUAL_RADIUS = 2.9
 
 
+_SPLINE_BLOCK = 32      # knot intervals per block side
+_SPLINE_SLICE = 8192    # points routed at a time (bounds the temporaries)
+
+
 def periodic_spline(values, pad=4):
     """C^2 periodic interpolant of torus samples (cubic spline on padded data).
 
     Bilinear interpolation has zero Laplacian inside cells, which would make
     residual certificates for pulled-back fields meaningless; the cubic
     spline tracks second derivatives to O(h^2).
+
+    FITPACK finds a point's knot interval by a linear scan from the first
+    knot, so evaluating the global spline costs O(n) per point.  The
+    evaluator instead cuts the spline into blocks of _SPLINE_BLOCK^2 knot
+    intervals (built on first use) and sends every point to its block.  A
+    block keeps the knots and coefficients its intervals read, so it does the
+    same floating-point operations as the global spline: values are
+    bit-identical.
     """
     n = values.shape[0]
     h = 1.0 / n
     idx = np.arange(-pad, n + pad + 1)
     coords = idx * h
     padded = values[np.ix_(idx % n, idx % n)]
-    sp = RectBivariateSpline(coords, coords, padded, kx=3, ky=3, s=0)
+    tx, ty, c = interpolate.RectBivariateSpline(coords, coords, padded,
+                                                kx=3, ky=3, s=0).tck
+    coef = c.reshape(tx.size - 4, ty.size - 4)
+    # interval l (t[l] <= x < t[l+1]) reads knots t[l-2 : l+4] and
+    # coefficient rows l-3 .. l; FITPACK's valid l run from 3 to t.size - 5
+    last_x, last_y = tx.size - 5, ty.size - 5
+    n_by = (last_y - 3) // _SPLINE_BLOCK + 1
+    blocks = {}
+
+    def block(key):
+        spl = blocks.get(key)
+        if spl is None:
+            bx, by = divmod(key, n_by)
+            lo_x = 3 + bx * _SPLINE_BLOCK
+            lo_y = 3 + by * _SPLINE_BLOCK
+            hi_x = min(lo_x + _SPLINE_BLOCK, last_x + 1)
+            hi_y = min(lo_y + _SPLINE_BLOCK, last_y + 1)
+            spl = blocks[key] = interpolate.BivariateSpline._from_tck(
+                (tx[lo_x - 3:hi_x + 4], ty[lo_y - 3:hi_y + 4],
+                 coef[lo_x - 3:hi_x, lo_y - 3:hi_y].ravel(), 3, 3))
+        return spl
+
+    def block_keys(x, y):
+        lx = np.clip(np.searchsorted(tx, x, side="right") - 1, 3, last_x)
+        ly = np.clip(np.searchsorted(ty, y, side="right") - 1, 3, last_y)
+        return ((lx - 3) // _SPLINE_BLOCK) * n_by + (ly - 3) // _SPLINE_BLOCK
+
+    def ev_slice(x, y):
+        # a NaN coordinate gives NaN in every block, so the NaN-ignoring
+        # extremes decide whether one block serves the whole slice
+        ends = block_keys(np.array([np.fmin.reduce(x), np.fmax.reduce(x)]),
+                          np.array([np.fmin.reduce(y), np.fmax.reduce(y)]))
+        if ends[0] == ends[1]:
+            return block(ends[0]).ev(x, y)
+        keys = block_keys(x, y)
+        out = np.empty(x.size)
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        cuts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+        for run in np.split(order, cuts):
+            out[run] = block(keys[run[0]]).ev(x[run], y[run])
+        return out
 
     def ev(x, y):
         x = np.asarray(x, dtype=float)
@@ -46,7 +99,10 @@ def periodic_spline(values, pad=4):
         shape = np.broadcast_shapes(x.shape, y.shape)
         xb = np.broadcast_to(x, shape).ravel() % 1.0
         yb = np.broadcast_to(y, shape).ravel() % 1.0
-        out = sp.ev(xb, yb)
+        out = np.empty(xb.size)
+        for s in range(0, xb.size, _SPLINE_SLICE):
+            part = slice(s, s + _SPLINE_SLICE)
+            out[part] = ev_slice(xb[part], yb[part])
         return out.reshape(shape) if shape else float(out[0])
 
     return ev

@@ -12,16 +12,17 @@ from __future__ import annotations
 import functools
 import heapq
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyRegionError
+from .errors import CorruptFileError, EmptyRegionError
 
 TORUS = "torus"
 PLANAR = "planar"
 
-_GFD_MAGIC_KEYS = ("grid_n", "domain", "side")
+_GFD_MAGIC_KEYS = {"grid_n", "domain", "side"}
 
 
 # --------------------------------------------------------------------------
@@ -120,21 +121,46 @@ def write_gfd(field: GridField, path) -> None:
         "side": field.side,
         "origin": list(field.origin),
     }
-    with open(path, "wb") as f:
+    # a reader never sees a half-written file: write aside, then rename
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    with open(tmp, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("ascii"))
         f.write(b"\n")
         f.write(field.values.astype("<f8").tobytes(order="C"))
+    os.replace(tmp, path)
 
 
 def read_gfd(path) -> GridField:
+    """Load a field written by ``write_gfd``.
+
+    Raises CorruptFileError unless the header parses, names the keys
+    write_gfd writes, and is followed by exactly 8 n^2 bytes of finite
+    samples.
+    """
     with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("ascii"))
-        n = int(header["grid_n"])
-        raw = f.read(8 * n * n)
+        line = f.readline()
+        try:
+            header = json.loads(line.decode("ascii"))
+            n = header["grid_n"]
+            if not (type(n) is int and n > 0 and _GFD_MAGIC_KEYS <= header.keys()):
+                raise ValueError("bad grid_n or missing keys")
+            origin = tuple(float(v) for v in header.get("origin", (0.0, 0.0)))
+            side = float(header["side"])
+            if len(origin) != 2:
+                raise ValueError("origin needs two coordinates")
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise CorruptFileError(f"{path}: unreadable header ({exc})") from exc
+        size = os.fstat(f.fileno()).st_size - len(line)
+        if size != 8 * n * n:
+            raise CorruptFileError(f"{path}: {size} bytes of samples, expected "
+                                   f"8 * {n}^2 = {8 * n * n}")
+        raw = f.read(size)
     values = np.frombuffer(raw, dtype="<f8").reshape(n, n).copy()
-    origin = tuple(header.get("origin", (0.0, 0.0)))
-    return GridField(values, domain=header["domain"], origin=origin,
-                     side=float(header["side"]))
+    try:
+        return GridField(values, domain=header["domain"], origin=origin,
+                         side=side)
+    except ValueError as exc:
+        raise CorruptFileError(f"{path}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from ngl.cli import (DEFAULT_CONFIG, canonical_hash, deep_merge, load_config,
@@ -82,6 +83,40 @@ def test_spectrum_cache_round_trip(tmp_path):
     rec2 = run("spectrum", cfg)
     assert rec2.constants["spectrum_cache"] == "hit"
     assert rec1.rows == rec2.rows
+
+
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) - 12])
+
+
+def _wrong_grid(path):
+    from ngl.surface import GridField, write_gfd
+    write_gfd(GridField(np.zeros((32, 32))), path)
+
+
+def _garbage_header(path):
+    data = path.read_bytes()
+    path.write_bytes(b"\x89garbage{" + data[data.index(b"\n"):])
+
+
+@pytest.mark.parametrize("damage", [_truncate, _wrong_grid, _garbage_header])
+def test_corrupt_spectrum_cache_is_recomputed(tmp_path, damage):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"metric": {"grid_n": 64},
+                                    "eigen": {"count": 4}}))
+    fresh, damaged = tmp_path / "fresh", tmp_path / "damaged"
+    for out in (fresh, damaged):
+        assert main(["nodal", "--config", str(cfg_path), "--out", str(out)]) == 0
+    cache_file = next(damaged.glob("spectrum_cache/*/eig_002.gfd"))
+    damage(cache_file)
+    assert main(["nodal", "--config", str(cfg_path), "--out", str(damaged)]) == 0
+    assert _tree_bytes(damaged) == _tree_bytes(fresh)
+    # a record that asks for the cache status says what happened
+    damage(cache_file)
+    cfg = load_config(str(cfg_path), {"output": {"dir": str(damaged)}})
+    assert run("spectrum", cfg).constants["spectrum_cache"] == "recomputed"
+    assert run("spectrum", cfg).constants["spectrum_cache"] == "hit"
 
 
 def test_crofton_command_json(tmp_path):

@@ -327,3 +327,99 @@ def test_annulus_mass_matches_reference_rule():
         got = _annulus_f2_integral(fn, center, r0, r1)
         assert got == pytest.approx(reference_annulus_f2(fn, center, r0, r1),
                                     rel=1e-14, abs=0.0)
+
+
+# ------------------------------------------------------ blocked spline oracle
+
+
+def global_spline(values, pad=4):
+    """The spline periodic_spline is built from, evaluated by FITPACK over
+    the whole knot vector (a linear knot search per point)."""
+    from scipy.interpolate import RectBivariateSpline
+    n = values.shape[0]
+    idx = np.arange(-pad, n + pad + 1)
+    coords = idx * (1.0 / n)
+    sp = RectBivariateSpline(coords, coords, values[np.ix_(idx % n, idx % n)],
+                             kx=3, ky=3, s=0)
+    return lambda x, y: sp.ev(np.asarray(x) % 1.0, np.asarray(y) % 1.0)
+
+
+def assert_blocked_matches_global(values, rng, n_random=20_000):
+    from ngl.schrodinger import _SPLINE_BLOCK, _SPLINE_SLICE, periodic_spline
+    ev = periodic_spline(values)
+    ref = global_spline(values)
+    n = values.shape[0]
+    # random points over the whole torus, in more than one routing slice
+    x, y = rng.random(n_random), rng.random(n_random)
+    assert n_random > _SPLINE_SLICE
+    assert np.array_equal(ev(x, y), ref(x, y))
+    # every knot in [0, 1) and its neighbours, against a spread of the other
+    # coordinate, in both orders; knot interval l starts at (l - 6) / n, so
+    # the block edges l = 3 + 32 k sit at (32 k - 3) / n
+    knots = np.arange(-2, n + 3) * (1.0 / n)
+    edges = (np.arange(_SPLINE_BLOCK, n + 6, _SPLINE_BLOCK) - 3) * (1.0 / n)
+    assert np.isin(edges, knots).all() and edges.size >= 1
+    pts = np.concatenate([knots, np.nextafter(knots, -np.inf),
+                          np.nextafter(knots, np.inf),
+                          [0.0, np.nextafter(1.0, 0.0), 0.5]])
+    pts = pts[(pts >= 0.0) & (pts < 1.0)]
+    other = rng.permutation(pts)
+    for a, b in ((pts, other), (other, pts)):
+        assert np.array_equal(ev(a, b), ref(a, b))
+    # a small patch inside one block, and one straddling the seam corner
+    for cx, cy in ((0.37, 0.61), (0.0, 0.0)):
+        px = cx + 2e-3 * (rng.random(500) - 0.5)
+        py = cy + 2e-3 * (rng.random(500) - 0.5)
+        assert np.array_equal(ev(px, py), ref(px, py))
+    # coordinates outside [0, 1) wrap like the torus
+    wx, wy = 6 * rng.random(300) - 3, 6 * rng.random(300) - 3
+    assert np.array_equal(ev(wx, wy), ref(wx, wy))
+    # scalars give floats, shapes broadcast, empty inputs stay empty
+    got = ev(0.8125, 0.25)
+    assert type(got) is float and got == float(ref(0.8125, 0.25))
+    bx, by = rng.random((5, 1)), rng.random((1, 7))
+    got = ev(bx, by)
+    assert got.shape == (5, 7)
+    want = ref(*np.broadcast_arrays(bx, by))
+    assert np.array_equal(got, want)
+    assert ev(np.empty(0), np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [37, 320])
+def test_blocked_spline_bit_identical_on_random_fields(n):
+    rng = np.random.default_rng(n)
+    assert_blocked_matches_global(rng.standard_normal((n, n)), rng)
+
+
+def test_blocked_spline_bit_identical_on_wave_potential():
+    # the potential spline of localize on a non-flat metric
+    rng = np.random.default_rng(5)
+    assert_blocked_matches_global(make_metric("wave", 256).q, rng)
+
+
+def test_blocked_spline_nan_stays_local():
+    from ngl.schrodinger import periodic_spline
+    rng = np.random.default_rng(2)
+    values = rng.standard_normal((200, 200))
+    ev, ref = periodic_spline(values), global_spline(values)
+    x = np.array([np.nan, 0.01, 0.99, 0.5, 0.995])
+    y = np.array([0.3, np.nan, 0.5, 0.7, 0.993])
+    assert np.array_equal(ev(x, y), ref(x, y), equal_nan=True)
+    assert np.array_equal(ev(x[[0, 4]], y[[0, 4]]), ref(x[[0, 4]], y[[0, 4]]),
+                          equal_nan=True)
+
+
+def test_bivariate_spline_from_tck_round_trips():
+    """periodic_spline builds its blocks through this private scipy
+    constructor; a scipy without it must fail here, not in a pipeline."""
+    from scipy.interpolate import BivariateSpline, RectBivariateSpline
+    rng = np.random.default_rng(4)
+    coords = np.linspace(0.0, 1.0, 12)
+    sp = RectBivariateSpline(coords, coords, rng.standard_normal((12, 12)),
+                             kx=3, ky=3, s=0)
+    tx, ty, c = sp.tck
+    back = BivariateSpline._from_tck((tx, ty, c, 3, 3))
+    assert all(a is b for a, b in zip(back.tck, (tx, ty, c)))
+    assert tuple(back.degrees) == (3, 3)
+    x, y = rng.random(50), rng.random(50)
+    assert np.array_equal(back.ev(x, y), sp.ev(x, y))

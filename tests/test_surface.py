@@ -318,3 +318,21 @@ def test_callable_lq_matches_reference_rule():
         got = lq_norm_on_region(fn, region, qexp)
         ref = reference_lq_polar(fn, center, r_in, r_out, qexp)
         assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: data[:-8],                          # truncated samples
+    lambda data: data + b"\0",                       # trailing byte
+    lambda data: b"not json" + data[data.index(b"\n"):],
+    lambda data: data.replace(b'"grid_n": 8', b'"grid_n": 9', 1),
+    lambda data: data.replace(b'"grid_n": 8', b'"grid_n": "8"', 1),
+    lambda data: data.replace(b'"side"', b'"size"', 1),
+    lambda data: data[:-8] + np.array([np.nan]).tobytes(),
+])
+def test_gfd_read_rejects_corrupt_files(tmp_path, damage):
+    from ngl.errors import CorruptFileError
+    path = tmp_path / "field.gfd"
+    write_gfd(GridField(np.arange(64.0).reshape(8, 8)), path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(CorruptFileError):
+        read_gfd(path)
