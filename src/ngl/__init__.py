@@ -18,25 +18,21 @@ _EXPORTS = {
     "errors": ("ConfigError", "ConstraintError", "ConvergenceError",
                "CorruptFileError", "EmptyRegionError", "InfiniteGrowthError",
                "NglError", "ResolutionError"),
-    "surface": ("ConformalMetric", "EuclideanAnnulus", "EuclideanDisk",
-                "GridField", "MetricDisk", "flat_torus_distance",
-                "geodesic_distance", "lq_norm_on_region", "make_metric",
-                "metric_disk", "polyline_metric_length", "read_gfd",
-                "sup_on_region", "write_gfd"),
+    "surface": ("ConformalMetric", "EuclideanDisk", "GridField",
+                "flat_torus_distance", "geodesic_distance",
+                "lq_norm_on_region", "make_metric", "polyline_metric_length",
+                "read_gfd", "sup_on_region", "write_gfd"),
     "eigen": ("EigenPair", "Spectrum", "analytic_eigenpair",
-              "analytic_spectrum", "assemble_operators", "counting_function",
-              "solve_spectrum"),
+              "analytic_spectrum", "assemble_operators", "solve_spectrum"),
     "nodal": ("NodalSet", "extract_nodal_set", "nodal_length",
               "singular_points"),
-    "growth": ("GrowthSample", "GrowthSummary", "LengthGrowthReport",
-               "average_local_growth", "donnelly_fefferman_constant",
-               "growth_exponent", "growth_field", "lq_growth_exponent",
-               "quartile_trend_ratio", "summarize_growth",
+    "growth": ("GrowthSample", "LengthGrowthReport", "average_local_growth",
+               "donnelly_fefferman_constant", "growth_exponent",
+               "growth_field", "lq_growth_exponent", "quartile_trend_ratio",
                "verify_length_growth_bound"),
-    "schrodinger": ("DiskAnnuli", "PlanarField", "annulus_poincare_check",
-                    "beta_star", "classify_rapid", "core_field",
-                    "count_rapid_disks", "growth_chain_report", "localize",
-                    "planar_field_from_function"),
+    "schrodinger": ("DiskAnnuli", "PlanarField", "beta_star", "classify_rapid",
+                    "core_field", "count_rapid_disks", "growth_chain_report",
+                    "localize", "planar_field_from_function"),
     "tiling": ("Square", "TilingState", "coverage_check", "init_tiling",
                "level_counts", "refine", "run_tiling", "slow_square_budgets",
                "total_bound_report"),

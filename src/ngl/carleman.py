@@ -60,9 +60,6 @@ class RadialWeight:
                         left=self.log_psi0[0], right=0.0)
         return np.where(r >= 1.0, 0.0, out)
 
-    def psi0_at(self, r):
-        return np.exp(self.log_psi0_at(r))
-
     def delta_log_psi0_at(self, r):
         """Radial Laplacian of log psi_0, which equals h by construction."""
         r = np.asarray(r, dtype=float)

@@ -605,44 +605,6 @@ _COMMAND_FNS = {
 }
 
 
-def emit_plots(record, out_dir):
-    """Re-render the figures belonging to a record from its CSV artifacts.
-
-    Deterministic: regenerated files are byte-identical to the ones the
-    command wrote.  Returns the list of SVG paths produced.
-    """
-    import numpy as np
-    from .nodal import NodalSet
-    from .svg import nodal_svg, scatter_svg
-    produced = []
-    artifacts = set(record.artifacts if hasattr(record, "artifacts")
-                    else record.get("artifacts", []))
-    for name in sorted(artifacts):
-        path = os.path.join(out_dir, name)
-        if name.endswith("thm1_table.csv"):
-            rows = [line.split(",") for line
-                    in open(path, encoding="ascii").read().splitlines()[1:]]
-            svg_path = os.path.join(out_dir, "growth_vs_lambda.svg")
-            scatter_svg([float(r[0]) for r in rows],
-                        [float(r[1]) for r in rows], svg_path)
-            produced.append(svg_path)
-        elif name.endswith("nodal_segments.csv"):
-            rows = [line.split(",") for line
-                    in open(path, encoding="ascii").read().splitlines()[1:]]
-            seg = (np.array([[float(v) for v in r] for r in rows])
-                   if rows else np.empty((0, 4)))
-            singular = []
-            pts_path = os.path.join(out_dir, "singular_points.csv")
-            if "singular_points.csv" in artifacts and os.path.exists(pts_path):
-                singular = [tuple(float(v) for v in line.split(","))
-                            for line in open(pts_path, encoding="ascii")
-                            .read().splitlines()[1:]]
-            svg_path = os.path.join(out_dir, "nodal.svg")
-            nodal_svg(NodalSet(seg), svg_path, singular=singular)
-            produced.append(svg_path)
-    return produced
-
-
 def run(command, cfg, out_dir=None) -> ResultRecord:
     """Execute one command; returns the record after writing its artifacts."""
     if command not in COMMANDS:

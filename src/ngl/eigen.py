@@ -211,6 +211,3 @@ def analytic_spectrum(grid_n, count, include_constant=True) -> Spectrum:
                              q_plus=1.0, volume=1.0, alpha0=0.2, profile="flat")
     return Spectrum(pairs=pairs, metric=metric, orthogonality_error=0.0)
 
-
-def counting_function(spectrum: Spectrum, threshold) -> int:
-    return sum(1 for p in spectrum.pairs if p.lam <= threshold)

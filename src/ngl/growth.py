@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfiniteGrowthError, ResolutionError
+from .errors import EmptyRegionError, InfiniteGrowthError, ResolutionError
 from .eigen import EigenPair, Spectrum
 from .nodal import extract_nodal_set, nodal_length
-from .surface import (ConformalMetric, EuclideanDisk, MetricDisk,
-                      _fast_march, geodesic_distance, lq_norm_on_region,
-                      sup_on_region)
+from .surface import (TORUS, ConformalMetric, EuclideanDisk, GridField,
+                      _fast_march, lq_norm_on_region, sup_on_region)
 
 _BETA_FLOOR = 1e-9  # interpolation noise floor on nested sups
 
@@ -31,16 +30,6 @@ class GrowthSample:
     alpha: float
 
 
-@dataclass
-class GrowthSummary:
-    lam: float
-    average: float          # A(lambda)
-    beta_max: float
-    sample_count: int
-    k0: float
-    lq_averages: dict | None = None
-
-
 def _clamp_beta(beta):
     if -_BETA_FLOOR <= beta < 0.0:
         return 0.0
@@ -50,18 +39,21 @@ def _clamp_beta(beta):
 def growth_exponent(field, center, r, alpha, metric: ConformalMetric | None = None):
     """log of the sup ratio between a disk of radius r and its alpha-scaling.
 
-    With a non-flat metric the disks are geodesic; otherwise they are
-    Euclidean (periodic on the torus, plain in the plane, exact polar
-    sampling for callable fields).
+    With a non-flat metric the disks are geodesic and the field must be a
+    torus grid field on the metric's grid; otherwise they are Euclidean
+    (periodic for torus grid fields, dense polar sampling for callables and
+    planar fields).
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     if r <= 0:
         raise ValueError("radius must be positive")
     if metric is not None and not metric.is_flat:
-        dist = geodesic_distance(metric, center)
-        outer = sup_on_region(field, MetricDisk(tuple(center), r, dist))
-        inner = sup_on_region(field, MetricDisk(tuple(center), alpha * r, dist))
+        if not (isinstance(field, GridField) and field.domain == TORUS
+                and field.grid_n == metric.grid_n):
+            raise TypeError("geodesic-disk sup needs a torus grid field on "
+                            "the metric's grid")
+        outer, inner = _geodesic_disk_sups(field.values, metric, center, r, alpha)
     else:
         scale = 1.0 if metric is None else 1.0 / np.sqrt(metric.q_plus)
         outer = sup_on_region(field, EuclideanDisk(tuple(center), r * scale))
@@ -71,19 +63,13 @@ def growth_exponent(field, center, r, alpha, metric: ConformalMetric | None = No
     return _clamp_beta(float(np.log(outer) - np.log(inner)))
 
 
-def lq_growth_exponent(field, center, r, alpha, qexp,
-                       metric: ConformalMetric | None = None):
-    """L^q version of the growth exponent; qexp = inf recovers the sup version."""
+def lq_growth_exponent(field, center, r, alpha, qexp):
+    """L^q version of the growth exponent on Euclidean disks; qexp = inf
+    recovers the sup version."""
     if qexp == np.inf:
-        return growth_exponent(field, center, r, alpha, metric=metric)
-    if metric is not None and not metric.is_flat:
-        dist = geodesic_distance(metric, center)
-        outer = lq_norm_on_region(field, MetricDisk(tuple(center), r, dist), qexp)
-        inner = lq_norm_on_region(field, MetricDisk(tuple(center), alpha * r, dist), qexp)
-    else:
-        scale = 1.0 if metric is None else 1.0 / np.sqrt(metric.q_plus)
-        outer = lq_norm_on_region(field, EuclideanDisk(tuple(center), r * scale), qexp)
-        inner = lq_norm_on_region(field, EuclideanDisk(tuple(center), alpha * r * scale), qexp)
+        return growth_exponent(field, center, r, alpha)
+    outer = lq_norm_on_region(field, EuclideanDisk(tuple(center), r), qexp)
+    inner = lq_norm_on_region(field, EuclideanDisk(tuple(center), alpha * r), qexp)
     if inner == 0.0:
         raise InfiniteGrowthError("field vanishes identically on the inner disk")
     return _clamp_beta(float(np.log(outer) - np.log(inner)))
@@ -208,28 +194,37 @@ def _local_metric_sup(field_values, dist, r, ic, jc, half, n):
     dd = blend(d)
     keep = dd <= r
     if not keep.any():
-        return 0.0
+        raise EmptyRegionError(
+            f"geodesic disk of radius {r:g} contains no refined lattice point")
     return float(np.max(np.abs(blend(field_values))[keep]))
 
 
-def _growth_field_curved(eigenpair, metric, k0, m):
-    lam = eigenpair.lam
-    r = k0 / np.sqrt(lam)
-    alpha = metric.alpha0
+def _geodesic_disk_sups(values, metric, p, r, alpha):
+    """Sups of |values| over the geodesic disks of radii r and alpha r at p.
+
+    One fast march, stopped past r and windowed to the Euclidean hull of the
+    outer disk (a geodesic r-disk lies within r / sqrt(q_minus) of p), feeds
+    both scans.
+    """
     n = metric.grid_n
-    h = metric.spacing
-    half = int(np.ceil(r / np.sqrt(metric.q_minus) / h)) + 3
+    half = int(np.ceil(r / np.sqrt(metric.q_minus) / metric.spacing)) + 3
+    dist = _fast_march(metric, p, stop_radius=1.05 * r, window=half + 1)
+    ic = int(np.floor(p[0] * n))
+    jc = int(np.floor(p[1] * n))
+    return (_local_metric_sup(values, dist, r, ic, jc, half, n),
+            _local_metric_sup(values, dist, alpha * r, ic, jc, half, n))
+
+
+def _growth_field_curved(eigenpair, metric, k0, m):
+    r = k0 / np.sqrt(eigenpair.lam)
+    alpha = metric.alpha0
     grid = np.arange(m) / m
     values = eigenpair.field.values
     samples = []
     for gi in range(m):
         for gj in range(m):
             p = (grid[gi], grid[gj])
-            dist = _fast_march(metric, p, stop_radius=1.05 * r, window=half + 1)
-            ic = int(np.floor(p[0] * n))
-            jc = int(np.floor(p[1] * n))
-            outer = _local_metric_sup(values, dist, r, ic, jc, half, n)
-            inner = _local_metric_sup(values, dist, alpha * r, ic, jc, half, n)
+            outer, inner = _geodesic_disk_sups(values, metric, p, r, alpha)
             if inner == 0.0:
                 raise InfiniteGrowthError("field vanishes on an inner metric disk")
             samples.append(GrowthSample(
@@ -270,37 +265,6 @@ def average_local_growth(samples: list[GrowthSample], metric: ConformalMetric) -
     py = np.array([s.p[1] for s in samples])
     weights = metric.q_at(px, py)
     return float(np.sum(betas * weights) / np.sum(weights))
-
-
-def summarize_growth(eigenpair: EigenPair, metric: ConformalMetric, k0=0.5,
-                     sample_grid_m=64, lq_exponents=(),
-                     lq_grid_m=8) -> GrowthSummary:
-    """Growth field statistics for one eigenfunction, optionally with the
-    volume-averaged L^q growth for each requested exponent.
-
-    L^q exponents are evaluated on a coarser center grid (each evaluation is
-    a pair of quadratures rather than a sup scan).
-    """
-    samples = growth_field(eigenpair, metric, k0=k0, sample_grid_m=sample_grid_m)
-    avg = average_local_growth(samples, metric)
-    lam = eigenpair.lam
-    r = k0 / np.sqrt(lam)
-    lq_averages = None
-    if lq_exponents:
-        lq_averages = {}
-        grid = np.arange(lq_grid_m) / lq_grid_m
-        centers = [(x, y) for x in grid for y in grid]
-        weights = np.array([float(metric.q_at(*c)) for c in centers])
-        for qexp in lq_exponents:
-            vals = np.array([lq_growth_exponent(eigenpair.field, c, r,
-                                                metric.alpha0, qexp,
-                                                metric=metric)
-                             for c in centers])
-            lq_averages[qexp] = float(np.sum(vals * weights) / np.sum(weights))
-    return GrowthSummary(lam=lam, average=avg,
-                         beta_max=max(s.beta for s in samples),
-                         sample_count=len(samples), k0=k0,
-                         lq_averages=lq_averages)
 
 
 # --------------------------------------------------------------------------

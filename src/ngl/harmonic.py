@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surface import GridField
-
 _ZERO_SKIP = 1e-12  # samples below this fraction of max count as on the zero set
 
 
@@ -204,8 +202,6 @@ def growth_vs_boundary_zeros_check(fieldlike, rho_plus=1.0 / 32.0,
         raise ValueError("field vanishes on the inner disk")
     lhs = float(np.log(sup_plus / sup_minus))
     ev = fieldlike.evaluate if hasattr(fieldlike, "evaluate") else fieldlike
-    if isinstance(fieldlike, GridField):
-        ev = fieldlike.interp
     trace = trace_from_function(lambda cx, cy: ev(cx, cy), n_samples=n_trace)
     zero_count = sign_changes(trace)
     return lhs, zero_count, lhs / (1.0 + zero_count)

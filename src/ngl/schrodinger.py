@@ -406,44 +406,6 @@ def rapid_rows_to_csv(report: RapidCountReport, path) -> None:
 
 
 # --------------------------------------------------------------------------
-# annulus Poincare inequality diagnostic
-
-
-@dataclass
-class PoincareReport:
-    grad_energy: float
-    l2_mass: float
-    scaled_ratio: float
-    degenerate: bool
-
-
-def annulus_poincare_check(profile, annuli: DiskAnnuli, dprofile=None,
-                           n_r=4096) -> PoincareReport:
-    """For radial f vanishing on the inner band boundary, compare gradient
-    energy and mass over the band; the dimensionless quantity is
-    delta^2 * grad / mass, bounded below for admissible profiles."""
-    r0, r1 = annuli.band
-    rr = np.linspace(r0, r1, n_r)
-    f = np.asarray(profile(rr), dtype=float)
-    scale = np.max(np.abs(f))
-    if abs(f[0]) > 1e-8 * max(scale, 1e-300):
-        raise ConstraintError("profile must vanish on the inner band boundary")
-    if dprofile is not None:
-        df = np.asarray(dprofile(rr), dtype=float)
-    else:
-        df = np.gradient(f, rr)
-    w = np.full(n_r, rr[1] - rr[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    grad = float(2 * np.pi * np.sum(df * df * rr * w))
-    mass = float(2 * np.pi * np.sum(f * f * rr * w))
-    if mass <= 1e-300 * max(grad, 1.0):
-        return PoincareReport(grad, mass, float("nan"), degenerate=True)
-    return PoincareReport(grad, mass, annuli.delta ** 2 * grad / mass,
-                          degenerate=False)
-
-
-# --------------------------------------------------------------------------
 # correspondence between planar growth and surface growth
 
 

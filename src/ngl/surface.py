@@ -4,7 +4,8 @@ The metric is g = q(x, y)(dx^2 + dy^2) on the unit torus [0,1)^2, realized by
 one global periodic chart.  Lengths scale by sqrt(q), areas by q.  Everything
 downstream (eigenfunctions, nodal sets, growth exponents) consumes the two
 primitives defined here: bilinear interpolation of grid samples and sup / L^q
-evaluation over disks and annuli.
+evaluation over Euclidean disks.  The geodesic distance solver lives here
+too; geodesic-disk sups are taken in ``growth``.
 """
 
 from __future__ import annotations
@@ -75,9 +76,6 @@ class GridField:
             return _bilinear_periodic(self.values, np.asarray(x), np.asarray(y))
         return _bilinear_planar(self.values, np.asarray(x), np.asarray(y),
                                 self.origin, self.spacing)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 def _bilinear_periodic(values, x, y):
@@ -193,12 +191,6 @@ class ConformalMetric:
     @property
     def is_flat(self) -> bool:
         return self.q_plus - self.q_minus <= 1e-13 * self.q_plus
-
-    def sqrt_q_field(self) -> GridField:
-        return GridField(np.sqrt(self.q), domain=TORUS)
-
-    def q_field(self) -> GridField:
-        return GridField(self.q, domain=TORUS)
 
     def q_at(self, x, y):
         return _bilinear_periodic(self.q, np.asarray(x), np.asarray(y))
@@ -345,7 +337,7 @@ def geodesic_distance(metric: ConformalMetric, p) -> GridField:
 
 
 # --------------------------------------------------------------------------
-# regions
+# sup and L^q over Euclidean disks
 
 
 @dataclass(frozen=True)
@@ -353,29 +345,6 @@ class EuclideanDisk:
     center: tuple[float, float]
     r: float
 
-
-@dataclass(frozen=True)
-class EuclideanAnnulus:
-    center: tuple[float, float]
-    r_inner: float
-    r_outer: float
-
-
-@dataclass(frozen=True)
-class MetricDisk:
-    """Geodesic disk: membership is distance_field <= r."""
-    center: tuple[float, float]
-    r: float
-    distance: GridField
-
-
-def metric_disk(metric: ConformalMetric, p, r) -> MetricDisk:
-    return MetricDisk(center=tuple(p), r=float(r),
-                      distance=geodesic_distance(metric, p))
-
-
-# --------------------------------------------------------------------------
-# sup and L^q over regions
 
 _OVERSAMPLE = 4  # refinement factor of the sup lattice
 
@@ -387,35 +356,17 @@ def _delta_torus(coord, center):
 
 def _fine_lattice_in_disk(field: GridField, center, r):
     """Fine-lattice points (original grid and its 4x refinement) inside a disk."""
-    n = field.grid_n
-    fine = _OVERSAMPLE * n if field.domain == TORUS else _OVERSAMPLE * (n - 1) + 1
-    if field.domain == TORUS:
-        hf = 1.0 / (_OVERSAMPLE * n)
-        lo_i = int(np.ceil((center[0] - r) / hf))
-        hi_i = int(np.floor((center[0] + r) / hf))
-        lo_j = int(np.ceil((center[1] - r) / hf))
-        hi_j = int(np.floor((center[1] + r) / hf))
-        ii = np.arange(lo_i, hi_i + 1)
-        jj = np.arange(lo_j, hi_j + 1)
-        X = ii[:, None] * hf
-        Y = jj[None, :] * hf
-        dx = _delta_torus(X, center[0])
-        dy = _delta_torus(Y, center[1])
-    else:
-        hf = field.spacing / _OVERSAMPLE
-        ox, oy = field.origin
-        lo_i = max(0, int(np.ceil((center[0] - r - ox) / hf)))
-        hi_i = min(fine - 1, int(np.floor((center[0] + r - ox) / hf)))
-        lo_j = max(0, int(np.ceil((center[1] - r - oy) / hf)))
-        hi_j = min(fine - 1, int(np.floor((center[1] + r - oy) / hf)))
-        if hi_i < lo_i or hi_j < lo_j:
-            return np.empty(0), np.empty(0)
-        ii = np.arange(lo_i, hi_i + 1)
-        jj = np.arange(lo_j, hi_j + 1)
-        X = ox + ii[:, None] * hf
-        Y = oy + jj[None, :] * hf
-        dx = X - center[0]
-        dy = Y - center[1]
+    hf = 1.0 / (_OVERSAMPLE * field.grid_n)
+    lo_i = int(np.ceil((center[0] - r) / hf))
+    hi_i = int(np.floor((center[0] + r) / hf))
+    lo_j = int(np.ceil((center[1] - r) / hf))
+    hi_j = int(np.floor((center[1] + r) / hf))
+    ii = np.arange(lo_i, hi_i + 1)
+    jj = np.arange(lo_j, hi_j + 1)
+    X = ii[:, None] * hf
+    Y = jj[None, :] * hf
+    dx = _delta_torus(X, center[0])
+    dy = _delta_torus(Y, center[1])
     inside = dx * dx + dy * dy <= r * r
     xs = np.broadcast_to(X, inside.shape)[inside]
     ys = np.broadcast_to(Y, inside.shape)[inside]
@@ -430,17 +381,10 @@ def _ring_points(center, radius, max_step, min_angles=64):
 
 
 def _count_coarse_samples_in_disk(field: GridField, center, r):
-    n = field.grid_n
     coords = field.axis_coords()
-    if field.domain == TORUS:
-        dx = _delta_torus(coords, center[0])
-        dy = _delta_torus(coords, center[1])
-    else:
-        dx = coords - center[0]
-        dy = coords - center[1]
+    dx = _delta_torus(coords, center[0])
+    dy = _delta_torus(coords, center[1])
     inside = (dx * dx)[:, None] + (dy * dy)[None, :] <= r * r
-    if field.mask is not None:
-        inside &= field.mask
     return int(inside.sum())
 
 
@@ -457,26 +401,6 @@ def _grid_sup_disk(field: GridField, center, r):
     return best
 
 
-def _grid_sup_annulus(field: GridField, center, r_inner, r_outer):
-    xs, ys = _fine_lattice_in_disk(field, center, r_outer)
-    if field.domain == TORUS:
-        dx = _delta_torus(xs, center[0])
-        dy = _delta_torus(ys, center[1])
-    else:
-        dx = xs - center[0]
-        dy = ys - center[1]
-    keep = dx * dx + dy * dy >= r_inner * r_inner
-    best = -np.inf
-    if keep.any():
-        best = float(np.max(np.abs(field.interp(xs[keep], ys[keep]))))
-    for rad in (r_inner, r_outer):
-        rx, ry = _ring_points(center, rad, field.spacing / _OVERSAMPLE)
-        best = max(best, float(np.max(np.abs(field.interp(rx, ry)))))
-    if not np.isfinite(best):
-        raise EmptyRegionError("annulus contains no sample")
-    return best
-
-
 def _callable_sup_disk(fn, center, r, n_radii=96, max_step=None):
     radii = np.linspace(0.0, r, n_radii)
     best = float(np.abs(np.asarray(fn(center[0], center[1]))).max())
@@ -487,22 +411,14 @@ def _callable_sup_disk(fn, center, r, n_radii=96, max_step=None):
     return best
 
 
-def _callable_sup_annulus(fn, center, r_inner, r_outer, n_radii=64):
-    radii = np.linspace(r_inner, r_outer, n_radii)
-    step = max((r_outer - r_inner) / n_radii, 1e-12)
-    best = -np.inf
-    for rad in radii:
-        rx, ry = _ring_points(center, rad, step, min_angles=96)
-        best = max(best, float(np.max(np.abs(fn(rx, ry)))))
-    return best
-
-
 def _as_evaluator(fieldlike):
-    """Return a vectorized (x, y) -> value callable, or None for grid fields."""
+    """Return a vectorized (x, y) -> value callable, or None for torus grid
+    fields.  Planar grid fields are rejected: planar sups go through
+    ``PlanarField.evaluate``."""
     ev = getattr(fieldlike, "evaluate", None)
     if ev is not None:
         return ev
-    if isinstance(fieldlike, GridField):
+    if isinstance(fieldlike, GridField) and fieldlike.domain == TORUS:
         return None
     if callable(fieldlike):
         return fieldlike
@@ -510,102 +426,23 @@ def _as_evaluator(fieldlike):
 
 
 def sup_on_region(fieldlike, region):
-    """Supremum of |field| over a disk, annulus, or geodesic disk.
+    """Supremum of |field| over a Euclidean disk.
 
-    Grid fields are scanned on the original lattice, its 4x bilinear
-    refinement, and the region boundary circles.  Objects exposing an
-    ``evaluate`` callable (and bare callables) are scanned on dense polar
-    rasters that include the boundary exactly.
+    Torus grid fields are scanned on the original lattice, its 4x bilinear
+    refinement, and the boundary circle.  Objects exposing an ``evaluate``
+    callable (and bare callables) are scanned on dense polar rasters that
+    include the boundary exactly.  Geodesic disks go through
+    ``growth.growth_exponent`` with a metric.
     """
+    if not isinstance(region, EuclideanDisk):
+        raise TypeError(f"unknown region type {type(region)!r}")
     ev = _as_evaluator(fieldlike)
-    if isinstance(region, EuclideanDisk):
-        if ev is not None:
-            return _callable_sup_disk(ev, region.center, region.r)
-        return _grid_sup_disk(fieldlike, region.center, region.r)
-    if isinstance(region, EuclideanAnnulus):
-        if ev is not None:
-            return _callable_sup_annulus(ev, region.center,
-                                         region.r_inner, region.r_outer)
-        return _grid_sup_annulus(fieldlike, region.center,
-                                 region.r_inner, region.r_outer)
-    if isinstance(region, MetricDisk):
-        if not isinstance(fieldlike, GridField):
-            raise TypeError("metric-disk sup needs a grid field")
-        return _metric_disk_sup(fieldlike, region)
-    raise TypeError(f"unknown region type {type(region)!r}")
-
-
-def _metric_disk_sup(field: GridField, region: MetricDisk):
-    dist = region.distance
-    n = field.grid_n
-    if _count_coarse_metric_samples(field, region) == 0:
-        raise EmptyRegionError(
-            f"metric disk of radius {region.r:g} contains no grid sample")
-    # Bounding box from the distance field itself: all samples with d <= r,
-    # padded by one cell, refined 4x, then masked by interpolated distance.
-    ii, jj = np.nonzero(dist.values <= region.r)
-    h = field.spacing
-    # unwrap indices around the center for a contiguous box
-    ic = int(np.floor(region.center[0] * n))
-    jc = int(np.floor(region.center[1] * n))
-    di = (ii - ic + n // 2) % n - n // 2
-    dj = (jj - jc + n // 2) % n - n // 2
-    lo_i, hi_i = di.min() - 1, di.max() + 1
-    lo_j, hi_j = dj.min() - 1, dj.max() + 1
-    fi = np.arange(lo_i * _OVERSAMPLE, hi_i * _OVERSAMPLE + 1)
-    fj = np.arange(lo_j * _OVERSAMPLE, hi_j * _OVERSAMPLE + 1)
-    X = (ic + 0.0) * h + fi[:, None] * (h / _OVERSAMPLE)
-    Y = (jc + 0.0) * h + fj[None, :] * (h / _OVERSAMPLE)
-    Xb = np.broadcast_to(X, (fi.size, fj.size)).ravel()
-    Yb = np.broadcast_to(Y, (fi.size, fj.size)).ravel()
-    dvals = dist.interp(Xb, Yb)
-    keep = dvals <= region.r
-    if not keep.any():
-        raise EmptyRegionError("metric disk resolves to no fine sample")
-    return float(np.max(np.abs(field.interp(Xb[keep], Yb[keep]))))
-
-
-def _count_coarse_metric_samples(field: GridField, region: MetricDisk):
-    inside = region.distance.values <= region.r
-    return int(inside.sum())
+    if ev is not None:
+        return _callable_sup_disk(ev, region.center, region.r)
+    return _grid_sup_disk(fieldlike, region.center, region.r)
 
 
 # ---- L^q norms -----------------------------------------------------------
-
-
-def _grid_lq_disk(field: GridField, center, r, qexp, sub=8):
-    if _count_coarse_samples_in_disk(field, center, r) == 0:
-        raise EmptyRegionError(
-            f"disk of radius {r:g} contains no grid sample (h = {field.spacing:g})")
-    h = field.spacing
-    n_cells = int(np.ceil(2 * r / h)) + 2
-    # cell (i, j) spans [x0 + i h, x0 + (i+1) h) relative to the disk's box
-    x0 = center[0] - r - h
-    y0 = center[1] - r - h
-    ci = np.arange(n_cells)
-    cx = x0 + (ci + 0.5) * h
-    cy = y0 + (ci + 0.5) * h
-    CX, CY = np.meshgrid(cx, cy, indexing="ij")
-    d_center = np.hypot(CX - center[0], CY - center[1])
-    half_diag = h * np.sqrt(0.5)
-    full = d_center <= r - half_diag
-    boundary = (~full) & (d_center <= r + half_diag)
-    total = 0.0
-    if full.any():
-        vals = np.abs(field.interp(CX[full], CY[full]))
-        total += float(np.sum(vals ** qexp)) * h * h
-    if boundary.any():
-        bx = CX[boundary]
-        by = CY[boundary]
-        off = (np.arange(sub) + 0.5) / sub - 0.5
-        OX, OY = np.meshgrid(off * h, off * h, indexing="ij")
-        px = bx[:, None] + OX.ravel()[None, :]
-        py = by[:, None] + OY.ravel()[None, :]
-        inside = (px - center[0]) ** 2 + (py - center[1]) ** 2 <= r * r
-        if inside.any():
-            vals = np.abs(field.interp(px[inside], py[inside]))
-            total += float(np.sum(vals ** qexp)) * (h / sub) ** 2
-    return total ** (1.0 / qexp)
 
 
 @functools.lru_cache(maxsize=None)
@@ -643,64 +480,17 @@ def _callable_lq_polar(fn, center, r_inner, r_outer, qexp,
     return float(np.sum((vals ** qexp) * w)) ** (1.0 / qexp)
 
 
-def _grid_lq_metric_disk(field: GridField, region: MetricDisk, qexp, sub=8):
-    if _count_coarse_metric_samples(field, region) == 0:
-        raise EmptyRegionError(
-            f"metric disk of radius {region.r:g} contains no grid sample")
-    h = field.spacing
-    dist = region.distance
-    inside = dist.values <= region.r
-    # cells whose 4 corners are all inside count fully; mixed cells subsample
-    c00 = inside
-    c10 = np.roll(inside, -1, axis=0)
-    c01 = np.roll(inside, -1, axis=1)
-    c11 = np.roll(c10, -1, axis=1)
-    full = c00 & c10 & c01 & c11
-    boundary = (c00 | c10 | c01 | c11) & ~full
-    n = field.grid_n
-    coords = np.arange(n) * h
-    total = 0.0
-    if full.any():
-        ii, jj = np.nonzero(full)
-        cx = coords[ii] + 0.5 * h
-        cy = coords[jj] + 0.5 * h
-        vals = np.abs(field.interp(cx, cy))
-        total += float(np.sum(vals ** qexp)) * h * h
-    if boundary.any():
-        ii, jj = np.nonzero(boundary)
-        off = (np.arange(sub) + 0.5) / sub
-        OX, OY = np.meshgrid(off * h, off * h, indexing="ij")
-        px = coords[ii][:, None] + OX.ravel()[None, :]
-        py = coords[jj][:, None] + OY.ravel()[None, :]
-        keep = dist.interp(px.ravel(), py.ravel()).reshape(px.shape) <= region.r
-        if keep.any():
-            vals = np.abs(field.interp(px[keep], py[keep]))
-            total += float(np.sum(vals ** qexp)) * (h / sub) ** 2
-    return total ** (1.0 / qexp)
-
-
 def lq_norm_on_region(fieldlike, region, qexp):
-    """L^q norm of the field over a disk, annulus, or geodesic disk."""
+    """L^q norm of a callable field (or one exposing ``evaluate``) over a
+    Euclidean disk, by polar quadrature."""
     if not (1.0 <= qexp < np.inf):
         raise ValueError("qexp must lie in [1, inf)")
+    if not isinstance(region, EuclideanDisk):
+        raise TypeError(f"unknown region type {type(region)!r}")
     ev = _as_evaluator(fieldlike)
-    if isinstance(region, EuclideanDisk):
-        if ev is not None:
-            return _callable_lq_polar(ev, region.center, 0.0, region.r, qexp)
-        return _grid_lq_disk(fieldlike, region.center, region.r, qexp)
-    if isinstance(region, EuclideanAnnulus):
-        if ev is not None:
-            return _callable_lq_polar(ev, region.center, region.r_inner,
-                                      region.r_outer, qexp)
-        outer = _grid_lq_disk(fieldlike, region.center, region.r_outer, qexp)
-        inner = _grid_lq_disk(fieldlike, region.center, region.r_inner, qexp)
-        val = outer ** qexp - inner ** qexp
-        return max(val, 0.0) ** (1.0 / qexp)
-    if isinstance(region, MetricDisk):
-        if not isinstance(fieldlike, GridField):
-            raise TypeError("metric-disk L^q needs a grid field")
-        return _grid_lq_metric_disk(fieldlike, region, qexp)
-    raise TypeError(f"unknown region type {type(region)!r}")
+    if ev is None:
+        raise TypeError("L^q norms need a callable field")
+    return _callable_lq_polar(ev, region.center, 0.0, region.r, qexp)
 
 
 def polyline_metric_length(segments: np.ndarray, metric: ConformalMetric) -> float:

@@ -24,7 +24,7 @@ def test_psi0_zero_source_is_identity():
     rw = build_psi0(0.1, h_profile=lambda r: np.zeros_like(
         np.asarray(r, dtype=float)), validate=False)
     assert np.max(np.abs(rw.log_psi0)) == 0.0
-    assert rw.psi0_at(1.5) == 1.0
+    assert np.exp(rw.log_psi0_at(1.5)) == 1.0
 
 
 def test_psi0_constant_source_closed_form():
@@ -43,7 +43,7 @@ def test_psi0_default_profile_properties(radial):
     assert radial.ode_residual < 1e-6
     lo, hi = radial.bounds
     assert 0 < lo <= hi
-    assert radial.psi0_at(1.2) == 1.0
+    assert np.exp(radial.log_psi0_at(1.2)) == 1.0
     # source bounded below on the cutoff band, zero beyond 1 - a/2
     band = np.linspace(0.8 + 1e-6, 0.9 - 1e-6, 50)
     assert np.all(radial.delta_log_psi0_at(band) >= 1.0 - 1e-12)

@@ -200,18 +200,6 @@ def test_record_has_no_timestamp(tmp_path):
     assert data["config_hash"] == canonical_hash(cfg)
 
 
-def test_emit_plots_regenerates_identical_svgs(tmp_path):
-    from ngl.cli import emit_plots
-    cfg = small_config(tmp_path / "out")
-    rec = run("nodal", cfg)
-    svg_path = tmp_path / "out" / "nodal.svg"
-    original = svg_path.read_bytes()
-    svg_path.unlink()
-    produced = emit_plots(rec, str(tmp_path / "out"))
-    assert produced
-    assert svg_path.read_bytes() == original
-
-
 def test_thm1_k0_sweep(tmp_path):
     cfg = small_config(tmp_path / "out",
                        metric={"grid_n": 320},

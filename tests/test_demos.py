@@ -1,0 +1,36 @@
+"""The demos run to completion.
+
+Each demo runs from a copy in tmp_path, so its ``out/`` directory is not
+written into the checkout, with one BLAS thread.  Demos 06-08 take about 27,
+20 and 9 s and are left out of this suite.
+"""
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
+
+def test_five_demos_found():
+    assert len(DEMOS) == 5, DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(tmp_path, demo):
+    script = tmp_path / demo.name
+    shutil.copy(demo, script)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"))
+    env["PYTHONPATH"] = str(ROOT / "src") + (os.pathsep + path if path else "")
+    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip()

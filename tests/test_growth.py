@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from ngl.errors import InfiniteGrowthError, ResolutionError
-from ngl.eigen import analytic_eigenpair, analytic_spectrum
+from ngl.errors import EmptyRegionError, InfiniteGrowthError, ResolutionError
+from ngl.eigen import analytic_eigenpair, analytic_spectrum, solve_spectrum
 from ngl.growth import (_disk_offsets, _ring_offsets, _sup_disks_flat,
                         average_local_growth, donnelly_fefferman_constant,
                         growth_exponent, growth_field, lq_growth_exponent,
                         quartile_trend_ratio, verify_length_growth_bound)
-from ngl.surface import make_metric
+from ngl.surface import _bilinear_periodic, geodesic_distance, make_metric
 
 from conftest import torus_field
 
@@ -156,6 +156,60 @@ def test_growth_field_curved_metric_smoke():
     assert all(np.isfinite(s.beta) and s.beta >= 0 for s in samples)
 
 
+# --------------------------------------------------------------- geodesic disks
+
+
+def full_grid_geodesic_sup(values, dist, center, r):
+    """Reference geodesic-disk sup: a full-grid distance field, the refined
+    lattice over the bounding box of the coarse samples with dist <= r
+    (padded by one cell), masked by the bilinear distance."""
+    n = values.shape[0]
+    h = 1.0 / n
+    ii, jj = np.nonzero(dist <= r)
+    ic = int(np.floor(center[0] * n))
+    jc = int(np.floor(center[1] * n))
+    di = (ii - ic + n // 2) % n - n // 2
+    dj = (jj - jc + n // 2) % n - n // 2
+    fi = np.arange((di.min() - 1) * 4, (di.max() + 1) * 4 + 1)
+    fj = np.arange((dj.min() - 1) * 4, (dj.max() + 1) * 4 + 1)
+    shape = (fi.size, fj.size)
+    X = np.broadcast_to(ic * h + fi[:, None] * (h / 4), shape).ravel()
+    Y = np.broadcast_to(jc * h + fj[None, :] * (h / 4), shape).ravel()
+    keep = _bilinear_periodic(dist, X, Y) <= r
+    return float(np.max(np.abs(_bilinear_periodic(values, X[keep], Y[keep]))))
+
+
+@pytest.fixture(scope="module")
+def wave_spectrum_256(wave_metric_256):
+    return solve_spectrum(wave_metric_256, 4, seed=0)
+
+
+def test_geodesic_growth_matches_full_grid_oracle(wave_metric_256,
+                                                  wave_spectrum_256):
+    metric = wave_metric_256
+    alpha = metric.alpha0
+    # x = 0 is the seam of the torus
+    for p in ((0.0, 0.37), (0.3, 0.7), (0.61, 0.13)):
+        dist = geodesic_distance(metric, p).values
+        for pair in wave_spectrum_256.pairs[1:4]:
+            r = 0.5 / np.sqrt(pair.lam)
+            oracle = (np.log(full_grid_geodesic_sup(pair.field.values, dist, p, r))
+                      - np.log(full_grid_geodesic_sup(pair.field.values, dist, p,
+                                                      alpha * r)))
+            assert oracle > 0.1
+            beta = growth_exponent(pair.field, p, r, alpha, metric=metric)
+            assert beta == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+def test_geodesic_disk_without_lattice_point(wave_metric_256,
+                                             wave_spectrum_256):
+    # the center of a refined cell, farther than r from all its corners
+    p = ((128 + 0.125) / 256, (64 + 0.125) / 256)
+    with pytest.raises(EmptyRegionError):
+        growth_exponent(wave_spectrum_256.pairs[1].field, p, 1e-5, 0.5,
+                        metric=wave_metric_256)
+
+
 # --------------------------------------------------------------- sup kernel
 
 
@@ -275,18 +329,3 @@ def test_report_csv_header(tmp_path):
     report_to_csv(report, path)
     header = path.read_text().splitlines()[0]
     assert header == "lambda,A,H1_metric,lower_ratio,upper_ratio"
-
-
-def test_summarize_growth_with_lq_map():
-    from ngl.growth import summarize_growth
-    metric = make_metric("flat", 512)
-    pair = analytic_eigenpair(1, 0, phase=-np.pi / 2, grid_n=512)
-    summary = summarize_growth(pair, metric, k0=0.5, sample_grid_m=16,
-                               lq_exponents=(2, np.inf), lq_grid_m=4)
-    assert summary.lam == pair.lam
-    assert summary.sample_count == 256
-    assert summary.average > 0
-    assert summary.beta_max >= summary.average
-    # the L^2 average includes the area factor, it dominates the sup version
-    assert summary.lq_averages[2] > 0
-    assert np.isfinite(summary.lq_averages[np.inf])
