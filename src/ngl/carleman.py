@@ -26,6 +26,8 @@ from .surface import polar_quadrature
 # --------------------------------------------------------------------------
 # radial weight profile
 
+_RK4_BLOCK = 512   # RK4 steps whose radii and h values are listed at once
+
 
 def default_h_profile(a, a3=1.0):
     """Smooth bump: equal to a3 on [1-2a, 1-a], quintic step down to 0 at
@@ -91,23 +93,34 @@ def build_psi0(a, h_profile=None, a3=1.0, n_steps=8000,
 
     r0 = 1.0 - 2 * a
     rs = np.linspace(1.0, r0, n_steps + 1)
-    step = rs[1] - rs[0]   # negative
-    u = np.empty(n_steps + 1)
-    v = np.empty(n_steps + 1)
-    u[0] = 0.0
-    v[0] = 0.0
-
-    def rhs(r, uu, vv):
-        return vv, float(h_profile(r)) - vv / r
-
-    for i in range(n_steps):
-        r = rs[i]
-        k1u, k1v = rhs(r, u[i], v[i])
-        k2u, k2v = rhs(r + step / 2, u[i] + step / 2 * k1u, v[i] + step / 2 * k1v)
-        k3u, k3v = rhs(r + step / 2, u[i] + step / 2 * k2u, v[i] + step / 2 * k2v)
-        k4u, k4v = rhs(r + step, u[i] + step * k3u, v[i] + step * k3v)
-        u[i + 1] = u[i] + step / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        v[i + 1] = v[i] + step / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+    step = float(rs[1] - rs[0])   # negative
+    # h depends on r only: evaluate it once on the three radii of each step
+    # of a block, then run the stages on Python floats in the order of the
+    # RK4 formula (blocks keep the float lists, and so the heap, small)
+    half = step / 2
+    sixth = step / 6
+    u = np.zeros(n_steps + 1)
+    v = np.zeros(n_steps + 1)
+    ui = vi = 0.0
+    for lo in range(0, n_steps, _RK4_BLOCK):
+        r_start = rs[lo:min(lo + _RK4_BLOCK, n_steps)]
+        radii = (r_start, r_start + half, r_start + step)
+        h_vals = [np.broadcast_to(np.asarray(h_profile(r), dtype=float),
+                                  r.shape).tolist() for r in radii]
+        for i, (r1, rm, r4, h1, hm, h4) in enumerate(
+                zip(*(r.tolist() for r in radii), *h_vals), lo + 1):
+            k1u = vi
+            k1v = h1 - vi / r1
+            k2u = vi + half * k1v
+            k2v = hm - k2u / rm
+            k3u = vi + half * k2v
+            k3v = hm - k3u / rm
+            k4u = vi + step * k3v
+            k4v = h4 - k4u / r4
+            ui = ui + sixth * (k1u + 2 * k2u + 2 * k3u + k4u)
+            vi = vi + sixth * (k1v + 2 * k2v + 2 * k3v + k4v)
+            u[i] = ui
+            v[i] = vi
 
     order = np.argsort(rs)
     r_grid = rs[order]

@@ -185,11 +185,22 @@ def validate_config(cfg, command=None):
         raise ConfigError("crofton.r must be positive")
     if cfg["crofton"]["kernel"] not in ("disk", "circle"):
         raise ConfigError("crofton.kernel must be disk or circle")
-    rp = cfg["harmonic"]["rho_plus"]
-    if not (0 < rp < 0.5):
+    hc = cfg["harmonic"]
+    if not (0 < hc["rho_plus"] < 0.5):
         raise ConfigError("harmonic.rho_plus must lie in (0, 1/2)")
-    if cfg["carleman"]["pairs"] < 1:
+    if not (0 < hc["r0"] < 0.5):
+        raise ConfigError("harmonic.r0 must lie in (0, 1/2)")
+    if hc["n_traces"] < 1:
+        raise ConfigError("harmonic.n_traces must be positive")
+    if hc["max_degree"] < 1:
+        raise ConfigError("harmonic.max_degree must be at least 1")
+    cc = cfg["carleman"]
+    if cc["pairs"] < 1:
         raise ConfigError("carleman.pairs must be positive")
+    if not cc["t_values"]:
+        raise ConfigError("carleman.t_values must not be empty")
+    if cc["delta"] <= 0:
+        raise ConfigError("carleman.delta must be positive")
 
 
 # --------------------------------------------------------------------------

@@ -102,11 +102,18 @@ class HarmonicExtension:
         return out
 
     def circle_sup(self, rho, n_angles=4096) -> float:
-        th = np.arange(n_angles) * (2 * np.pi / n_angles)
+        """Max of |v| at the angles 2 pi j / n_angles on |z| = rho.
+
+        v(theta_j) = Re sum_k (a_k - i b_k) rho^k exp(i k theta_j), and
+        exp(i k theta_j) depends on k mod n_angles only, so the coefficients
+        are folded into n_angles bins and summed by one inverse FFT.
+        """
         k = np.arange(self.a.size)
         rk = rho ** k.astype(float)
-        vals = (np.cos(np.outer(th, k)) @ (self.a * rk)
-                + np.sin(np.outer(th, k)) @ (self.b * rk))
+        bins = k % n_angles
+        c = (np.bincount(bins, weights=self.a * rk, minlength=n_angles)
+             - 1j * np.bincount(bins, weights=self.b * rk, minlength=n_angles))
+        vals = n_angles * np.fft.ifft(c).real
         return float(np.max(np.abs(vals)))
 
 

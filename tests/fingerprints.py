@@ -1,4 +1,4 @@
-"""Output fingerprints of the localized pipeline.
+"""Output fingerprints of the localized pipeline and the inequality suites.
 
 ``tests/test_fingerprints.py`` recomputes the sha256 digests below and
 compares them with ``tests/fingerprints.json``, so a change that claims
@@ -9,7 +9,10 @@ bit-identical outputs is checked against digests recorded before it:
   config off the seam (which also evaluates the spline of the metric);
 * every ``is_rapid`` decision (and its two readout integrals) that tiling
   and rapid-disk counting take on the rapid family Re((60 z)^d),
-  d in {38, 40, 42}, with the rapid/slow square counts of each level.
+  d in {38, 40, 42}, with the rapid/slow square counts of each level;
+* every file that ``harmonic`` and ``carleman`` write at a small config,
+  and the radial weight ``build_psi0(0.1)`` (``log_psi0`` and ``dlog_psi0``),
+  which pin the bits of the circle-sup kernel and of the radial ODE solve.
 
 The digests hold for one BLAS thread (outputs are byte-identical only in
 single-threaded mode), so this script pins the thread variables before numpy
@@ -65,6 +68,10 @@ CLI_CONFIGS = {
     },
 }
 
+INEQUALITY_COMMANDS = ("harmonic", "carleman")
+INEQUALITY_CONFIG = {"harmonic": {"n_traces": 5},
+                     "carleman": {"pairs": 2, "t_values": [1.0]}}
+
 RAPID_DEGREES = (38, 40, 42)
 RAPID_FAMILY = {"planar_grid_n": 256, "m_threshold": 10.0, "k_max": 4,
                 "delta": 1e-4}
@@ -80,14 +87,14 @@ def versions():
             "blas": f"{blas['name']} {blas['version']}"}
 
 
-def cli_digests(name):
-    """sha256 of every file the localized commands write (the spectrum
-    cache they fill is left out: it is not an output of these commands)."""
+def cli_digests(commands, config):
+    """sha256 of every file the commands write at the config (the spectrum
+    cache the localized commands fill is left out: it is not their output)."""
     from ngl.cli import load_config, run
     digests = {}
     with tempfile.TemporaryDirectory() as out_dir:
-        overrides = dict(CLI_CONFIGS[name], output={"dir": out_dir})
-        for command in CLI_COMMANDS:
+        overrides = dict(config, output={"dir": out_dir})
+        for command in commands:
             run(command, load_config(overrides=overrides, command=command))
         for dirpath, dirnames, files in os.walk(out_dir):
             dirnames[:] = [d for d in dirnames if d != "spectrum_cache"]
@@ -97,6 +104,13 @@ def cli_digests(name):
                 with open(path, "rb") as f:
                     digests[rel] = _sha256(f.read())
     return dict(sorted(digests.items()))
+
+
+def radial_ode_digest(a=0.1):
+    """sha256 of log psi_0 and its slope on the default radial grid."""
+    from ngl.carleman import build_psi0
+    rw = build_psi0(a)
+    return _sha256(np.stack([rw.log_psi0, rw.dlog_psi0]).astype("<f8").tobytes())
 
 
 def rapid_field(degree):
@@ -144,7 +158,11 @@ def rapid_family_digests(degree):
 
 def compute():
     return {"versions": versions(),
-            "cli": {name: cli_digests(name) for name in CLI_CONFIGS},
+            "cli": {name: cli_digests(CLI_COMMANDS, config)
+                    for name, config in CLI_CONFIGS.items()},
+            "inequality": dict(cli_digests(INEQUALITY_COMMANDS,
+                                           INEQUALITY_CONFIG),
+                               build_psi0=radial_ode_digest()),
             "rapid_family": {f"d={d}": rapid_family_digests(d)
                              for d in RAPID_DEGREES}}
 

@@ -59,6 +59,52 @@ def test_psi0_residual_on_refined_grid():
     assert fine.ode_residual < coarse.ode_residual
 
 
+def scalar_rk4_psi0(a, n_steps):
+    """The former RK4 loop of build_psi0, calling h on one radius per stage:
+    (r_grid, log_psi0, dlog_psi0, ode_residual, bounds)."""
+    h_profile = default_h_profile(a)
+    rs = np.linspace(1.0, 1.0 - 2 * a, n_steps + 1)
+    step = rs[1] - rs[0]
+    u = np.zeros(n_steps + 1)
+    v = np.zeros(n_steps + 1)
+
+    def rhs(r, uu, vv):
+        return vv, float(h_profile(r)) - vv / r
+
+    for i in range(n_steps):
+        r = rs[i]
+        k1u, k1v = rhs(r, u[i], v[i])
+        k2u, k2v = rhs(r + step / 2, u[i] + step / 2 * k1u, v[i] + step / 2 * k1v)
+        k3u, k3v = rhs(r + step / 2, u[i] + step / 2 * k2u, v[i] + step / 2 * k2v)
+        k4u, k4v = rhs(r + step, u[i] + step * k3u, v[i] + step * k3v)
+        u[i + 1] = u[i] + step / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
+        v[i + 1] = v[i] + step / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+    order = np.argsort(rs)
+    r_grid, log_psi0, dlog = rs[order], u[order], v[order]
+    d2 = np.gradient(dlog, r_grid, edge_order=2)
+    res = d2 + dlog / r_grid - np.asarray(h_profile(r_grid))
+    psi = np.exp(log_psi0)
+    return (r_grid, log_psi0, dlog, float(np.max(np.abs(res[4:-4]))),
+            (float(psi.min()), float(psi.max())))
+
+
+@pytest.mark.parametrize("n_steps", [2000, 8000])
+def test_psi0_matches_scalar_h_oracle(n_steps):
+    # h is evaluated on arrays, which may round its powers differently from
+    # scalar calls in the last bit; the RK4 stages keep their order
+    rw = build_psi0(0.1, n_steps=n_steps)
+    r_grid, log_psi0, dlog, residual, bounds = scalar_rk4_psi0(0.1, n_steps)
+    assert np.array_equal(rw.r_grid, r_grid)
+    assert np.max(np.abs(rw.log_psi0 - log_psi0)) <= 1e-15
+    assert np.max(np.abs(rw.dlog_psi0 - dlog)) <= 1e-15
+    assert rw.ode_residual == pytest.approx(residual, rel=1e-9, abs=0)
+    assert rw.bounds == pytest.approx(bounds, rel=1e-15, abs=0)
+    if n_steps == 8000:
+        # the value the benchmark pins for the default solve
+        assert rw.ode_residual == pytest.approx(2.424443963505718e-07,
+                                                rel=1e-9, abs=0)
+
+
 def test_psi0_validation():
     with pytest.raises(ConstraintError):
         build_psi0(0.1, h_profile=lambda r: np.ones_like(np.asarray(r, dtype=float)))

@@ -59,6 +59,15 @@ def test_validation_failures():
     bad = deep_merge(DEFAULT_CONFIG, {"localize": {"index": 0}})
     with pytest.raises(ConfigError, match="localize.index"):
         validate_config(bad, command="localize")
+    for section, key, value in (("harmonic", "r0", 0.7),
+                                ("harmonic", "r0", -0.25),
+                                ("harmonic", "max_degree", 0),
+                                ("harmonic", "n_traces", 0),
+                                ("carleman", "t_values", []),
+                                ("carleman", "delta", 0.0)):
+        bad = deep_merge(DEFAULT_CONFIG, {section: {key: value}})
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            validate_config(bad, command=section)
 
 
 def test_main_exit_codes(tmp_path):
@@ -249,6 +258,13 @@ def test_all_command_aggregates(tmp_path):
     ('{"eigen": 4}', "eigen must be an object"),
     ('{"crofton": {"r": 0.0}}', "crofton.r must be positive"),
     ('{"crofton": {"r": -0.05}}', "crofton.r must be positive"),
+    ('{"harmonic": {"r0": 0.5}}', "harmonic.r0 must lie in (0, 1/2)"),
+    ('{"harmonic": {"r0": 0.0}}', "harmonic.r0 must lie in (0, 1/2)"),
+    ('{"harmonic": {"max_degree": 0}}', "harmonic.max_degree must be at least 1"),
+    ('{"harmonic": {"n_traces": 0}}', "harmonic.n_traces must be positive"),
+    ('{"carleman": {"t_values": []}}', "carleman.t_values must not be empty"),
+    ('{"carleman": {"delta": 0.0}}', "carleman.delta must be positive"),
+    ('{"carleman": {"delta": -1e-3}}', "carleman.delta must be positive"),
 ])
 def test_config_faults_exit_2_with_one_line(tmp_path, capsys, content, message):
     path = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
-"""The localized pipeline's outputs match the digests in fingerprints.json.
+"""The localized pipeline's and the inequality suites' outputs match the
+digests in fingerprints.json.
 
 See tests/fingerprints.py for what is hashed and how to rewrite the file.
 The digests are computed in a subprocess, because they hold for one BLAS
@@ -48,6 +49,13 @@ def test_localized_commands_outputs(computed, name):
     changed = sorted(k for k in want if got[k] != want[k])
     assert not changed, (f"{name}: {changed} differ from the recorded "
                          f"outputs; if the change is intended, {UPDATE_HINT}")
+
+
+@pytest.mark.parametrize("name", sorted(STORED["inequality"]))
+def test_inequality_outputs(computed, name):
+    got, want = computed["inequality"][name], STORED["inequality"][name]
+    assert got == want, (f"{name} differs from the recorded output; if the "
+                         f"change is intended, {UPDATE_HINT}")
 
 
 @pytest.mark.parametrize("family", sorted(STORED["rapid_family"]))

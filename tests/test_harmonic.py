@@ -1,9 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from ngl.harmonic import (CircleTrace, growth_vs_boundary_zeros_check,
+from ngl.cli import load_config, run
+from ngl.harmonic import (CircleTrace, HarmonicExtension,
+                          growth_vs_boundary_zeros_check,
                           growth_vs_signs_check, harmonic_extend,
                           robertson_constant, sign_changes,
                           trace_from_function)
@@ -113,6 +116,79 @@ def test_maximum_principle():
         interior = max(interior, float(np.max(np.abs(
             ext.evaluate(r * np.cos(th), r * np.sin(th))))))
     assert interior <= boundary_sup + 1e-9
+
+
+# --------------------------------------------------------------- circle sups
+
+
+@functools.lru_cache(maxsize=1)
+def _angle_tables(n_angles, n_coef):
+    th = np.arange(n_angles) * (2 * np.pi / n_angles)
+    k = np.arange(n_coef)
+    return np.cos(np.outer(th, k)), np.sin(np.outer(th, k))
+
+
+def matrix_circle_sup(ext, rho, n_angles=4096):
+    """The sampled series sum_k (a_k cos k theta_j + b_k sin k theta_j) rho^k
+    as dense cos/sin matrices times the coefficients (the former kernel;
+    the matrices are cached, since every 512-sample trace has 257 terms)."""
+    cos, sin = _angle_tables(n_angles, ext.a.size)
+    rk = rho ** np.arange(ext.a.size, dtype=float)
+    vals = cos @ (ext.a * rk) + sin @ (ext.b * rk)
+    return float(np.max(np.abs(vals)))
+
+
+def _circle_sup_cases():
+    rng = np.random.Generator(np.random.Philox(key=77))
+    th = np.arange(512) * (2 * np.pi / 512)
+    for _ in range(300):
+        deg = int(rng.integers(0, 41))
+        k = np.arange(deg + 1)[:, None]
+        vals = (rng.normal(size=(deg + 1, 1)) * np.cos(k * th)
+                + rng.normal(size=(deg + 1, 1)) * np.sin(k * th)).sum(axis=0)
+        yield f"degree {deg}", CircleTrace(vals), 4096
+    for n in (512, 777):
+        yield f"noise {n}", CircleTrace(rng.normal(size=n)), 4096
+    # 4501 coefficients: frequencies past n_angles fold onto k mod 4096
+    yield "noise 9000", CircleTrace(rng.normal(size=9000)), 4096
+    yield "noise 512, 64 angles", CircleTrace(rng.normal(size=512)), 64
+    yield "noise 777, 64 angles", CircleTrace(rng.normal(size=777)), 64
+
+
+def test_circle_sup_matches_matrix_oracle():
+    for name, trace, n_angles in _circle_sup_cases():
+        ext = harmonic_extend(trace)
+        for rho in (1.0, 0.5, 0.25, 0.01):
+            want = matrix_circle_sup(ext, rho, n_angles)
+            got = ext.circle_sup(rho, n_angles)
+            assert abs(got - want) <= 1e-12 * want, (name, rho, got, want)
+    _angle_tables.cache_clear()
+
+
+def test_growth_decisions_match_matrix_oracle(monkeypatch, tmp_path):
+    rng = np.random.Generator(np.random.Philox(key=2024))
+    th = np.arange(512) * 2 * np.pi / 512
+    traces = []
+    for _ in range(100):
+        deg = int(rng.integers(1, 41))
+        traces.append(CircleTrace(sum(
+            rng.normal() * np.cos(k * th) + rng.normal() * np.sin(k * th)
+            for k in range(deg + 1))))
+    traces += [poly_trace(n) for n in range(1, 11)]
+    overrides = {"harmonic": {"n_traces": 20, "max_degree": 40}}
+
+    def outcomes(tag):
+        holds = [growth_vs_signs_check(tr, r0).holds
+                 for tr in traces for r0 in (0.25, 0.05)]
+        rec = run("harmonic", load_config(overrides=dict(
+            overrides, output={"dir": str(tmp_path / tag)})))
+        return holds, rec.constants["sweep_holds"], rec.constants["robertson"]
+
+    new = outcomes("fft")
+    monkeypatch.setattr(HarmonicExtension, "circle_sup", matrix_circle_sup)
+    matrix = outcomes("matrix")
+    _angle_tables.cache_clear()
+    assert matrix == new
 
 
 # --------------------------------------------------------------- constants
