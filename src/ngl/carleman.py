@@ -220,59 +220,40 @@ def build_weight(centers, delta, a=0.1, t=1.0, radial=None) -> CarlemanWeight:
 # analytic compactly supported test functions
 
 
-def _mollifier(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    si = s[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - si * si))
-    return out
-
-
-def _mollifier_d1(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    si = s[inside]
-    one = 1.0 - si * si
-    out[inside] = np.exp(1.0 - 1.0 / one) * (-2.0 * si / one ** 2)
-    return out
-
-
-def _mollifier_d2(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    si = s[inside]
-    one = 1.0 - si * si
-    m = np.exp(1.0 - 1.0 / one)
-    out[inside] = m * ((2.0 * si / one ** 2) ** 2 - 2.0 * (1.0 + 3.0 * si * si) / one ** 3)
-    return out
-
-
 class _RadialProfile:
-    """g(rho) = exp(-rho^2 / (2 sigma^2)) * mollifier(rho / support)."""
+    """g(rho) = exp(-rho^2 / (2 sigma^2)) * m(rho / support), where the
+    mollifier m(s) = exp(1 - 1/(1 - s^2)) for |s| < 1 and 0 beyond."""
 
     def __init__(self, sigma, support):
         self.sigma = sigma
         self.support = support
 
-    def value(self, rho):
-        return np.exp(-rho * rho / (2 * self.sigma ** 2)) * _mollifier(rho / self.support)
-
-    def d1(self, rho):
+    def jet(self, rho, order):
+        """(g, g', g'') at rho; the derivatives above ``order`` are None."""
         g0 = np.exp(-rho * rho / (2 * self.sigma ** 2))
-        d0 = -(rho / self.sigma ** 2) * g0
         s = rho / self.support
-        return d0 * _mollifier(s) + g0 * _mollifier_d1(s) / self.support
-
-    def d2(self, rho):
-        g0 = np.exp(-rho * rho / (2 * self.sigma ** 2))
+        inside = np.abs(s) < 1.0
+        si = s[inside]
+        one = 1.0 - si * si
+        e = np.exp(1.0 - 1.0 / one)
+        m0 = np.zeros_like(s)
+        m0[inside] = e
+        g = g0 * m0
+        if order < 1:
+            return g, None, None
+        m1 = np.zeros_like(s)
+        m1[inside] = e * (-2.0 * si / one ** 2)
         d0 = -(rho / self.sigma ** 2) * g0
+        g1 = d0 * m0 + g0 * m1 / self.support
+        if order < 2:
+            return g, g1, None
+        m2 = np.zeros_like(s)
+        m2[inside] = e * ((2.0 * si / one ** 2) ** 2
+                          - 2.0 * (1.0 + 3.0 * si * si) / one ** 3)
         dd0 = (rho * rho / self.sigma ** 4 - 1.0 / self.sigma ** 2) * g0
-        s = rho / self.support
-        return (dd0 * _mollifier(s) + 2 * d0 * _mollifier_d1(s) / self.support
-                + g0 * _mollifier_d2(s) / self.support ** 2)
+        g2 = (dd0 * m0 + 2 * d0 * m1 / self.support
+              + g0 * m2 / self.support ** 2)
+        return g, g1, g2
 
 
 class BumpComponent:
@@ -288,85 +269,62 @@ class BumpComponent:
         self.poly = np.asarray(poly, dtype=complex) if poly is not None else None
         self.outer_extent = self.ring_radius + support
 
-    def _rho(self, x, y):
-        return np.hypot(np.asarray(x, dtype=float) - self.center[0],
-                        np.asarray(y, dtype=float) - self.center[1])
-
-    def _radial_parts(self, x, y):
-        rho = self._rho(x, y)
-        t = rho - self.ring_radius
-        g = self.profile.value(t)
-        g1 = self.profile.d1(t)
-        g2 = self.profile.d2(t)
-        return rho, g, g1, g2
-
-    def value(self, x, y):
-        rho, g, _, _ = self._radial_parts(x, y)
-        out = self.amplitude * g
+    def parts(self, x, y, names):
+        """This component's terms at the points (x, y), keyed by name:
+        ``value``, ``dbar``, ``laplacian``, and ``gx`` and ``gy`` (the
+        gradient) when ``names`` holds ``grad``."""
+        cx, cy = self.center
+        rho = np.hypot(x - cx, y - cy)
+        order = 2 if "laplacian" in names else 1 if names - {"value"} else 0
+        g, g1, g2 = self.profile.jet(rho - self.ring_radius, order)
+        out = {}
         if self.poly is not None:
-            z = (np.asarray(x) - 0.0) + 1j * np.asarray(y)
-            out = out * np.polyval(self.poly[::-1], z)
+            z = x + 1j * y
+            p = np.polyval(self.poly[::-1], z)
+            if names & {"grad", "laplacian"}:
+                dp = np.polyval(np.polyder(np.poly1d(self.poly[::-1])), z)
+        if "value" in names:
+            out["value"] = self.amplitude * g
+            if self.poly is not None:
+                out["value"] = out["value"] * p
+        if order >= 1:
+            # gradient (bx, by) of the pure bump factor
+            safe = np.maximum(rho, 1e-300)
+            bx = self.amplitude * g1 * (x - cx) / safe
+            by = self.amplitude * g1 * (y - cy) / safe
+            if self.ring_radius == 0.0:
+                # d1/rho is finite at the origin; the ratio limit is d2(0)
+                at0 = rho < 1e-12
+                if np.any(at0):
+                    bx = np.where(at0, 0.0, bx)
+                    by = np.where(at0, 0.0, by)
+            dbar_b = 0.5 * (bx + 1j * by)
+        if "dbar" in names:
+            # dbar of the holomorphic factor vanishes
+            out["dbar"] = dbar_b if self.poly is None else p * dbar_b
+        if "grad" in names:
+            if self.poly is None:
+                out["gx"], out["gy"] = bx, by
+            else:
+                b = self.amplitude * g
+                out["gx"] = p * bx + dp * b
+                out["gy"] = p * by + 1j * dp * b
+        if "laplacian" in names:
+            lap = g2 + g1 / np.maximum(rho, 1e-12)
+            if self.ring_radius == 0.0:
+                lap = np.where(rho < 1e-12, 2.0 * g2, lap)
+            out["laplacian"] = self.amplitude * lap
+            if self.poly is not None:
+                out["laplacian"] = p * out["laplacian"] + 4.0 * dp * dbar_b
         return out
-
-    def _grad_radial(self, x, y):
-        """(b_x, b_y) for the pure bump factor."""
-        rho, g, g1, _ = self._radial_parts(x, y)
-        safe = np.maximum(rho, 1e-300)
-        ux = self.amplitude * g1 * (np.asarray(x) - self.center[0]) / safe
-        uy = self.amplitude * g1 * (np.asarray(y) - self.center[1]) / safe
-        if self.ring_radius == 0.0:
-            # d1/rho is finite at the origin; the ratio limit is d2(0)
-            at0 = rho < 1e-12
-            if np.any(at0):
-                ux = np.where(at0, 0.0, ux)
-                uy = np.where(at0, 0.0, uy)
-        return ux, uy
-
-    def _laplacian_radial(self, x, y):
-        rho, g, g1, g2 = self._radial_parts(x, y)
-        safe = np.maximum(rho, 1e-12)
-        lap = g2 + g1 / safe
-        if self.ring_radius == 0.0:
-            lap = np.where(rho < 1e-12, 2.0 * g2, lap)
-        return self.amplitude * lap
-
-    def dbar(self, x, y):
-        bx, by = self._grad_radial(x, y)
-        base = 0.5 * (bx + 1j * by)
-        if self.poly is None:
-            return base
-        z = np.asarray(x) + 1j * np.asarray(y)
-        p = np.polyval(self.poly[::-1], z)
-        return p * base   # dbar of the holomorphic factor vanishes
-
-    def grad(self, x, y):
-        bx, by = self._grad_radial(x, y)
-        if self.poly is None:
-            return bx, by
-        z = np.asarray(x) + 1j * np.asarray(y)
-        p = np.polyval(self.poly[::-1], z)
-        dp = np.polyval(np.polyder(np.poly1d(self.poly[::-1])), z)
-        rho, g, _, _ = self._radial_parts(x, y)
-        b = self.amplitude * g
-        return p * bx + dp * b, p * by + 1j * dp * b
-
-    def laplacian(self, x, y):
-        lap_b = self._laplacian_radial(x, y)
-        if self.poly is None:
-            return lap_b
-        z = np.asarray(x) + 1j * np.asarray(y)
-        p = np.polyval(self.poly[::-1], z)
-        dp = np.polyval(np.polyder(np.poly1d(self.poly[::-1])), z)
-        return p * lap_b + 4.0 * dp * self.dbar_pure(x, y)
-
-    def dbar_pure(self, x, y):
-        bx, by = self._grad_radial(x, y)
-        return 0.5 * (bx + 1j * by)
 
     def bounding_box(self):
         cx, cy = self.center
         e = self.outer_extent
         return (cx - e, cx + e, cy - e, cy + e)
+
+
+_QUANTITIES = ("value", "dbar", "grad_sq", "laplacian")
 
 
 class TestField:
@@ -380,23 +338,41 @@ class TestField:
             raise ValueError("need at least one component")
         self.components = list(components)
 
-    def value(self, x, y):
-        return sum(c.value(x, y) for c in self.components)
+    def evaluate(self, x, y, *names):
+        """The field's ``value``, ``dbar``, ``grad_sq`` (|grad u|^2) and
+        ``laplacian`` at the points (x, y), as a tuple in the order named.
 
-    def dbar(self, x, y):
-        return sum(c.dbar(x, y) for c in self.components)
-
-    def grad_sq(self, x, y):
-        gx = 0.0
-        gy = 0.0
-        for c in self.components:
-            cx, cy = c.grad(x, y)
-            gx = gx + cx
-            gy = gy + cy
-        return np.abs(gx) ** 2 + np.abs(gy) ** 2
-
-    def laplacian(self, x, y):
-        return sum(c.laplacian(x, y) for c in self.components)
+        Each component is evaluated once, on the points inside its support
+        box, and added into the sums in component order.  Outside that box a
+        component is exactly 0, so the sums are those of adding every
+        component at every point, up to the sign of zeros.
+        """
+        unknown = set(names) - set(_QUANTITIES)
+        if unknown:
+            raise ValueError(f"unknown quantities {sorted(unknown)}")
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                   np.asarray(y, dtype=float))
+        shape = x.shape
+        x = x.ravel()
+        y = y.ravel()
+        wanted = {"grad" if name == "grad_sq" else name for name in names}
+        # holomorphic factors make every sum complex; dbar always is
+        real = (complex if any(c.poly is not None for c in self.components)
+                else float)
+        keys = [n for n in ("value", "dbar", "laplacian") if n in wanted]
+        if "grad" in wanted:
+            keys += ["gx", "gy"]
+        sums = {key: np.zeros(x.size, complex if key == "dbar" else real)
+                for key in keys}
+        for comp in self.components:
+            x0, x1, y0, y1 = comp.bounding_box()
+            idx = np.flatnonzero((x >= x0) & (x <= x1) & (y >= y0) & (y <= y1))
+            if idx.size:
+                for name, val in comp.parts(x[idx], y[idx], wanted).items():
+                    sums[name][idx] += val
+        if "grad" in wanted:
+            sums["grad_sq"] = np.abs(sums["gx"]) ** 2 + np.abs(sums["gy"]) ** 2
+        return tuple(sums[name].reshape(shape) for name in names)
 
     def bounding_box(self):
         boxes = [c.bounding_box() for c in self.components]
@@ -574,8 +550,9 @@ def check_subharmonic_inequality(u: TestField, weight: CarlemanWeight) -> Subhar
     _check_vanishing(u, weight)
     X, Y, w, bands = _split_domain(u, weight)
     e_t = np.exp(t * (X * X + Y * Y))
-    dbar_sq = np.abs(np.asarray(u.dbar(X, Y))) ** 2
-    u_sq = np.abs(np.asarray(u.value(X, Y))) ** 2
+    dbar, val = u.evaluate(X, Y, "dbar", "value")
+    dbar_sq = np.abs(dbar) ** 2
+    u_sq = np.abs(val) ** 2
     # outside the holes Phi_0 = 1 and Delta log Phi reduces to 4t
     lhs = float(np.sum(dbar_sq * e_t) * w)
     rhs = float(np.sum(t * u_sq * e_t) * w)
@@ -583,8 +560,9 @@ def check_subharmonic_inequality(u: TestField, weight: CarlemanWeight) -> Subhar
     for center, r_in, r_out in bands:
         Xb, Yb, Wb = polar_quadrature(center, r_in, r_out, *_BAND_NODES)
         phi = np.exp(weight.log_phi0(Xb, Yb) + t * (Xb * Xb + Yb * Yb))
-        db = np.abs(np.asarray(u.dbar(Xb, Yb))) ** 2
-        ub = np.abs(np.asarray(u.value(Xb, Yb))) ** 2
+        dbar, val = u.evaluate(Xb, Yb, "dbar", "value")
+        db = np.abs(dbar) ** 2
+        ub = np.abs(val) ** 2
         lhs += float(np.sum(db * phi * Wb))
         rhs += float(np.sum(0.25 * weight.delta_log_phi(Xb, Yb) * ub * phi * Wb))
         u_mass += float(np.sum(ub * phi * Wb))
@@ -601,14 +579,15 @@ def _check_vanishing(u: TestField, weight: CarlemanWeight, n_probe=64):
     worst = 0.0
     for cx, cy in weight.centers:
         for frac in (0.0, 0.5, 0.999):
-            vals = np.abs(np.asarray(u.value(cx + frac * r * np.cos(th),
-                                             cy + frac * r * np.sin(th))))
-            worst = max(worst, float(vals.max()))
+            (vals,) = u.evaluate(cx + frac * r * np.cos(th),
+                                 cy + frac * r * np.sin(th), "value")
+            worst = max(worst, float(np.abs(vals).max()))
     x0, x1, y0, y1 = u.bounding_box()
     gx = np.linspace(x0, x1, 32)
     gy = np.linspace(y0, y1, 32)
     GX, GY = np.meshgrid(gx, gy, indexing="ij")
-    scale = max(float(np.abs(np.asarray(u.value(GX, GY))).max()), 1e-300)
+    (vals,) = u.evaluate(GX, GY, "value")
+    scale = max(float(np.abs(vals).max()), 1e-300)
     if worst > 1e-10 * scale:
         raise ConstraintError("test function must vanish on the shrunk disks")
 
@@ -635,20 +614,19 @@ def carleman_c1_check(f: TestField, weight: CarlemanWeight) -> C1Report:
         raise ConstraintError("the Laplacian estimate is stated for t >= 1")
     _check_vanishing(f, weight)
     X, Y, w, bands = _split_domain(f, weight)
-    fval = np.asarray(f.value(X, Y))
+    fval, lap = f.evaluate(X, Y, "value", "laplacian")
     if np.iscomplexobj(fval) and np.abs(fval.imag).max(initial=0.0) > 1e-12 * max(
             np.abs(fval).max(initial=0.0), 1e-300):
         raise ConstraintError("test function must be real-valued")
     fval = fval.real
+    lap = lap.real
     wgt = np.exp(weight.log_p_sq_inv(X, Y) + t * (X * X + Y * Y))
-    lap = np.asarray(f.laplacian(X, Y)).real
     lhs = float(np.sum(lap * lap * wgt) * w)
     l2 = float(np.sum(fval * fval * wgt) * w)
     for center, r_in, r_out in bands:
         Xb, Yb, Wb = polar_quadrature(center, r_in, r_out, *_BAND_NODES)
         wgt_b = np.exp(weight.log_p_sq_inv(Xb, Yb) + t * (Xb * Xb + Yb * Yb))
-        lap_b = np.asarray(f.laplacian(Xb, Yb)).real
-        f_b = np.asarray(f.value(Xb, Yb)).real
+        lap_b, f_b = (q.real for q in f.evaluate(Xb, Yb, "laplacian", "value"))
         lhs += float(np.sum(lap_b * lap_b * wgt_b * Wb))
         l2 += float(np.sum(f_b * f_b * wgt_b * Wb))
     t2_term = t * t * l2
@@ -658,7 +636,8 @@ def carleman_c1_check(f: TestField, weight: CarlemanWeight) -> C1Report:
         r_out = (1 - weight.a) * weight.delta
         Xb, Yb, Wb = polar_quadrature((cx, cy), r_in, r_out, *_BAND_NODES)
         wgt_b = np.exp(weight.log_p_sq_inv(Xb, Yb) + t * (Xb * Xb + Yb * Yb))
-        grad_term += float(np.sum(np.asarray(f.grad_sq(Xb, Yb)) * wgt_b * Wb))
+        (grad_sq,) = f.evaluate(Xb, Yb, "grad_sq")
+        grad_term += float(np.sum(grad_sq * wgt_b * Wb))
     if weight.centers:
         grad_term /= weight.delta ** 2
     denom = t2_term + grad_term

@@ -179,8 +179,11 @@ def validate_config(cfg, command=None):
     a = cfg["schrodinger"]["a"]
     if not (0 < a < 1.0 / 3.0):
         raise ConfigError("schrodinger.a must lie in (0, 1/3)")
-    if cfg["crofton"]["samples"] < 1:
-        raise ConfigError("crofton.samples must be positive")
+    if cfg["crofton"]["samples"] < 2:
+        raise ConfigError("crofton.samples must be at least 2")
+    for module in ("eigen", "crofton", "harmonic", "carleman"):
+        if not 0 <= cfg[module]["seed"] < 2 ** 64:
+            raise ConfigError(f"{module}.seed must lie in [0, 2^64)")
     if cfg["crofton"]["r"] <= 0:
         raise ConfigError("crofton.r must be positive")
     if cfg["crofton"]["kernel"] not in ("disk", "circle"):
@@ -514,7 +517,8 @@ def cmd_crofton(cfg, out_dir, record):
     record.constants.update(out)
     if curve_kind == "eigenfunction":
         record.constants["consistency"] = crofton_consistency(
-            curve, r=c["r"], samples=c["samples"], seed=c["seed"])
+            curve, r=c["r"], samples=c["samples"], seed=c["seed"],
+            disk=est if c["kernel"] == "disk" else None)
     path = os.path.join(out_dir, "crofton.json")
     _write_json(record.constants, path)
     record.add_artifact(path, out_dir)

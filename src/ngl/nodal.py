@@ -206,65 +206,145 @@ def _merge_wrap_labels(labels):
     return out
 
 
-def _segment_probe_geometry(curve: NodalSet, px, py):
-    """Per (probe, segment) quadratic coefficients of |p0 + t d - p|^2."""
+# relative margin of a cell side over the reach it must cover
+_BIN_SLACK = 1e-6
+# Fewest cells per side worth binning: at 3 a torus neighborhood is every
+# cell, and at 4 binning and the all-pairs kernel take about the same time.
+_MIN_BINS = 4
+
+
+def _bins(curve: NodalSet, r):
+    """Uniform cells over the segment midpoints, each side at least r plus
+    half the longest segment, so every segment that reaches a disk of
+    radius r has its midpoint in one of the 3 x 3 cells around the disk's
+    center (periodically on the torus).
+
+    Returns (origin, sides, (nx, ny)), or None when fewer than ``_MIN_BINS``
+    cells per side fit: then the probes are paired with every segment.  No
+    side has more cells than the square root of the segment count, beyond
+    which smaller cells only add empty ones.
+    """
     seg = curve.segments
-    p0x = seg[:, 0][None, :]
-    p0y = seg[:, 1][None, :]
-    dx = (seg[:, 2] - seg[:, 0])[None, :]
-    dy = (seg[:, 3] - seg[:, 1])[None, :]
-    fx = p0x - px[:, None]
-    fy = p0y - py[:, None]
+    half = 0.5 * float(np.max(np.hypot(seg[:, 2] - seg[:, 0],
+                                        seg[:, 3] - seg[:, 1])))
+    reach = (r + half) * (1 + _BIN_SLACK)
+    cap = int(np.sqrt(len(seg)))
     if curve.domain == TORUS:
-        # shift each segment to the period image nearest the probe
-        mx = fx + 0.5 * dx
-        my = fy + 0.5 * dy
-        fx = fx - np.round(mx)
-        fy = fy - np.round(my)
+        n = min(int(1.0 / reach), cap)
+        if n < _MIN_BINS:
+            return None
+        return (0.0, 0.0), (1.0 / n, 1.0 / n), (n, n)
+    mid = 0.5 * (seg[:, :2] + seg[:, 2:])
+    lo = mid.min(axis=0)
+    extent = mid.max(axis=0) - lo
+    nx, ny = (min(int(e / reach), cap) for e in extent)
+    if min(nx, ny) < _MIN_BINS:
+        return None
+    return tuple(lo), (extent[0] / nx, extent[1] / ny), (nx, ny)
+
+
+def _cell_coords(x, y, origin, sides, shape, periodic):
+    """Integer cell coordinates of points; off-grid ones stay off-grid."""
+    cells = []
+    for v, o, side, n in zip((x, y), origin, sides, shape):
+        k = np.floor((v - o) / side)
+        cells.append(k.astype(np.int64) % n if periodic
+                     else np.clip(k, -2, n + 1).astype(np.int64))
+    return cells
+
+
+def _probe_segment_pairs(curve: NodalSet, px, py, r):
+    """(probe, segment) index pairs to evaluate: every pair within reach of
+    each other, as broadcastable index grids when all pairs are taken, or
+    as flat arrays of the pairs in 3 x 3 cell neighborhoods."""
+    probes = np.arange(px.shape[0])
+    segments = np.arange(len(curve))
+    bins = _bins(curve, r) if len(curve) else None
+    if bins is None:
+        return probes[:, None], segments[None, :]
+    origin, sides, (nx, ny) = bins
+    periodic = curve.domain == TORUS
+    seg = curve.segments
+    sx, sy = _cell_coords(0.5 * (seg[:, 0] + seg[:, 2]),
+                          0.5 * (seg[:, 1] + seg[:, 3]),
+                          origin, sides, (nx, ny), periodic)
+    # CSR layout of the segments by cell; one extra empty cell for off-grid
+    seg_cell = np.minimum(sx, nx - 1) * ny + np.minimum(sy, ny - 1)
+    order = np.argsort(seg_cell, kind="stable")
+    per_cell = np.bincount(seg_cell, minlength=nx * ny + 1)
+    first = np.cumsum(per_cell) - per_cell
+    cx, cy = _cell_coords(px, py, origin, sides, (nx, ny), periodic)
+    step_x, step_y = np.divmod(np.arange(9), 3)
+    kx = cx[:, None] + (step_x - 1)
+    ky = cy[:, None] + (step_y - 1)
+    if periodic:
+        cells = (kx % nx) * ny + ky % ny
+    else:
+        on_grid = (kx >= 0) & (kx < nx) & (ky >= 0) & (ky < ny)
+        cells = np.where(on_grid, kx * ny + ky, nx * ny)
+    count = per_cell[cells].ravel()
+    start = first[cells].ravel()
+    total = int(count.sum())
+    # expand each (probe, cell) run into its segments
+    run_start = np.cumsum(count) - count
+    pos = np.arange(total) - np.repeat(run_start - start, count)
+    return (np.repeat(probes, count.reshape(cells.shape).sum(axis=1)),
+            order[pos])
+
+
+def _segment_probe_roots(curve: NodalSet, px, py, r):
+    """Where each candidate pair's segment p0 + t d meets the probe circle.
+
+    Returns the probe and segment indices, the roots t1 <= t2 of
+    |p0 + t d - p|^2 = r^2 and |d|, for the pairs whose line meets the
+    circle.  On the torus each segment is shifted to the period image
+    whose midpoint is nearest the probe.
+    """
+    probe, segment = _probe_segment_pairs(curve, px, py, r)
+    seg = curve.segments
+    p0x = seg[segment, 0]
+    p0y = seg[segment, 1]
+    dx = seg[segment, 2] - p0x
+    dy = seg[segment, 3] - p0y
+    fx = p0x - px[probe]
+    fy = p0y - py[probe]
+    if curve.domain == TORUS:
+        fx = fx - np.round(fx + 0.5 * dx)
+        fy = fy - np.round(fy + 0.5 * dy)
     a = dx * dx + dy * dy
     b = 2 * (dx * fx + dy * fy)
-    c = fx * fx + fy * fy
-    return a, b, c
+    c = fx * fx + fy * fy - r * r
+    disc = b * b - 4 * a * c
+    pos = disc > 0
+    shape = disc.shape
+    aa = np.broadcast_to(a, shape)[pos]
+    bb = b[pos]
+    sq = np.sqrt(disc[pos])
+    return (np.broadcast_to(probe, shape)[pos],
+            np.broadcast_to(segment, shape)[pos],
+            (-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa),
+            np.sqrt(np.maximum(aa, 1e-300)))
 
 
 def clip_lengths(curve, px, py, r):
     """Total curve length inside the disk of radius r around each probe."""
-    a, b, c = _segment_probe_geometry(curve, px, py)
-    c = c - r * r
-    disc = b * b - 4 * a * c
-    seg_len = np.sqrt(np.maximum(a, 1e-300))
-    out = np.zeros(px.shape[0])
-    pos = disc > 0
-    if pos.any():
-        aa = np.broadcast_to(a, disc.shape)[pos]
-        bb = b[pos]
-        sq = np.sqrt(disc[pos])
-        t1 = (-bb - sq) / (2 * aa)
-        t2 = (-bb + sq) / (2 * aa)
-        overlap = np.clip(np.minimum(t2, 1.0) - np.maximum(t1, 0.0), 0.0, 1.0)
-        contrib = np.zeros_like(disc)
-        contrib[pos] = overlap * np.broadcast_to(seg_len, disc.shape)[pos]
-        out = contrib.sum(axis=1)
-    return out
+    probe, segment, t1, t2, seg_len = _segment_probe_roots(curve, px, py, r)
+    if probe.size == 0:
+        return np.zeros(px.shape[0])
+    overlap = np.clip(np.minimum(t2, 1.0) - np.maximum(t1, 0.0), 0.0, 1.0)
+    # summed over a dense (probe, segment) table, in the order of the
+    # all-pairs kernel
+    contrib = np.zeros((px.shape[0], len(curve)))
+    contrib[probe, segment] = overlap * seg_len
+    return contrib.sum(axis=1)
 
 
 def crossing_counts(curve, px, py, r):
     """Number of curve crossings of the probe circle of radius r."""
-    a, b, c = _segment_probe_geometry(curve, px, py)
-    c = c - r * r
-    disc = b * b - 4 * a * c
-    counts = np.zeros(px.shape[0], dtype=np.int64)
-    pos = disc > 0
-    if pos.any():
-        aa = np.broadcast_to(a, disc.shape)[pos]
-        sq = np.sqrt(disc[pos])
-        t1 = (-b[pos] - sq) / (2 * aa)
-        t2 = (-b[pos] + sq) / (2 * aa)
-        hits = np.zeros(disc.shape, dtype=np.int64)
-        hits[pos] = (((t1 >= 0.0) & (t1 < 1.0)).astype(np.int64)
-                     + ((t2 >= 0.0) & (t2 < 1.0)).astype(np.int64))
-        counts = hits.sum(axis=1)
-    return counts
+    probe, _, t1, t2, _ = _segment_probe_roots(curve, px, py, r)
+    n = px.shape[0]
+    return (np.bincount(probe[(t1 >= 0.0) & (t1 < 1.0)], minlength=n)
+            + np.bincount(probe[(t2 >= 0.0) & (t2 < 1.0)], minlength=n))
 
 
 def segments_to_csv(nodal_set: NodalSet, path) -> None:

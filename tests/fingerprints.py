@@ -1,4 +1,5 @@
-"""Output fingerprints of the localized pipeline and the inequality suites.
+"""Output fingerprints of the localized pipeline, the inequality suites and
+the Crofton estimators.
 
 ``tests/test_fingerprints.py`` recomputes the sha256 digests below and
 compares them with ``tests/fingerprints.json``, so a change that claims
@@ -12,7 +13,10 @@ bit-identical outputs is checked against digests recorded before it:
   d in {38, 40, 42}, with the rapid/slow square counts of each level;
 * every file that ``harmonic`` and ``carleman`` write at a small config,
   and the radial weight ``build_psi0(0.1)`` (``log_psi0`` and ``dlog_psi0``),
-  which pin the bits of the circle-sup kernel and of the radial ODE solve.
+  which pin the bits of the circle-sup kernel and of the radial ODE solve;
+* every file that ``crofton`` writes on the eigenfunction curve of a small
+  flat config (the binned probe kernels, both estimators and the consistency
+  check) and on the unit segment (the all-pairs kernels).
 
 The digests hold for one BLAS thread (outputs are byte-identical only in
 single-threaded mode), so this script pins the thread variables before numpy
@@ -71,6 +75,14 @@ CLI_CONFIGS = {
 INEQUALITY_COMMANDS = ("harmonic", "carleman")
 INEQUALITY_CONFIG = {"harmonic": {"n_traces": 5},
                      "carleman": {"pairs": 2, "t_values": [1.0]}}
+
+CROFTON_CONFIGS = {
+    "eigenfunction": {"metric": {"profile": "flat", "grid_n": 160},
+                      "eigen": {"count": 4},
+                      "crofton": {"curve": "eigenfunction", "samples": 5000}},
+    "segment": {"crofton": {"curve": "segment", "samples": 20_000,
+                            "seed": 7}},
+}
 
 RAPID_DEGREES = (38, 40, 42)
 RAPID_FAMILY = {"planar_grid_n": 256, "m_threshold": 10.0, "k_max": 4,
@@ -163,6 +175,8 @@ def compute():
             "inequality": dict(cli_digests(INEQUALITY_COMMANDS,
                                            INEQUALITY_CONFIG),
                                build_psi0=radial_ode_digest()),
+            "crofton": {name: cli_digests(("crofton",), config)
+                        for name, config in CROFTON_CONFIGS.items()},
             "rapid_family": {f"d={d}": rapid_family_digests(d)
                              for d in RAPID_DEGREES}}
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from ngl.carleman import (BumpComponent, TestField, build_psi0, build_weight,
-                          carleman_c1_check, check_subharmonic_inequality,
-                          default_h_profile, random_test_field)
+                          c1_test_family, carleman_c1_check,
+                          check_subharmonic_inequality, default_h_profile,
+                          random_test_field)
 from ngl.errors import ConstraintError
 
 
@@ -171,26 +172,27 @@ def test_bump_derivatives_match_finite_differences():
     x0 = comp.center[0] + 0.31 * comp.profile.support
     y0 = comp.center[1] - 0.17 * comp.profile.support
     h = 1e-6
-    val = lambda x, y: np.asarray(u.value(x, y))
+    val = lambda x, y: u.evaluate(x, y, "value")[0]
     fd_x = (val(x0 + h, y0) - val(x0 - h, y0)) / (2 * h)
     fd_y = (val(x0, y0 + h) - val(x0, y0 - h)) / (2 * h)
-    db = complex(np.asarray(u.dbar(x0, y0)))
+    db, lap, g2 = u.evaluate(x0, y0, "dbar", "laplacian", "grad_sq")
+    db = complex(db)
     assert abs(db - 0.5 * (fd_x + 1j * fd_y)) < 1e-7 * max(abs(db), 1.0)
     lap_fd = (val(x0 + h, y0) + val(x0 - h, y0) + val(x0, y0 + h)
               + val(x0, y0 - h) - 4 * val(x0, y0)) / h ** 2
-    lap = complex(np.asarray(u.laplacian(x0, y0)))
+    lap = complex(lap)
     assert abs(lap - lap_fd) < 1e-4 * max(abs(lap), 1.0)
-    g2 = float(np.asarray(u.grad_sq(x0, y0)).real)
+    g2 = float(g2)
     assert g2 == pytest.approx(abs(fd_x) ** 2 + abs(fd_y) ** 2, rel=1e-6)
 
 
 def test_bump_support_is_exact():
-    b = BumpComponent((0.5, -0.25), sigma=0.2, support=0.4)
+    b = TestField([BumpComponent((0.5, -0.25), sigma=0.2, support=0.4)])
     th = np.linspace(0, 2 * np.pi, 64)
-    vals = np.asarray(b.value(0.5 + 0.4001 * np.cos(th),
-                              -0.25 + 0.4001 * np.sin(th)))
+    (vals,) = b.evaluate(0.5 + 0.4001 * np.cos(th),
+                         -0.25 + 0.4001 * np.sin(th), "value")
     assert np.all(vals == 0.0)
-    assert float(b.value(0.5, -0.25)) > 0.0
+    assert float(b.evaluate(0.5, -0.25, "value")[0]) > 0.0
 
 
 def test_ring_bump_vanishes_on_shrunk_disk(radial):
@@ -201,8 +203,8 @@ def test_ring_bump_vanishes_on_shrunk_disk(radial):
         r = (1 - 2 * w.a) * w.delta
         th = np.linspace(0, 2 * np.pi, 128)
         for cx, cy in w.centers:
-            vals = np.asarray(u.value(cx + 0.999 * r * np.cos(th),
-                                      cy + 0.999 * r * np.sin(th)))
+            (vals,) = u.evaluate(cx + 0.999 * r * np.cos(th),
+                                 cy + 0.999 * r * np.sin(th), "value")
             assert np.max(np.abs(vals)) == 0.0
 
 
@@ -278,7 +280,6 @@ def test_c1_t_scaling_no_centers(radial):
 
 
 def test_c1_with_centers_positive_and_stable(radial):
-    from ngl.carleman import c1_test_family
     w = build_weight(three_centers(), 1e-3, t=1.0, radial=radial)
     rng = np.random.Generator(np.random.Philox(key=99))
     constants = []
@@ -427,3 +428,176 @@ def test_band_sums_equal_reference_rule(radial):
         phi = np.exp(w.log_phi0(X, Y) + w.t * (X * X + Y * Y))
         for vals in (phi, w.delta_log_phi(X, Y) * np.cos(3e3 * X + Y) ** 2):
             assert float(np.sum(vals * phi * W)) == float(np.sum(vals * phi * Wr))
+
+
+# --------------------------------------------------------------- field oracle
+# the per-component, per-quantity evaluation over every point that
+# TestField.evaluate replaced, kept as the bitwise reference for it
+
+
+def _mollifier(s):
+    out = np.zeros_like(s)
+    inside = np.abs(s) < 1.0
+    si = s[inside]
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - si * si))
+    return out
+
+
+def _mollifier_d1(s):
+    out = np.zeros_like(s)
+    inside = np.abs(s) < 1.0
+    si = s[inside]
+    one = 1.0 - si * si
+    out[inside] = np.exp(1.0 - 1.0 / one) * (-2.0 * si / one ** 2)
+    return out
+
+
+def _mollifier_d2(s):
+    out = np.zeros_like(s)
+    inside = np.abs(s) < 1.0
+    si = s[inside]
+    one = 1.0 - si * si
+    m = np.exp(1.0 - 1.0 / one)
+    out[inside] = m * ((2.0 * si / one ** 2) ** 2 - 2.0 * (1.0 + 3.0 * si * si) / one ** 3)
+    return out
+
+
+def oracle_radial_parts(comp, x, y):
+    sigma, support = comp.profile.sigma, comp.profile.support
+    rho = np.hypot(x - comp.center[0], y - comp.center[1])
+    t = rho - comp.ring_radius
+    s = t / support
+    g0 = np.exp(-t * t / (2 * sigma ** 2))
+    d0 = -(t / sigma ** 2) * g0
+    dd0 = (t * t / sigma ** 4 - 1.0 / sigma ** 2) * g0
+    g = g0 * _mollifier(s)
+    g1 = d0 * _mollifier(s) + g0 * _mollifier_d1(s) / support
+    g2 = (dd0 * _mollifier(s) + 2 * d0 * _mollifier_d1(s) / support
+          + g0 * _mollifier_d2(s) / support ** 2)
+    return rho, g, g1, g2
+
+
+def oracle_grad_radial(comp, x, y):
+    rho, g, g1, _ = oracle_radial_parts(comp, x, y)
+    safe = np.maximum(rho, 1e-300)
+    ux = comp.amplitude * g1 * (x - comp.center[0]) / safe
+    uy = comp.amplitude * g1 * (y - comp.center[1]) / safe
+    if comp.ring_radius == 0.0:
+        at0 = rho < 1e-12
+        if np.any(at0):
+            ux = np.where(at0, 0.0, ux)
+            uy = np.where(at0, 0.0, uy)
+    return ux, uy
+
+
+def oracle_poly(comp, x, y):
+    z = x + 1j * y
+    p = np.polyval(comp.poly[::-1], z)
+    return p, np.polyval(np.polyder(np.poly1d(comp.poly[::-1])), z)
+
+
+def oracle_value(comp, x, y):
+    _, g, _, _ = oracle_radial_parts(comp, x, y)
+    out = comp.amplitude * g
+    if comp.poly is not None:
+        out = out * oracle_poly(comp, x, y)[0]
+    return out
+
+
+def oracle_dbar(comp, x, y):
+    bx, by = oracle_grad_radial(comp, x, y)
+    base = 0.5 * (bx + 1j * by)
+    if comp.poly is None:
+        return base
+    return oracle_poly(comp, x, y)[0] * base
+
+
+def oracle_grad(comp, x, y):
+    bx, by = oracle_grad_radial(comp, x, y)
+    if comp.poly is None:
+        return bx, by
+    p, dp = oracle_poly(comp, x, y)
+    b = comp.amplitude * oracle_radial_parts(comp, x, y)[1]
+    return p * bx + dp * b, p * by + 1j * dp * b
+
+
+def oracle_laplacian(comp, x, y):
+    rho, _, g1, g2 = oracle_radial_parts(comp, x, y)
+    lap = g2 + g1 / np.maximum(rho, 1e-12)
+    if comp.ring_radius == 0.0:
+        lap = np.where(rho < 1e-12, 2.0 * g2, lap)
+    lap_b = comp.amplitude * lap
+    if comp.poly is None:
+        return lap_b
+    p, dp = oracle_poly(comp, x, y)
+    bx, by = oracle_grad_radial(comp, x, y)
+    return p * lap_b + 4.0 * dp * (0.5 * (bx + 1j * by))
+
+
+def oracle_field(u, name, x, y):
+    if name == "grad_sq":
+        gx = gy = 0.0
+        for comp in u.components:
+            cx, cy = oracle_grad(comp, x, y)
+            gx = gx + cx
+            gy = gy + cy
+        return np.abs(gx) ** 2 + np.abs(gy) ** 2
+    fn = {"value": oracle_value, "dbar": oracle_dbar,
+          "laplacian": oracle_laplacian}[name]
+    return sum(fn(comp, x, y) for comp in u.components)
+
+
+def support_boundary_points(comp):
+    """Centre, support-box corners and edges, and the circles bounding the
+    support (for a ring, inner and outer) on the axes through the centre."""
+    cx, cy = comp.center
+    e = comp.outer_extent
+    inner = comp.ring_radius - comp.profile.support
+    xs = [cx, cx - e, cx + e, cx, cx, cx - e, cx + e, cx - e, cx + e]
+    ys = [cy, cy, cy, cy - e, cy + e, cy - e, cy - e, cy + e, cy + e]
+    if inner > 0:
+        xs += [cx + inner, cx - inner, cx, cx]
+        ys += [cy, cy, cy + inner, cy - inner]
+    return np.array(xs), np.array(ys)
+
+
+QUANTITIES = ("value", "dbar", "grad_sq", "laplacian")
+
+
+def test_evaluate_matches_per_method_oracle(radial):
+    from ngl.surface import polar_quadrature
+    w = build_weight(three_centers(), 1e-3, t=1.0, radial=radial)
+    def rng(key):
+        return np.random.Generator(np.random.Philox(key=key))
+
+    fields = [random_test_field(rng((31, k)), weight=w, ring_fraction=0.5)
+              for k in range(12)]
+    fields += c1_test_family(rng(32), w, 6)
+    comps = [c for u in fields for c in u.components]
+    assert any(c.poly is not None for c in comps)
+    assert any(c.ring_radius > 0 for c in comps)
+    for u in fields:
+        x0, x1, y0, y1 = u.bounding_box()
+        gx, gy = np.meshgrid(np.linspace(x0 - 0.1, x1 + 0.1, 61),
+                             np.linspace(y0 - 0.1, y1 + 0.1, 67), indexing="ij")
+        point_sets = [(gx, gy)]
+        point_sets += [support_boundary_points(c) for c in u.components]
+        point_sets += [polar_quadrature(c, 0.7 * w.delta, 1.2 * w.delta,
+                                        8, 64)[:2] for c in w.centers]
+        for x, y in point_sets:
+            got = u.evaluate(x, y, *QUANTITIES)
+            for name, val in zip(QUANTITIES, got):
+                want = oracle_field(u, name, x, y)
+                assert val.dtype == np.asarray(want).dtype, name
+                assert np.array_equal(val, want), name
+
+
+def test_evaluate_returns_requested_quantities_in_order():
+    u = TestField([BumpComponent((0.1, 0.2), sigma=0.2, support=0.5,
+                                 poly=[1.0, 0.5j])])
+    x = np.linspace(-0.5, 0.7, 11)
+    both = u.evaluate(x, 0.3, "laplacian", "value")
+    assert np.array_equal(both[0], u.evaluate(x, 0.3, "laplacian")[0])
+    assert np.array_equal(both[1], u.evaluate(x, 0.3, "value")[0])
+    with pytest.raises(ValueError):
+        u.evaluate(x, 0.3, "hessian")

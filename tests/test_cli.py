@@ -64,7 +64,9 @@ def test_validation_failures():
                                 ("harmonic", "max_degree", 0),
                                 ("harmonic", "n_traces", 0),
                                 ("carleman", "t_values", []),
-                                ("carleman", "delta", 0.0)):
+                                ("carleman", "delta", 0.0),
+                                ("crofton", "samples", 1),
+                                ("crofton", "seed", -1)):
         bad = deep_merge(DEFAULT_CONFIG, {section: {key: value}})
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             validate_config(bad, command=section)
@@ -265,6 +267,14 @@ def test_all_command_aggregates(tmp_path):
     ('{"carleman": {"t_values": []}}', "carleman.t_values must not be empty"),
     ('{"carleman": {"delta": 0.0}}', "carleman.delta must be positive"),
     ('{"carleman": {"delta": -1e-3}}', "carleman.delta must be positive"),
+    ('{"crofton": {"samples": 1}}', "crofton.samples must be at least 2"),
+    ('{"crofton": {"samples": 0}}', "crofton.samples must be at least 2"),
+    ('{"crofton": {"seed": -1}}', "crofton.seed must lie in [0, 2^64)"),
+    ('{"crofton": {"seed": 18446744073709551616}}',
+     "crofton.seed must lie in [0, 2^64)"),
+    ('{"harmonic": {"seed": -1}}', "harmonic.seed must lie in [0, 2^64)"),
+    ('{"eigen": {"seed": -1}}', "eigen.seed must lie in [0, 2^64)"),
+    ('{"carleman": {"seed": -1}}', "carleman.seed must lie in [0, 2^64)"),
 ])
 def test_config_faults_exit_2_with_one_line(tmp_path, capsys, content, message):
     path = tmp_path / "cfg.json"
@@ -275,6 +285,13 @@ def test_config_faults_exit_2_with_one_line(tmp_path, capsys, content, message):
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("configuration error: ")
     assert message in err
+
+
+def test_negative_seed_flag_exits_2_with_one_line(tmp_path, capsys):
+    code = main(["harmonic", "--seed", "-1", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "configuration error: eigen.seed must lie in [0, 2^64)\n"
 
 
 def test_config_accepts_documented_types():

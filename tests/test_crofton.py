@@ -6,7 +6,9 @@ from ngl.crofton import (circle_count_length,
                          synthetic_circle, synthetic_segment,
                          validate_circle_kinematic_constant)
 from ngl.eigen import analytic_eigenpair
-from ngl.nodal import NodalSet, extract_nodal_set
+from ngl.nodal import (NodalSet, _bins, clip_lengths, crossing_counts,
+                       extract_nodal_set, nodal_length)
+from ngl.surface import PLANAR, GridField
 
 
 def test_kinematic_constant_four_digits():
@@ -36,6 +38,8 @@ def test_empty_curve_gives_zero():
 def test_zero_samples_rejected():
     with pytest.raises(ValueError):
         disk_average_length(synthetic_segment(), 0.1, 0)
+    with pytest.raises(ValueError):   # no standard error from one sample
+        disk_average_length(synthetic_segment(), 0.1, 1)
     with pytest.raises(ValueError):
         disk_average_length(synthetic_segment(), -0.1, 100)
 
@@ -110,6 +114,29 @@ def test_consistency_eigenfunction():
     assert report["consistent"]
 
 
+def test_consistency_reuses_a_given_disk_estimate():
+    curve = extract_nodal_set(analytic_eigenpair(2, 1, grid_n=96).field)
+    disk = disk_average_length(curve, 0.05, 3000, seed=4)
+    assert (crofton_consistency(curve, r=0.05, samples=3000, seed=4, disk=disk)
+            == crofton_consistency(curve, r=0.05, samples=3000, seed=4))
+    with pytest.raises(ValueError):
+        crofton_consistency(curve, r=0.05, samples=3000, seed=5, disk=disk)
+
+
+@pytest.mark.parametrize("kernel", ["disk", "circle"])
+def test_stratified_probes_shrink_the_error_below_the_iid_stderr(kernel):
+    # stderr is the i.i.d. standard error; the stratified probes' actual
+    # error is far smaller (i.i.d. probes would give an RMS z of about 1)
+    curve = extract_nodal_set(analytic_eigenpair(1, 0).field)
+    direct, _ = nodal_length(curve)
+    fn = disk_average_length if kernel == "disk" else circle_count_length
+    z = []
+    for seed in range(100):
+        est = fn(curve, 0.05, 5000, seed=seed)
+        z.append((est.value - direct) / est.stderr)
+    assert np.sqrt(np.mean(np.square(z))) < 0.5
+
+
 # --------------------------------------------------------------- probe kernels
 # the per-probe kernels as first written for the estimators, kept as the
 # bitwise reference for the shared kernels in ngl.nodal
@@ -180,3 +207,72 @@ def test_estimates_bit_identical_to_reference_kernels(curve_name):
         est = fn(curve, 0.07, 5000, seed=13)
         assert (est.value, est.stderr) == reference_estimate(curve, 0.07, 5000,
                                                              13, kernel)
+
+
+def seam_curve():
+    """A torus curve whose segments cross the seams x = 0 and y = 0: a
+    circle of radius 0.2 around (0.02, 0.97), each segment starting in
+    [0, 1)^2 and running past 1 where it crosses."""
+    th = np.linspace(0.0, 2 * np.pi, 301)
+    xs = 0.02 + 0.2 * np.cos(th)
+    ys = 0.97 + 0.2 * np.sin(th)
+    x0, y0 = xs[:-1] % 1.0, ys[:-1] % 1.0
+    seg = np.stack([x0, y0, x0 + np.diff(xs), y0 + np.diff(ys)], axis=1)
+    return NodalSet(seg, domain="torus")
+
+
+def core_curve():
+    """Nodal set of Re((60 z)^5) on the core window, as tiling clips it."""
+    coords = np.linspace(-1 / 48, 1 / 48, 257)
+    X, Y = np.meshgrid(coords, coords, indexing="ij")
+    vals = np.real((60 * (X + 1j * Y)) ** 5)
+    return extract_nodal_set(GridField(vals, domain=PLANAR,
+                                       origin=(-1 / 48, -1 / 48), side=1 / 24))
+
+
+def kernels_match_reference(curve, px, py, r):
+    return (np.array_equal(clip_lengths(curve, px, py, r),
+                           reference_clip_lengths(curve, px, py, r))
+            and np.array_equal(crossing_counts(curve, px, py, r),
+                               reference_crossing_counts(curve, px, py, r)))
+
+
+def test_binned_kernels_equal_reference_across_the_seam():
+    rng = np.random.default_rng(5)
+    for curve in (seam_curve(),
+                  extract_nodal_set(analytic_eigenpair(3, 2, grid_n=96).field)):
+        r = 0.05
+        assert _bins(curve, r) is not None
+        # uniform probes, probes within r of a seam, and probes off [0, 1)
+        near = rng.uniform(-r, r, 1500) % 1.0
+        px = np.concatenate([rng.random(1500), near, rng.random(500),
+                             rng.uniform(-0.1, 1.1, 500)])
+        py = np.concatenate([rng.random(1500), rng.random(1500), near[:500],
+                             rng.uniform(-0.1, 1.1, 500)])
+        assert clip_lengths(curve, px, py, r).max() > 0
+        assert kernels_match_reference(curve, px, py, r)
+
+
+def test_binned_kernels_equal_reference_on_planar_circle():
+    curve = synthetic_circle(0.3)
+    rng = np.random.default_rng(6)
+    px, py = rng.uniform(-0.45, 0.45, (2, 3000))
+    assert _bins(curve, 0.05) is not None
+    assert kernels_match_reference(curve, px, py, 0.05)
+
+
+def test_dense_fallbacks_equal_reference():
+    from ngl.schrodinger import CORE_RADIUS
+    core = core_curve()
+    assert len(core) > 0 and _bins(core, CORE_RADIUS) is None
+    zero = np.zeros(1)
+    assert kernels_match_reference(core, zero, zero, CORE_RADIUS)
+    torus = extract_nodal_set(analytic_eigenpair(3, 2, grid_n=96).field)
+    px, py = np.random.default_rng(7).random((2, 700))
+    assert _bins(torus, 1 / 3) is None
+    assert kernels_match_reference(torus, px, py, 1 / 3)
+    assert _bins(synthetic_segment(), 0.1) is None
+    assert kernels_match_reference(synthetic_segment(), px, py, 0.1)
+    empty = NodalSet(np.empty((0, 4)), domain="torus")
+    assert kernels_match_reference(empty, px, py, 0.05)
+    assert crossing_counts(empty, px, py, 0.05).dtype == np.int64

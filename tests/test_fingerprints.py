@@ -1,5 +1,5 @@
-"""The localized pipeline's and the inequality suites' outputs match the
-digests in fingerprints.json.
+"""The localized pipeline's, the inequality suites' and the Crofton
+estimators' outputs match the digests in fingerprints.json.
 
 See tests/fingerprints.py for what is hashed and how to rewrite the file.
 The digests are computed in a subprocess, because they hold for one BLAS
@@ -56,6 +56,13 @@ def test_inequality_outputs(computed, name):
     got, want = computed["inequality"][name], STORED["inequality"][name]
     assert got == want, (f"{name} differs from the recorded output; if the "
                          f"change is intended, {UPDATE_HINT}")
+
+
+@pytest.mark.parametrize("name", sorted(STORED["crofton"]))
+def test_crofton_outputs(computed, name):
+    got, want = computed["crofton"][name], STORED["crofton"][name]
+    assert got == want, (f"crofton {name} differs from the recorded outputs; "
+                         f"if the change is intended, {UPDATE_HINT}")
 
 
 @pytest.mark.parametrize("family", sorted(STORED["rapid_family"]))
