@@ -116,13 +116,20 @@ def load_config(path=None, overrides=None, command=None):
 
 
 def _profile_sup(cfg):
+    """Largest value of the configured conformal factor, which must be
+    positive: a flat value above 0, a wave or stripe amplitude in (-1, 1)."""
     profile = cfg["metric"]["profile"]
     params = cfg["metric"].get("params", {})
     if profile == "flat":
-        return float(params.get("value", 1.0))
+        value = params.get("value", 1.0)
+        if not (_is_number(value) and value > 0):
+            raise ConfigError("metric.params.value must be a positive number")
+        return float(value)
     if profile in ("wave", "stripe"):
-        return 1.0 + abs(float(params.get("amplitude",
-                                          0.2 if profile == "wave" else 0.3)))
+        amplitude = params.get("amplitude", 0.2 if profile == "wave" else 0.3)
+        if not (_is_number(amplitude) and -1 < amplitude < 1):
+            raise ConfigError("metric.params.amplitude must lie in (-1, 1)")
+        return 1.0 + abs(float(amplitude))
     raise ConfigError(f"unknown metric profile {profile!r}")
 
 
@@ -144,6 +151,11 @@ def validate_config(cfg, command=None):
     k0 = cfg["growth"]["k0"]
     if k0 <= 0:
         raise ConfigError("growth.k0 must be positive")
+    if any(k <= 0 for k in cfg["growth"]["k0_sweep"]):
+        raise ConfigError("growth.k0_sweep entries must be positive")
+    if cfg["growth"]["sample_grid_m"] < 2:
+        # the surface average needs at least 2 x 2 centers
+        raise ConfigError("growth.sample_grid_m must be at least 2")
     q_sup = _profile_sup(cfg)
     from .eigen import flat_modes
 
@@ -368,14 +380,15 @@ def cmd_nodal(cfg, out_dir, record):
 
 
 def cmd_growth(cfg, out_dir, record):
-    from .growth import (average_local_growth, growth_field,
+    from .growth import (average_local_growth, growth_fields,
                          growth_samples_to_csv)
     metric, spectrum = _get_spectrum(cfg, out_dir)
     k0 = cfg["growth"]["k0"]
     m = cfg["growth"]["sample_grid_m"]
     idx = cfg["localize"]["index"]
-    for k, pair in enumerate(spectrum.nonconstant()):
-        samples = growth_field(pair, metric, k0=k0, sample_grid_m=m)
+    pairs = spectrum.nonconstant()
+    fields = growth_fields(pairs, metric, k0=k0, sample_grid_m=m)
+    for k, (pair, samples) in enumerate(zip(pairs, fields)):
         avg = average_local_growth(samples, metric)
         record.rows.append({"lambda": pair.lam, "A": avg,
                             "beta_max": max(s.beta for s in samples)})
@@ -398,6 +411,9 @@ def cmd_thm1(cfg, out_dir, record):
         rep = verify_length_growth_bound(metric, spectrum, k0=k0,
                                          sample_grid_m=cfg["growth"]["sample_grid_m"],
                                          skip_unresolved=(i > 0))
+        if not rep.rows:
+            raise ResolutionError(f"growth.k0_sweep entry {k0:g} resolves no "
+                                  f"eigenfunction; increase metric.grid_n")
         suffix = "" if i == 0 else f"_k0_{k0:g}".replace(".", "p")
         csv_path = os.path.join(out_dir, f"thm1_table{suffix}.csv")
         report_to_csv(rep, csv_path)

@@ -165,7 +165,7 @@ def _validated_kinematic_constant(r):
 
 
 def crofton_consistency(field, r=0.05, samples=100_000, seed=0,
-                        metric=None, disk=None) -> dict:
+                        disk=None) -> dict:
     """Run both estimators on the extracted nodal set and compare to the
     direct segment-sum length; all three must agree within max(1%, 3 stderr).
 

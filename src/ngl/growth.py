@@ -9,6 +9,7 @@ the nodal length per wavelength.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,8 @@ def growth_exponent(field, center, r, alpha, metric: ConformalMetric | None = No
                 and field.grid_n == metric.grid_n):
             raise TypeError("geodesic-disk sup needs a torus grid field on "
                             "the metric's grid")
-        outer, inner = _geodesic_disk_sups(field.values, metric, center, r, alpha)
+        [(outer, inner)] = _geodesic_disk_sups([field.values], metric, center,
+                                               [r], alpha)
     else:
         scale = 1.0 if metric is None else 1.0 / np.sqrt(metric.q_plus)
         outer = sup_on_region(field, EuclideanDisk(tuple(center), r * scale))
@@ -146,100 +148,105 @@ def _sup_disks_flat(values, centers_idx, radius_cells):
     return out
 
 
-def _growth_field_flat(eigenpair, metric, k0, m):
-    lam = eigenpair.lam
-    r_metric = k0 / np.sqrt(lam)
+def _growth_betas_flat(eigenpair, metric, r_metric, m):
     r = r_metric / np.sqrt(metric.q_plus)  # Euclidean radius of the metric disk
-    alpha = metric.alpha0
     n = eigenpair.field.grid_n
     values = eigenpair.field.values
     grid = np.arange(m) / m
     ci = np.round(grid * n).astype(np.int64) % n
     centers_idx = np.stack(np.meshgrid(ci, ci, indexing="ij"), axis=-1).reshape(-1, 2)
     sup_out = _sup_disks_flat(values, centers_idx, r * n)
-    sup_in = _sup_disks_flat(values, centers_idx, alpha * r * n)
+    sup_in = _sup_disks_flat(values, centers_idx, metric.alpha0 * r * n)
     if np.any(sup_in == 0.0):
         raise InfiniteGrowthError("field vanishes identically on an inner disk")
     betas = np.log(sup_out) - np.log(sup_in)
     betas[(betas < 0) & (betas >= -_BETA_FLOOR)] = 0.0
-    samples = []
-    for k, (gi, gj) in enumerate(
-            (i, j) for i in range(m) for j in range(m)):
-        samples.append(GrowthSample(p=(grid[gi], grid[gj]), beta=float(betas[k]),
-                                    outer_radius=r_metric, alpha=alpha))
-    return samples
+    return betas
 
 
-def _local_metric_sup(field_values, dist, r, ic, jc, half, n):
-    """Sup of |field| over {dist <= r} on the 4x refined window lattice."""
-    big = 1e18
-    d = np.where(np.isfinite(dist), dist, big)
-    offs = np.arange(-4 * half, 4 * half + 1)
-    fi = ic * 4 + offs
-    fj = jc * 4 + offs
-    # bilinear refinement of both the distance and the field on the window
-    gx = (fi[:, None] / 4.0) % n
-    gy = (fj[None, :] / 4.0) % n
-    i0 = np.floor(gx).astype(np.int64) % n
-    j0 = np.floor(gy).astype(np.int64) % n
-    fx = gx - np.floor(gx)
-    fy = gy - np.floor(gy)
-    i1 = (i0 + 1) % n
-    j1 = (j0 + 1) % n
-
-    def blend(a):
-        return (a[i0, j0] * (1 - fx) * (1 - fy) + a[i1, j0] * fx * (1 - fy)
-                + a[i0, j1] * (1 - fx) * fy + a[i1, j1] * fx * fy)
-
-    dd = blend(d)
-    keep = dd <= r
-    if not keep.any():
-        raise EmptyRegionError(
-            f"geodesic disk of radius {r:g} contains no refined lattice point")
-    return float(np.max(np.abs(blend(field_values))[keep]))
+# bilinear weights of the 4x refinement: phase u of a cell sits at u / 4
+_FX = (np.arange(4) / 4.0)[:, None, None, None]
+_FY = (np.arange(4) / 4.0)[None, :, None, None]
 
 
-def _geodesic_disk_sups(values, metric, p, r, alpha):
-    """Sups of |values| over the geodesic disks of radii r and alpha r at p.
+def _refine(a):
+    """Bilinear 4x refinement of the cells of a block: entry [u, v, k, l] is
+    the interpolant at (k + u / 4, l + v / 4), in the nested-product order
+    of the original lattice scan."""
+    a00, a10, a01, a11 = a[:-1, :-1], a[1:, :-1], a[:-1, 1:], a[1:, 1:]
+    return (a00 * (1 - _FX) * (1 - _FY) + a10 * _FX * (1 - _FY)
+            + a01 * (1 - _FX) * _FY + a11 * _FX * _FY)
 
-    One fast march, stopped past r and windowed to the Euclidean hull of the
-    outer disk (a geodesic r-disk lies within r / sqrt(q_minus) of p), feeds
-    both scans.
+
+def _local_metric_sups(values, dist, ic, jc, half, radii):
+    """Sups of |values| over {dist <= rad}, rad in radii, on the 4x refined
+    lattice over the cells within ``half`` of (ic, jc): both fields are
+    refined once, on that window only."""
+    n = values.shape[0]
+    span = np.arange(2 * half + 2) - half
+    block = np.ix_((ic + span) % n, (jc + span) % n)
+    d = dist[block]
+    d[~np.isfinite(d)] = 1e18
+    dd = _refine(d)
+    # the lattice ends at offset +half: no phases past the last row / column
+    dd[1:, :, -1, :] = np.inf
+    dd[:, 1:, :, -1] = np.inf
+    absval = np.abs(_refine(values[block]))
+    sups = []
+    for rad in radii:
+        keep = dd <= rad
+        if not keep.any():
+            raise EmptyRegionError(
+                f"geodesic disk of radius {rad:g} contains no refined lattice point")
+        sups.append(float(np.max(absval[keep])))
+    return sups
+
+
+def _geodesic_disk_sups(fields, metric, p, radii, alpha):
+    """Sups of |fields[k]| over the geodesic disks of radii radii[k] and
+    alpha radii[k] at p, as (outer, inner) pairs.
+
+    Each disk needs a fast march stopped past its radius and windowed to the
+    Euclidean hull of the disk (a geodesic r-disk lies within
+    r / sqrt(q_minus) of p).  One march to the largest radius returns the
+    smaller radii's marches as snapshots; a radius whose snapshot the march
+    cannot certify is marched again on its own.
     """
     n = metric.grid_n
-    half = int(np.ceil(r / np.sqrt(metric.q_minus) / metric.spacing)) + 3
-    dist = _fast_march(metric, p, stop_radius=1.05 * r, window=half + 1)
+    halves = [int(np.ceil(r / np.sqrt(metric.q_minus) / metric.spacing)) + 3
+              for r in radii]
+    requests = [(1.05 * r, half + 1) for r, half in zip(radii, halves)]
+    dists = [None] * len(radii)
+    pending = sorted(range(len(radii)), key=lambda k: radii[k])
+    while pending:
+        *rest, top = pending
+        stop, window = requests[top]
+        dists[top], snaps = _fast_march(metric, p, stop_radius=stop, window=window,
+                                        snapshots=[requests[k] for k in rest])
+        for k, snap in zip(rest, snaps):
+            dists[k] = snap
+        pending = [k for k in rest if dists[k] is None]
     ic = int(np.floor(p[0] * n))
     jc = int(np.floor(p[1] * n))
-    return (_local_metric_sup(values, dist, r, ic, jc, half, n),
-            _local_metric_sup(values, dist, alpha * r, ic, jc, half, n))
+    return [_local_metric_sups(values, dist, ic, jc, half, (r, alpha * r))
+            for values, dist, half, r in zip(fields, dists, halves, radii)]
 
 
-def _growth_field_curved(eigenpair, metric, k0, m):
-    r = k0 / np.sqrt(eigenpair.lam)
-    alpha = metric.alpha0
-    grid = np.arange(m) / m
-    values = eigenpair.field.values
-    samples = []
-    for gi in range(m):
-        for gj in range(m):
-            p = (grid[gi], grid[gj])
-            outer, inner = _geodesic_disk_sups(values, metric, p, r, alpha)
+def _growth_betas_curved(pairs, metric, radii, centers):
+    fields = [pair.field.values for pair in pairs]
+    betas = np.empty((len(pairs), len(centers)))
+    for c, p in enumerate(centers):
+        sups = _geodesic_disk_sups(fields, metric, p, radii, metric.alpha0)
+        for k, (outer, inner) in enumerate(sups):
             if inner == 0.0:
                 raise InfiniteGrowthError("field vanishes on an inner metric disk")
-            samples.append(GrowthSample(
-                p=p, beta=_clamp_beta(float(np.log(outer) - np.log(inner))),
-                outer_radius=r, alpha=alpha))
-    return samples
+            betas[k, c] = _clamp_beta(float(np.log(outer) - np.log(inner)))
+    return betas
 
 
-def growth_field(eigenpair: EigenPair, metric: ConformalMetric, k0=0.5,
-                 sample_grid_m=64) -> list[GrowthSample]:
-    """Growth exponent at wavelength radius k0 / sqrt(lambda) on an m x m grid.
-
-    The disk radius must stay at least 10 grid cells, otherwise the sup ratio
-    is interpolation noise and the call is rejected.
-    """
+def _check_resolution(eigenpair, metric, k0):
+    """The wavelength disk must span at least 10 grid cells, otherwise the sup
+    ratio is interpolation noise."""
     if eigenpair.lam <= 0:
         raise ValueError("growth field needs a nonconstant eigenfunction (lambda > 0)")
     lam = eigenpair.lam
@@ -251,9 +258,43 @@ def growth_field(eigenpair: EigenPair, metric: ConformalMetric, k0=0.5,
         raise ResolutionError(
             f"wavelength radius {r:.4g} is below 10 grid cells (h = {h:.4g}); "
             f"increase grid_n to at least {need}")
+
+
+def growth_fields(pairs: list[EigenPair], metric: ConformalMetric, k0=0.5,
+                  sample_grid_m=64) -> Iterator[list[GrowthSample]]:
+    """``growth_field`` of each eigenpair, on the same m x m centers.
+
+    The call checks every pair's resolution and computes every exponent; on
+    a curved metric each center is marched once for all pairs.  It returns
+    an iterator over the pairs' sample lists, which builds each list when it
+    is reached, so a caller that reduces one list before taking the next
+    holds one at a time.
+    """
+    for pair in pairs:
+        _check_resolution(pair, metric, k0)
+    m = sample_grid_m
+    grid = np.arange(m) / m
+    centers = list(zip(np.repeat(grid, m), np.tile(grid, m)))
+    radii = [k0 / np.sqrt(pair.lam) for pair in pairs]
     if metric.is_flat:
-        return _growth_field_flat(eigenpair, metric, k0, sample_grid_m)
-    return _growth_field_curved(eigenpair, metric, k0, sample_grid_m)
+        betas = [_growth_betas_flat(pair, metric, r, m)
+                 for pair, r in zip(pairs, radii)]
+    else:
+        betas = _growth_betas_curved(pairs, metric, radii, centers)
+    alpha = metric.alpha0
+    return ([GrowthSample(p=p, beta=float(beta), outer_radius=r, alpha=alpha)
+             for p, beta in zip(centers, row)]
+            for r, row in zip(radii, betas))
+
+
+def growth_field(eigenpair: EigenPair, metric: ConformalMetric, k0=0.5,
+                 sample_grid_m=64) -> list[GrowthSample]:
+    """Growth exponent at wavelength radius k0 / sqrt(lambda) on an m x m grid.
+
+    The disk radius must stay at least 10 grid cells, otherwise the sup ratio
+    is interpolation noise and the call is rejected.
+    """
+    return next(growth_fields([eigenpair], metric, k0, sample_grid_m))
 
 
 def average_local_growth(samples: list[GrowthSample], metric: ConformalMetric) -> float:
@@ -310,14 +351,18 @@ def verify_length_growth_bound(metric: ConformalMetric, spectrum: Spectrum,
     whose wavelength disks fall below grid resolution are dropped instead of
     raising (used by the k0 sweep).
     """
-    rows = []
+    pairs = []
     for pair in spectrum.nonconstant():
         try:
-            samples = growth_field(pair, metric, k0=k0, sample_grid_m=sample_grid_m)
+            _check_resolution(pair, metric, k0)
         except ResolutionError:
             if skip_unresolved:
                 continue
             raise
+        pairs.append(pair)
+    fields = growth_fields(pairs, metric, k0=k0, sample_grid_m=sample_grid_m)
+    rows = []
+    for pair, samples in zip(pairs, fields):
         avg = average_local_growth(samples, metric)
         beta_max = max(s.beta for s in samples)
         ns = extract_nodal_set(pair.field)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import heapq
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -251,81 +252,152 @@ def flat_torus_distance(p, x, y):
     return np.hypot(dx, dy)
 
 
-def _eikonal_update(a, b, w):
-    # First-order upwind solve of |grad d| = w from axis-neighbor values a, b.
-    if a > b:
-        a, b = b, a
-    if b - a >= w:
-        return a + w
-    return 0.5 * (a + b + np.sqrt(2.0 * w * w - (b - a) ** 2))
+_SEED_REACH = 3   # cells around the source seeded with the straight-line length
 
 
-def _fast_march(metric: ConformalMetric, p, stop_radius=None, window=None):
+def _fast_march(metric: ConformalMetric, p, stop_radius=None, window=None,
+                snapshots=None):
     """March outward from p solving |grad d| = sqrt(q) with 4-neighbor upwind.
 
     Returns the full n x n distance array (entries not reached before
     ``stop_radius`` are +inf).  ``window`` restricts marching to indices
     within that half-width (in cells) of p, for wavelength-local queries.
+
+    ``snapshots`` lists ``(stop, window)`` requests, each at most
+    ``stop_radius`` and ``window``; the call then returns ``(dist, snaps)``.
+    The march pops nodes in increasing distance and expands none past its
+    stop, so a march stopped at ``stop`` is this one frozen at its first pop
+    beyond ``stop``.  ``snaps[k]`` is the distance array at that pop: exactly
+    what the call with ``stop_radius=stop, window=window`` returns, provided
+    every node expanded up to then lies strictly inside the smaller window
+    (so neither march touched a node outside it).  Where that does not hold,
+    ``snaps[k]`` is None.
     """
     n = metric.grid_n
     h = metric.spacing
-    sq = np.sqrt(metric.q)
-    dist = np.full((n, n), np.inf)
-    accepted = np.zeros((n, n), dtype=bool)
     px, py = float(p[0]) % 1.0, float(p[1]) % 1.0
-
     ic = int(np.floor(px * n))
     jc = int(np.floor(py * n))
-    heap = []
+
+    def full(w):
+        return w is None or 2 * int(w) + 1 >= n
+
+    # The march runs on a local square of side `side` held in flat Python
+    # lists: the whole torus (neighbors wrap), or the window (widened to the
+    # seeds) plus a border of +inf cells that is never written.
+    wrap = full(window)
+    if wrap:
+        side, lo_i, lo_j, half = n, 0, 0, n
+    else:
+        half = int(window)
+        reach = max(half, _SEED_REACH)
+        side = 2 * reach + 3
+        lo_i, lo_j = ic - reach - 1, jc - reach - 1
+    rows = (lo_i + np.arange(side)) % n
+    cols = (lo_j + np.arange(side)) % n
+    # Chebyshev offset from the center cell, as the torus-centered offset
+    off_i = (rows - ic + n // 2) % n - n // 2
+    off_j = (cols - jc + n // 2) % n - n // 2
+    cheb = np.maximum(np.abs(off_i)[:, None], np.abs(off_j)[None, :])
+    # 0: open, 1: accepted, 2: outside the window (never updated)
+    status = np.where(cheb <= half, 0, 2).ravel().tolist()
+    cheb = cheb.ravel().tolist()
+    # (d, i, j) heap order as (d, i * n + j), with the local index riding along
+    keys = (rows[:, None] * n + cols[None, :]).ravel().tolist()
+    sq = np.sqrt(metric.q)
+    weights = (sq[np.ix_(rows, cols)] * h).ravel().tolist()
+    loc = np.arange(side * side).reshape(side, side)
+    down = np.roll(loc, -1, axis=0).ravel().tolist()    # (i + 1, j)
+    up = np.roll(loc, 1, axis=0).ravel().tolist()       # (i - 1, j)
+    right = np.roll(loc, -1, axis=1).ravel().tolist()   # (i, j + 1)
+    left = np.roll(loc, 1, axis=1).ravel().tolist()     # (i, j - 1)
+    dist = [math.inf] * (side * side)
+
     # Exact local seeding: the metric is smooth, so within a couple of cells
     # of the source the distance is the straight-line length element.
-    seed_reach = 3
     sq_p = float(np.sqrt(metric.q_at(px, py)))
-    for di in range(-seed_reach, seed_reach + 1):
-        for dj in range(-seed_reach, seed_reach + 1):
-            i = (ic + di) % n
-            j = (jc + dj) % n
-            d_flat = flat_torus_distance((px, py), i * h, j * h)
-            d0 = 0.5 * (sq_p + sq[i, j]) * float(d_flat)
-            if d0 < dist[i, j]:
-                dist[i, j] = d0
-                heapq.heappush(heap, (d0, i, j))
+    span = np.arange(-_SEED_REACH, _SEED_REACH + 1)
+    si = (ic + span) % n
+    sj = (jc + span) % n
+    d_flat = flat_torus_distance((px, py), (si * h)[:, None], (sj * h)[None, :])
+    d0 = 0.5 * (sq_p + sq[np.ix_(si, sj)]) * d_flat
+    seeds = (((span - lo_i + ic) % n)[:, None] * side
+             + ((span - lo_j + jc) % n)[None, :]).ravel().tolist()
+    heap = []
+    for k, d in zip(seeds, d0.ravel().tolist()):
+        dist[k] = d
+        heap.append((d, keys[k], k))
+    heapq.heapify(heap)
 
-    if window is not None:
-        half = int(window)
+    stop = math.inf if stop_radius is None else float(stop_radius)
+    requests = [(float(s), w) for s, w in snapshots or ()]
+    if any(s > stop or (not wrap and (full(w) or int(w) > half))
+           for s, w in requests):
+        raise ValueError("a snapshot may not exceed the march's stop radius "
+                         "or window")
+    # requests in increasing stop; taken[k] = (dist, reached) at its freeze
+    order = sorted(range(len(requests)), key=lambda k: requests[k][0])
+    taken = [None] * len(requests)
+    pending = 0
+    next_stop = requests[order[0]][0] if order else math.inf
+    reached = 0         # largest Chebyshev offset of an expanded node
 
-        def in_window(i, j):
-            di = (i - ic) % n
-            if di > n // 2:
-                di -= n
-            dj = (j - jc) % n
-            if dj > n // 2:
-                dj -= n
-            return abs(di) <= half and abs(dj) <= half
-    else:
-        def in_window(i, j):
-            return True
-
-    stop = np.inf if stop_radius is None else float(stop_radius)
+    sqrt = math.sqrt
+    heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
-        d, i, j = heapq.heappop(heap)
-        if accepted[i, j]:
+        d, _, k = heappop(heap)
+        if status[k] == 1:
             continue
-        accepted[i, j] = True
+        while d > next_stop:
+            taken[order[pending]] = (dist[:], reached)
+            pending += 1
+            next_stop = (requests[order[pending]][0]
+                         if pending < len(order) else math.inf)
+        status[k] = 1
         if d > stop:
             continue
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            ii = (i + di) % n
-            jj = (j + dj) % n
-            if accepted[ii, jj] or not in_window(ii, jj):
+        if cheb[k] > reached:
+            reached = cheb[k]
+        for nb in (down[k], up[k], right[k], left[k]):
+            if status[nb]:
                 continue
-            a = min(dist[(ii + 1) % n, jj], dist[(ii - 1) % n, jj])
-            b = min(dist[ii, (jj + 1) % n], dist[ii, (jj - 1) % n])
-            cand = _eikonal_update(a, b, sq[ii, jj] * h)
-            if cand < dist[ii, jj]:
-                dist[ii, jj] = cand
-                heapq.heappush(heap, (cand, ii, jj))
-    return dist
+            a = dist[down[nb]]
+            x = dist[up[nb]]
+            if x < a:
+                a = x
+            b = dist[right[nb]]
+            x = dist[left[nb]]
+            if x < b:
+                b = x
+            # first-order upwind solve of |grad d| = w from a and b
+            w = weights[nb]
+            if a > b:
+                a, b = b, a
+            if b - a >= w:
+                cand = a + w
+            else:
+                cand = 0.5 * (a + b + sqrt(2.0 * w * w - (b - a) ** 2))
+            if cand < dist[nb]:
+                dist[nb] = cand
+                heappush(heap, (cand, keys[nb], nb))
+
+    def to_grid(values):
+        out = np.full((n, n), np.inf)
+        inner = slice(0, side) if wrap else slice(1, side - 1)
+        out[np.ix_(rows[inner], cols[inner])] = (
+            np.array(values, dtype=float).reshape(side, side)[inner, inner])
+        return out
+
+    result = to_grid(dist)
+    if snapshots is None:
+        return result
+    snaps = []
+    for (_, w), frozen in zip(requests, taken):
+        values, seen = frozen or (dist, reached)
+        # the same window (or the whole torus) needs no check
+        same = full(w) or (not wrap and int(w) == half)
+        snaps.append(to_grid(values) if same or seen < int(w) else None)
+    return result, snaps
 
 
 def geodesic_distance(metric: ConformalMetric, p) -> GridField:

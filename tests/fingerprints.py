@@ -1,5 +1,5 @@
-"""Output fingerprints of the localized pipeline, the inequality suites and
-the Crofton estimators.
+"""Output fingerprints of the localized pipeline, the inequality suites, the
+Crofton estimators and the growth tables.
 
 ``tests/test_fingerprints.py`` recomputes the sha256 digests below and
 compares them with ``tests/fingerprints.json``, so a change that claims
@@ -16,7 +16,12 @@ bit-identical outputs is checked against digests recorded before it:
   which pin the bits of the circle-sup kernel and of the radial ODE solve;
 * every file that ``crofton`` writes on the eigenfunction curve of a small
   flat config (the binned probe kernels, both estimators and the consistency
-  check) and on the unit segment (the all-pairs kernels).
+  check) and on the unit segment (the all-pairs kernels);
+* every file that ``growth`` and ``thm1`` write at a small ``wave`` config
+  (geodesic-disk sups; a degenerate pair shares its radius, and the one
+  ``k0_sweep`` entry resolves only the lowest mode, so ``skip_unresolved``
+  drops rows and a second radius set is marched) and at a small flat config
+  (the flat sup-disk scans).
 
 The digests hold for one BLAS thread (outputs are byte-identical only in
 single-threaded mode), so this script pins the thread variables before numpy
@@ -82,6 +87,16 @@ CROFTON_CONFIGS = {
                       "crofton": {"curve": "eigenfunction", "samples": 5000}},
     "segment": {"crofton": {"curve": "segment", "samples": 20_000,
                             "seed": 7}},
+}
+
+GROWTH_COMMANDS = ("growth", "thm1")
+GROWTH_CONFIGS = {
+    "wave": {"metric": {"profile": "wave", "grid_n": 160},
+             "eigen": {"count": 4},
+             "growth": {"sample_grid_m": 4, "k0_sweep": [0.42]}},
+    "flat": {"metric": {"profile": "flat", "grid_n": 160},
+             "eigen": {"count": 4},
+             "growth": {"sample_grid_m": 4}},
 }
 
 RAPID_DEGREES = (38, 40, 42)
@@ -177,6 +192,8 @@ def compute():
                                build_psi0=radial_ode_digest()),
             "crofton": {name: cli_digests(("crofton",), config)
                         for name, config in CROFTON_CONFIGS.items()},
+            "growth": {name: cli_digests(GROWTH_COMMANDS, config)
+                       for name, config in GROWTH_CONFIGS.items()},
             "rapid_family": {f"d={d}": rapid_family_digests(d)
                              for d in RAPID_DEGREES}}
 

@@ -66,7 +66,9 @@ def test_validation_failures():
                                 ("carleman", "t_values", []),
                                 ("carleman", "delta", 0.0),
                                 ("crofton", "samples", 1),
-                                ("crofton", "seed", -1)):
+                                ("crofton", "seed", -1),
+                                ("growth", "sample_grid_m", 1),
+                                ("growth", "k0_sweep", [0.25, -1.0])):
         bad = deep_merge(DEFAULT_CONFIG, {section: {key: value}})
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             validate_config(bad, command=section)
@@ -224,6 +226,19 @@ def test_thm1_k0_sweep(tmp_path):
     assert (tmp_path / "out" / "thm1_table_k0_1.csv").exists()
 
 
+def test_thm1_unresolved_sweep_entry_exits_3_with_one_line(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"metric": {"grid_n": 160},
+                                "eigen": {"count": 4},
+                                "growth": {"sample_grid_m": 4,
+                                           "k0_sweep": [0.05]}}))
+    code = main(["thm1", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == ("numerical failure: growth.k0_sweep entry 0.05 resolves no "
+                   "eigenfunction; increase metric.grid_n\n")
+
+
 def test_all_command_aggregates(tmp_path):
     cfg = small_config(tmp_path / "out",
                        metric={"grid_n": 320},
@@ -275,6 +290,16 @@ def test_all_command_aggregates(tmp_path):
     ('{"harmonic": {"seed": -1}}', "harmonic.seed must lie in [0, 2^64)"),
     ('{"eigen": {"seed": -1}}', "eigen.seed must lie in [0, 2^64)"),
     ('{"carleman": {"seed": -1}}', "carleman.seed must lie in [0, 2^64)"),
+    ('{"growth": {"sample_grid_m": 0}}', "growth.sample_grid_m must be at least 2"),
+    ('{"growth": {"sample_grid_m": -3}}', "growth.sample_grid_m must be at least 2"),
+    ('{"growth": {"k0_sweep": [-1.0]}}', "growth.k0_sweep entries must be positive"),
+    ('{"growth": {"k0_sweep": [0.5, 0.0]}}', "growth.k0_sweep entries must be positive"),
+    ('{"metric": {"params": {"value": -1.0}}}',
+     "metric.params.value must be a positive number"),
+    ('{"metric": {"params": {"value": "1"}}}',
+     "metric.params.value must be a positive number"),
+    ('{"metric": {"profile": "wave", "params": {"amplitude": 1.5}}}',
+     "metric.params.amplitude must lie in (-1, 1)"),
 ])
 def test_config_faults_exit_2_with_one_line(tmp_path, capsys, content, message):
     path = tmp_path / "cfg.json"

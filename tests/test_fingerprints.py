@@ -1,5 +1,5 @@
-"""The localized pipeline's, the inequality suites' and the Crofton
-estimators' outputs match the digests in fingerprints.json.
+"""The localized pipeline's, the inequality suites', the Crofton estimators'
+and the growth tables' outputs match the digests in fingerprints.json.
 
 See tests/fingerprints.py for what is hashed and how to rewrite the file.
 The digests are computed in a subprocess, because they hold for one BLAS
@@ -63,6 +63,13 @@ def test_crofton_outputs(computed, name):
     got, want = computed["crofton"][name], STORED["crofton"][name]
     assert got == want, (f"crofton {name} differs from the recorded outputs; "
                          f"if the change is intended, {UPDATE_HINT}")
+
+
+@pytest.mark.parametrize("name", sorted(STORED["growth"]))
+def test_growth_outputs(computed, name):
+    got, want = computed["growth"][name], STORED["growth"][name]
+    assert got == want, (f"growth / thm1 {name} differ from the recorded "
+                         f"outputs; if the change is intended, {UPDATE_HINT}")
 
 
 @pytest.mark.parametrize("family", sorted(STORED["rapid_family"]))

@@ -1,13 +1,18 @@
+import heapq
+
 import numpy as np
 import pytest
 
 from ngl.errors import EmptyRegionError, InfiniteGrowthError, ResolutionError
 from ngl.eigen import analytic_eigenpair, analytic_spectrum, solve_spectrum
+import ngl.growth as growth_module
 from ngl.growth import (_disk_offsets, _ring_offsets, _sup_disks_flat,
                         average_local_growth, donnelly_fefferman_constant,
-                        growth_exponent, growth_field, lq_growth_exponent,
-                        quartile_trend_ratio, verify_length_growth_bound)
-from ngl.surface import _bilinear_periodic, geodesic_distance, make_metric
+                        growth_exponent, growth_field, growth_fields,
+                        lq_growth_exponent, quartile_trend_ratio,
+                        verify_length_growth_bound)
+from ngl.surface import (_bilinear_periodic, _fast_march, flat_torus_distance,
+                         geodesic_distance, make_metric)
 
 from conftest import torus_field
 
@@ -208,6 +213,256 @@ def test_geodesic_disk_without_lattice_point(wave_metric_256,
     with pytest.raises(EmptyRegionError):
         growth_exponent(wave_spectrum_256.pairs[1].field, p, 1e-5, 0.5,
                         metric=wave_metric_256)
+
+
+# --------------------------------------------------------------- shared march
+
+
+def oracle_fast_march(metric, p, stop_radius=None, window=None):
+    """Reference march: one heap fast march on the whole n x n grid with
+    numpy scalar indexing and modulo neighbors."""
+    def eikonal_update(a, b, w):
+        if a > b:
+            a, b = b, a
+        if b - a >= w:
+            return a + w
+        return 0.5 * (a + b + np.sqrt(2.0 * w * w - (b - a) ** 2))
+
+    n = metric.grid_n
+    h = metric.spacing
+    sq = np.sqrt(metric.q)
+    dist = np.full((n, n), np.inf)
+    accepted = np.zeros((n, n), dtype=bool)
+    px, py = float(p[0]) % 1.0, float(p[1]) % 1.0
+    ic = int(np.floor(px * n))
+    jc = int(np.floor(py * n))
+    heap = []
+    sq_p = float(np.sqrt(metric.q_at(px, py)))
+    for di in range(-3, 4):
+        for dj in range(-3, 4):
+            i = (ic + di) % n
+            j = (jc + dj) % n
+            d_flat = flat_torus_distance((px, py), i * h, j * h)
+            d0 = 0.5 * (sq_p + sq[i, j]) * float(d_flat)
+            if d0 < dist[i, j]:
+                dist[i, j] = d0
+                heapq.heappush(heap, (d0, i, j))
+
+    def in_window(i, j):
+        if window is None:
+            return True
+        di = (i - ic) % n
+        if di > n // 2:
+            di -= n
+        dj = (j - jc) % n
+        if dj > n // 2:
+            dj -= n
+        return abs(di) <= int(window) and abs(dj) <= int(window)
+
+    stop = np.inf if stop_radius is None else float(stop_radius)
+    while heap:
+        d, i, j = heapq.heappop(heap)
+        if accepted[i, j]:
+            continue
+        accepted[i, j] = True
+        if d > stop:
+            continue
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            ii = (i + di) % n
+            jj = (j + dj) % n
+            if accepted[ii, jj] or not in_window(ii, jj):
+                continue
+            a = min(dist[(ii + 1) % n, jj], dist[(ii - 1) % n, jj])
+            b = min(dist[ii, (jj + 1) % n], dist[ii, (jj - 1) % n])
+            cand = eikonal_update(a, b, sq[ii, jj] * h)
+            if cand < dist[ii, jj]:
+                dist[ii, jj] = cand
+                heapq.heappush(heap, (cand, ii, jj))
+    return dist
+
+
+def oracle_local_metric_sup(values, dist, r, ic, jc, half, n):
+    """Reference scan: full-grid distance, global modulo gathers."""
+    d = np.where(np.isfinite(dist), dist, 1e18)
+    offs = np.arange(-4 * half, 4 * half + 1)
+    gx = ((ic * 4 + offs)[:, None] / 4.0) % n
+    gy = ((jc * 4 + offs)[None, :] / 4.0) % n
+    i0 = np.floor(gx).astype(np.int64) % n
+    j0 = np.floor(gy).astype(np.int64) % n
+    fx = gx - np.floor(gx)
+    fy = gy - np.floor(gy)
+    i1 = (i0 + 1) % n
+    j1 = (j0 + 1) % n
+
+    def blend(a):
+        return (a[i0, j0] * (1 - fx) * (1 - fy) + a[i1, j0] * fx * (1 - fy)
+                + a[i0, j1] * (1 - fx) * fy + a[i1, j1] * fx * fy)
+
+    keep = blend(d) <= r
+    assert keep.any()
+    return float(np.max(np.abs(blend(values))[keep]))
+
+
+def oracle_growth_field_curved(pair, metric, k0, m):
+    """Reference growth field: one march and two full-grid scans per
+    (eigenfunction, center)."""
+    n = metric.grid_n
+    r = k0 / np.sqrt(pair.lam)
+    alpha = metric.alpha0
+    half = int(np.ceil(r / np.sqrt(metric.q_minus) / metric.spacing)) + 3
+    grid = np.arange(m) / m
+    betas = []
+    for gi in range(m):
+        for gj in range(m):
+            p = (grid[gi], grid[gj])
+            dist = oracle_fast_march(metric, p, stop_radius=1.05 * r,
+                                     window=half + 1)
+            ic = int(np.floor(p[0] * n))
+            jc = int(np.floor(p[1] * n))
+            outer = oracle_local_metric_sup(pair.field.values, dist, r, ic, jc,
+                                            half, n)
+            inner = oracle_local_metric_sup(pair.field.values, dist, alpha * r,
+                                            ic, jc, half, n)
+            beta = float(np.log(outer) - np.log(inner))
+            betas.append(0.0 if -1e-9 <= beta < 0.0 else beta)
+    return betas
+
+
+@pytest.mark.parametrize("n, ic, jc, half", [(40, 1, 38, 5), (64, 30, 0, 9),
+                                              (24, 5, 20, 12)])
+def test_local_metric_sups_equal_full_grid_scan(n, ic, jc, half):
+    # random fields and distances (with unreached cells) make every refined
+    # point, up to the window's edge, a candidate; half = 12 > n / 2 wraps
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((n, n))
+    for _ in range(5):
+        dist = rng.random((n, n))
+        dist[rng.random((n, n)) < 0.2] = np.inf
+        radii = (0.9, 0.5, 0.05)
+        got = growth_module._local_metric_sups(values, dist, ic, jc, half, radii)
+        assert got == [oracle_local_metric_sup(values, dist, rad, ic, jc, half, n)
+                       for rad in radii]
+
+
+def test_refined_window_equals_modulo_blend():
+    rng = np.random.default_rng(5)
+    n, ic, jc, half = 50, 48, 3, 7
+    values = rng.standard_normal((n, n))
+    offs = np.arange(-4 * half, 4 * half + 1)
+    gx = ((ic * 4 + offs)[:, None] / 4.0) % n
+    gy = ((jc * 4 + offs)[None, :] / 4.0) % n
+    i0 = np.floor(gx).astype(np.int64) % n
+    j0 = np.floor(gy).astype(np.int64) % n
+    fx = gx - np.floor(gx)
+    fy = gy - np.floor(gy)
+    i1 = (i0 + 1) % n
+    j1 = (j0 + 1) % n
+    want = (values[i0, j0] * (1 - fx) * (1 - fy) + values[i1, j0] * fx * (1 - fy)
+            + values[i0, j1] * (1 - fx) * fy + values[i1, j1] * fx * fy)
+    span = np.arange(2 * half + 2) - half
+    block = values[np.ix_((ic + span) % n, (jc + span) % n)]
+    got = growth_module._refine(block)          # [u, v, k, l]
+    k = 2 * half + 1
+    got = got.transpose(2, 0, 3, 1).reshape(4 * k, 4 * k)[:want.shape[0],
+                                                          :want.shape[1]]
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.fixture(scope="module")
+def stripe_spectrum_160():
+    metric = make_metric("stripe", 160)
+    return metric, solve_spectrum(metric, 4, seed=0)
+
+
+@pytest.mark.parametrize("case", ["wave", "stripe"])
+def test_shared_march_growth_equals_per_pair_oracle(case, wave_metric_256,
+                                                    wave_spectrum_256,
+                                                    stripe_spectrum_160):
+    # m = 3 and m = 4 both put centers on the seam x = 0; wave 256 has the
+    # degenerate pair lambda_2 = lambda_3, which shares one window
+    if case == "wave":
+        metric, spectrum, k0, m = wave_metric_256, wave_spectrum_256, 0.5, 3
+        lams = [pair.lam for pair in spectrum.pairs]
+        assert lams[2] == pytest.approx(lams[3], rel=1e-12)
+    else:
+        (metric, spectrum), k0, m = stripe_spectrum_160, 0.8, 4
+    pairs = spectrum.nonconstant()
+    fields = list(growth_fields(pairs, metric, k0=k0, sample_grid_m=m))
+    for pair, samples in zip(pairs, fields):
+        assert [s.beta for s in samples] == oracle_growth_field_curved(
+            pair, metric, k0, m)
+        assert [s.p for s in samples] == [(i / m, j / m) for i in range(m)
+                                          for j in range(m)]
+        assert {s.outer_radius for s in samples} == {k0 / np.sqrt(pair.lam)}
+    assert [s.beta for s in growth_field(pairs[0], metric, k0, m)] == [
+        s.beta for s in fields[0]]
+
+
+def test_shared_march_fallback_marches_each_radius(monkeypatch, wave_metric_256,
+                                                   wave_spectrum_256):
+    # snapshot windows of 4 cells are far too small for these disks, so every
+    # snapshot fails its check and each radius is marched on its own
+    calls = []
+
+    def tiny_windows(metric, p, stop_radius=None, window=None, snapshots=None):
+        calls.append(len(snapshots))
+        dist, snaps = _fast_march(metric, p, stop_radius, window,
+                                  [(stop, 4) for stop, _ in snapshots])
+        assert all(snap is None for snap in snaps)
+        return dist, snaps
+
+    monkeypatch.setattr(growth_module, "_fast_march", tiny_windows)
+    pairs = wave_spectrum_256.nonconstant()
+    fields = growth_fields(pairs, wave_metric_256, k0=0.5, sample_grid_m=2)
+    assert calls == [2, 1, 0] * 4
+    for pair, samples in zip(pairs, fields):
+        assert [s.beta for s in samples] == oracle_growth_field_curved(
+            pair, wave_metric_256, 0.5, 2)
+
+
+@pytest.mark.parametrize("profile, n", [("wave", 96), ("stripe", 64)])
+def test_geodesic_distance_equals_oracle_march(profile, n):
+    metric = make_metric(profile, n)
+    for p in ((0.0, 0.0), (0.999, 0.37), (0.3, 0.7)):
+        np.testing.assert_array_equal(geodesic_distance(metric, p).values,
+                                      oracle_fast_march(metric, p))
+
+
+@pytest.mark.parametrize("profile, n", [("wave", 96), ("stripe", 128)])
+def test_march_snapshots_equal_separate_marches(profile, n):
+    metric = make_metric(profile, n)
+    # windows: below the seed reach, 2 w + 1 = n - 1 (the window's border
+    # wraps onto one row), and the whole torus
+    requests = [(0.02, 2), (0.05, 8), (0.06, 8), (0.1, 16), (0.2, n // 2 - 1),
+                (0.3, None)]
+    for p in ((0.0, 0.5), (0.995, 0.004), (0.41, 0.77)):
+        for top in range(len(requests)):
+            stop, window = requests[top]
+            smaller = [(s, w) for s, w in requests[:top]
+                       if w is not None or window is None]
+            dist, snaps = _fast_march(metric, p, stop, window, smaller)
+            np.testing.assert_array_equal(
+                dist, oracle_fast_march(metric, p, stop, window))
+            for (s, w), snap in zip(smaller, snaps):
+                if snap is not None:
+                    np.testing.assert_array_equal(
+                        snap, oracle_fast_march(metric, p, s, w))
+            # the same window, or the whole torus, needs no check
+            for (s, w), snap in zip(smaller, snaps):
+                if w == window or w is None:
+                    assert snap is not None
+    # a window too small for the march below its stop: no snapshot
+    _, [snap] = _fast_march(metric, (0.3, 0.3), 0.2, 30, [(0.1, 3)])
+    assert snap is None
+
+
+def test_march_snapshot_requests_are_checked(wave_metric_96):
+    with pytest.raises(ValueError):
+        _fast_march(wave_metric_96, (0.5, 0.5), 0.1, 10, [(0.2, 5)])
+    with pytest.raises(ValueError):
+        _fast_march(wave_metric_96, (0.5, 0.5), 0.1, 10, [(0.05, 11)])
+    with pytest.raises(ValueError):
+        _fast_march(wave_metric_96, (0.5, 0.5), 0.1, 10, [(0.05, None)])
 
 
 # --------------------------------------------------------------- sup kernel
