@@ -71,7 +71,8 @@ def _is_number(val):
 
 def _check_schema(cfg, default, where=""):
     """Reject keys the defaults do not have and leaves whose type does not
-    match the default's; ``metric.params`` is free-form."""
+    match the default's; ``metric.params`` is checked per profile
+    (:func:`_profile_sup`)."""
     for key, val in cfg.items():
         name = where + key
         if key not in default:
@@ -115,48 +116,102 @@ def load_config(path=None, overrides=None, command=None):
     return cfg
 
 
+# the metric.params keys each profile takes, with their defaults
+_PROFILE_PARAMS = {"flat": {"value": 1.0}, "wave": {"amplitude": 0.2},
+                   "stripe": {"amplitude": 0.3}}
+
+
 def _profile_sup(cfg):
     """Largest value of the configured conformal factor, which must be
-    positive: a flat value above 0, a wave or stripe amplitude in (-1, 1)."""
+    positive: a flat value above 0, a wave or stripe amplitude in (-1, 1).
+    A ``metric.params`` key the profile does not take is an error."""
     profile = cfg["metric"]["profile"]
-    params = cfg["metric"].get("params", {})
+    if profile not in _PROFILE_PARAMS:
+        raise ConfigError(f"unknown metric profile {profile!r}")
+    params = dict(_PROFILE_PARAMS[profile])
+    for key, val in cfg["metric"].get("params", {}).items():
+        if key not in params:
+            raise ConfigError(f"unknown metric.params key {key!r} for "
+                              f"profile {profile}")
+        params[key] = val
     if profile == "flat":
-        value = params.get("value", 1.0)
-        if not (_is_number(value) and value > 0):
+        if not (_is_number(params["value"]) and params["value"] > 0):
             raise ConfigError("metric.params.value must be a positive number")
-        return float(value)
-    if profile in ("wave", "stripe"):
-        amplitude = params.get("amplitude", 0.2 if profile == "wave" else 0.3)
-        if not (_is_number(amplitude) and -1 < amplitude < 1):
-            raise ConfigError("metric.params.amplitude must lie in (-1, 1)")
-        return 1.0 + abs(float(amplitude))
-    raise ConfigError(f"unknown metric profile {profile!r}")
+        return float(params["value"])
+    amplitude = params["amplitude"]
+    if not (_is_number(amplitude) and -1 < amplitude < 1):
+        raise ConfigError("metric.params.amplitude must lie in (-1, 1)")
+    return 1.0 + abs(float(amplitude))
 
 
 _GROWTH_COMMANDS = ("growth", "thm1", "all")
 _LOCALIZE_COMMANDS = ("localize", "tile", "rapid", "all")
 
+# (dotted key, predicate, one-line message), checked in order for every
+# command; a value of the wrong type never gets here (_check_schema)
+_RULES = (
+    ("metric.grid_n", lambda v: v >= 16, "metric.grid_n must be at least 16"),
+    ("eigen.tol", lambda v: v >= 1e-10, "eigen.tol must be at least 1e-10"),
+    ("eigen.solver", lambda v: v in ("auto", "analytic", "iterative"),
+     "eigen.solver must be auto, analytic or iterative"),
+    ("growth.k0", lambda v: v > 0, "growth.k0 must be positive"),
+    ("growth.k0_sweep", lambda v: all(k > 0 for k in v),
+     "growth.k0_sweep entries must be positive"),
+    # the surface average needs at least 2 x 2 centers
+    ("growth.sample_grid_m", lambda v: v >= 2,
+     "growth.sample_grid_m must be at least 2"),
+    ("localize.p", lambda v: len(v) == 2, "localize.p must hold 2 numbers"),
+    ("localize.planar_grid_n", lambda v: v >= 16,
+     "localize.planar_grid_n must be at least 16"),
+    ("schrodinger.delta", lambda v: 0 < v < 1.0 / 60.0,
+     "schrodinger.delta must lie in (0, 1/60)"),
+    ("schrodinger.a", lambda v: 0 < v < 1.0 / 3.0,
+     "schrodinger.a must lie in (0, 1/3)"),
+    ("schrodinger.m_threshold", lambda v: v > 0,
+     "schrodinger.m_threshold must be positive"),
+    ("tiling.k_max", lambda v: v >= 0, "tiling.k_max must be at least 0"),
+    ("tiling.core_grid_n", lambda v: v >= 16,
+     "tiling.core_grid_n must be at least 16"),
+    ("crofton.samples", lambda v: v >= 2, "crofton.samples must be at least 2"),
+    *((f"{module}.seed", lambda v: 0 <= v < 2 ** 64,
+       f"{module}.seed must lie in [0, 2^64)")
+      for module in ("eigen", "crofton", "harmonic", "carleman")),
+    ("crofton.r", lambda v: v > 0, "crofton.r must be positive"),
+    ("crofton.kernel", lambda v: v in ("disk", "circle"),
+     "crofton.kernel must be disk or circle"),
+    ("crofton.curve", lambda v: v in ("segment", "circle", "eigenfunction"),
+     "crofton.curve must be segment, circle or eigenfunction"),
+    ("harmonic.rho_plus", lambda v: 0 < v < 0.5,
+     "harmonic.rho_plus must lie in (0, 1/2)"),
+    ("harmonic.r0", lambda v: 0 < v < 0.5, "harmonic.r0 must lie in (0, 1/2)"),
+    ("harmonic.n_traces", lambda v: v >= 1, "harmonic.n_traces must be positive"),
+    ("harmonic.max_degree", lambda v: v >= 1,
+     "harmonic.max_degree must be at least 1"),
+    ("carleman.pairs", lambda v: v >= 1, "carleman.pairs must be positive"),
+    ("carleman.t_values", lambda v: len(v) > 0,
+     "carleman.t_values must not be empty"),
+    ("carleman.delta", lambda v: v > 0, "carleman.delta must be positive"),
+)
+
 
 def validate_config(cfg, command=None):
     if cfg.get("schema_version") != 1:
         raise ConfigError("unsupported schema_version")
+    for key, ok, message in _RULES:
+        section, name = key.split(".")
+        if not ok(cfg[section][name]):
+            raise ConfigError(message)
     grid_n = cfg["metric"]["grid_n"]
-    if grid_n < 16:
-        raise ConfigError("metric.grid_n must be at least 16")
     eig = cfg["eigen"]
     if eig["count"] < 1 or eig["count"] > grid_n * grid_n // 4:
         raise ConfigError("eigen.count must lie in [1, grid_n^2/4]")
-    if eig["tol"] < 1e-10:
-        raise ConfigError("eigen.tol must be at least 1e-10")
-    k0 = cfg["growth"]["k0"]
-    if k0 <= 0:
-        raise ConfigError("growth.k0 must be positive")
-    if any(k <= 0 for k in cfg["growth"]["k0_sweep"]):
-        raise ConfigError("growth.k0_sweep entries must be positive")
-    if cfg["growth"]["sample_grid_m"] < 2:
-        # the surface average needs at least 2 x 2 centers
-        raise ConfigError("growth.sample_grid_m must be at least 2")
     q_sup = _profile_sup(cfg)
+    if eig["solver"] == "analytic" and (cfg["metric"]["profile"] != "flat"
+                                        or q_sup != 1.0):
+        # the closed-form basis solves only the unit flat torus
+        raise ConfigError("eigen.solver analytic needs the flat profile "
+                          "with value 1")
+    k0 = cfg["growth"]["k0"]
     from .eigen import flat_modes
 
     def flat_lambda(count):
@@ -174,8 +229,10 @@ def validate_config(cfg, command=None):
                 f"{eig['count']} modes at k0 = {k0}; need grid_n >= "
                 f"{math.ceil(need)}")
     if command in _LOCALIZE_COMMANDS:
-        if cfg["localize"]["index"] < 1:
-            raise ConfigError("localize.index must be at least 1")
+        # checked before flat_lambda, whose enumeration grows with the index
+        if not 1 <= cfg["localize"]["index"] <= eig["count"]:
+            raise ConfigError(
+                f"localize.index must lie in [1, {eig['count']}]")
         lam_loc = flat_lambda(cfg["localize"]["index"]) * q_sup
         q_inf = max(2.0 - q_sup, 0.01)   # profiles here are symmetric about 1
         tau_min = 2.0 * q_inf / 5.0
@@ -185,37 +242,6 @@ def validate_config(cfg, command=None):
                 f"grid_n = {grid_n} cannot resolve the rescaled patch for "
                 f"localize.index = {cfg['localize']['index']}; need grid_n >= "
                 f"{math.ceil(need)}")
-    delta = cfg["schrodinger"]["delta"]
-    if not (0 < delta < 1.0 / 60.0):
-        raise ConfigError("schrodinger.delta must lie in (0, 1/60)")
-    a = cfg["schrodinger"]["a"]
-    if not (0 < a < 1.0 / 3.0):
-        raise ConfigError("schrodinger.a must lie in (0, 1/3)")
-    if cfg["crofton"]["samples"] < 2:
-        raise ConfigError("crofton.samples must be at least 2")
-    for module in ("eigen", "crofton", "harmonic", "carleman"):
-        if not 0 <= cfg[module]["seed"] < 2 ** 64:
-            raise ConfigError(f"{module}.seed must lie in [0, 2^64)")
-    if cfg["crofton"]["r"] <= 0:
-        raise ConfigError("crofton.r must be positive")
-    if cfg["crofton"]["kernel"] not in ("disk", "circle"):
-        raise ConfigError("crofton.kernel must be disk or circle")
-    hc = cfg["harmonic"]
-    if not (0 < hc["rho_plus"] < 0.5):
-        raise ConfigError("harmonic.rho_plus must lie in (0, 1/2)")
-    if not (0 < hc["r0"] < 0.5):
-        raise ConfigError("harmonic.r0 must lie in (0, 1/2)")
-    if hc["n_traces"] < 1:
-        raise ConfigError("harmonic.n_traces must be positive")
-    if hc["max_degree"] < 1:
-        raise ConfigError("harmonic.max_degree must be at least 1")
-    cc = cfg["carleman"]
-    if cc["pairs"] < 1:
-        raise ConfigError("carleman.pairs must be positive")
-    if not cc["t_values"]:
-        raise ConfigError("carleman.t_values must not be empty")
-    if cc["delta"] <= 0:
-        raise ConfigError("carleman.delta must be positive")
 
 
 # --------------------------------------------------------------------------
@@ -327,13 +353,18 @@ def _get_spectrum(cfg, out_dir, record=None):
     return metric, spectrum
 
 
-def _localized_field(cfg, metric, spectrum):
-    from .schrodinger import localize
+def _indexed_pair(cfg, spectrum):
+    """The nonconstant eigenpair that ``localize.index`` names."""
     idx = cfg["localize"]["index"]
     nonconst = spectrum.nonconstant()
     if not (1 <= idx <= len(nonconst)):
         raise ConfigError(f"localize.index must lie in [1, {len(nonconst)}]")
-    pair = nonconst[idx - 1]
+    return nonconst[idx - 1]
+
+
+def _localized_field(cfg, metric, spectrum):
+    from .schrodinger import localize
+    pair = _indexed_pair(cfg, spectrum)
     return pair, localize(pair, metric, tuple(cfg["localize"]["p"]),
                           k0=cfg["growth"]["k0"], eps0=cfg["localize"]["eps0"],
                           planar_grid_n=cfg["localize"]["planar_grid_n"])
@@ -520,13 +551,10 @@ def cmd_crofton(cfg, out_dir, record):
         curve = synthetic_segment()
     elif curve_kind == "circle":
         curve = synthetic_circle()
-    elif curve_kind == "eigenfunction":
+    else:   # eigenfunction
         from .nodal import extract_nodal_set
         metric, spectrum = _get_spectrum(cfg, out_dir)
-        idx = cfg["localize"]["index"]
-        curve = extract_nodal_set(spectrum.nonconstant()[idx - 1].field)
-    else:
-        raise ConfigError(f"unknown crofton.curve {curve_kind!r}")
+        curve = extract_nodal_set(_indexed_pair(cfg, spectrum).field)
     fn = disk_average_length if c["kernel"] == "disk" else circle_count_length
     est = fn(curve, c["r"], c["samples"], seed=c["seed"])
     out = {"value": est.value, "stderr": est.stderr, "samples": est.samples}

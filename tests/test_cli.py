@@ -56,9 +56,10 @@ def test_validation_failures():
     bad = deep_merge(DEFAULT_CONFIG, {"metric": {"grid_n": 128}})
     with pytest.raises(ConfigError, match="need grid_n"):
         validate_config(bad, command="thm1")
-    bad = deep_merge(DEFAULT_CONFIG, {"localize": {"index": 0}})
-    with pytest.raises(ConfigError, match="localize.index"):
-        validate_config(bad, command="localize")
+    for index in (0, 21, 10 ** 9):
+        bad = deep_merge(DEFAULT_CONFIG, {"localize": {"index": index}})
+        with pytest.raises(ConfigError, match=r"localize.index must lie in \[1, 20\]"):
+            validate_config(bad, command="localize")
     for section, key, value in (("harmonic", "r0", 0.7),
                                 ("harmonic", "r0", -0.25),
                                 ("harmonic", "max_degree", 0),
@@ -300,6 +301,31 @@ def test_all_command_aggregates(tmp_path):
      "metric.params.value must be a positive number"),
     ('{"metric": {"profile": "wave", "params": {"amplitude": 1.5}}}',
      "metric.params.amplitude must lie in (-1, 1)"),
+    ('{"metric": {"params": {"amplitude": 0.3}}}',
+     "unknown metric.params key 'amplitude' for profile flat"),
+    ('{"metric": {"profile": "stripe", "params": {"value": 1.0}}}',
+     "unknown metric.params key 'value' for profile stripe"),
+    ('{"eigen": {"solver": "bogus"}}',
+     "eigen.solver must be auto, analytic or iterative"),
+    ('{"metric": {"profile": "wave", "grid_n": 64}, "eigen": {"solver": "analytic"}}',
+     "eigen.solver analytic needs the flat profile with value 1"),
+    ('{"metric": {"params": {"value": 2.0}}, "eigen": {"solver": "analytic"}}',
+     "eigen.solver analytic needs the flat profile with value 1"),
+    ('{"crofton": {"curve": "spiral"}}',
+     "crofton.curve must be segment, circle or eigenfunction"),
+    ('{"tiling": {"core_grid_n": 2}}', "tiling.core_grid_n must be at least 16"),
+    ('{"localize": {"p": [0.0]}}', "localize.p must hold 2 numbers"),
+    ('{"tiling": {"k_max": -1}}', "tiling.k_max must be at least 0"),
+    ('{"schrodinger": {"m_threshold": -1.0}}',
+     "schrodinger.m_threshold must be positive"),
+    ('{"localize": {"planar_grid_n": 3}}',
+     "localize.planar_grid_n must be at least 16"),
+    ('{"metric": {"grid_n": 64}, "eigen": {"count": 4}, "localize": {"index": 9},'
+     ' "crofton": {"curve": "eigenfunction", "samples": 100}}',
+     "localize.index must lie in [1, 4]"),
+    ('{"metric": {"grid_n": 64}, "eigen": {"count": 4}, "localize": {"index": 0},'
+     ' "crofton": {"curve": "eigenfunction", "samples": 100}}',
+     "localize.index must lie in [1, 4]"),
 ])
 def test_config_faults_exit_2_with_one_line(tmp_path, capsys, content, message):
     path = tmp_path / "cfg.json"
@@ -324,7 +350,7 @@ def test_config_accepts_documented_types():
         "growth": {"k0": 1},                     # int where a float is expected
         "tiling": {"delta0": 0.004},             # number where None is the default
         "eigen": {"maxiter": None},
-        "metric": {"params": {"anything": [1]}},  # free-form
+        "metric": {"params": {"value": 1}},      # int where a float is expected
     })
     assert cfg["growth"]["k0"] == 1
 

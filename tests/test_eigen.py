@@ -1,9 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from ngl import eigen
 from ngl.errors import ConvergenceError
 from ngl.eigen import (analytic_eigenpair, analytic_spectrum,
                        assemble_operators, flat_modes, solve_spectrum)
@@ -133,6 +136,74 @@ def test_wave_ground_state_against_rayleigh_oracle():
     oracle = min(_rayleigh_descent_oracle(lap, mass, seed=s)
                  for s in range(50))
     assert lam1 == pytest.approx(oracle, rel=0.005)
+
+
+# ------------------------------------------------- ordering and eigenspace basis
+# the oracle is the shift-invert call with scipy's own factorization (the
+# default COLAMD ordering), followed by the same canonical basis
+
+
+def default_ordering_oracle(metric, count, seed):
+    lap, mass = assemble_operators(metric)
+    v0 = np.random.Generator(np.random.Philox(key=seed)).standard_normal(
+        metric.grid_n ** 2)
+    lams, vecs = spla.eigsh(lap, k=count, M=mass, sigma=-float(metric.q_plus),
+                            which="LM", v0=v0)
+    order = np.argsort(lams)
+    lams, vecs = lams[order], vecs[:, order]
+    vecs = eigen._canonical_basis(lams, vecs, mass)
+    return lams, vecs / np.max(np.abs(vecs), axis=0)
+
+
+@functools.lru_cache(maxsize=None)
+def solved(profile, grid_n, seed):
+    return solve_spectrum(make_metric(profile, grid_n), 9, seed=seed)
+
+
+def fields(spec):
+    return np.stack([p.field.values.ravel() for p in spec.pairs], axis=1)
+
+
+@pytest.mark.parametrize("profile, grid_n", [("wave", 160), ("wave", 224),
+                                             ("stripe", 128)])
+def test_solve_matches_default_ordering_oracle(profile, grid_n):
+    spec = solved(profile, grid_n, 0)
+    lams, vecs = default_ordering_oracle(spec.metric, 9, seed=0)
+    got = np.array([p.lam for p in spec.pairs])
+    # the constant mode's eigenvalue is rounding noise around 0
+    np.testing.assert_allclose(got[1:], lams[1:], rtol=1e-12, atol=0)
+    assert abs(got[0]) < 1e-10 and abs(lams[0]) < 1e-10
+    assert np.max(np.abs(fields(spec) - vecs)) < 1e-8
+
+
+def test_degenerate_wave_eigenspaces_independent_of_seed():
+    s0, s7 = solved("wave", 224, 0), solved("wave", 224, 7)
+    lams = [p.lam for p in s0.pairs]
+    # lambda_2 = lambda_3 and lambda_5 = lambda_6 by the metric's symmetries
+    assert lams[3] - lams[2] < 1e-12 * lams[2]
+    assert lams[6] - lams[5] < 1e-12 * lams[5]
+    np.testing.assert_allclose(lams[1:], [p.lam for p in s7.pairs][1:],
+                               rtol=1e-12, atol=0)
+    assert np.max(np.abs(fields(s0) - fields(s7))) < 1e-8
+    assert s0.orthogonality_error < 1e-12
+
+
+def test_canonical_basis_fixes_rotation_and_sign():
+    metric = make_metric("wave", 64)
+    _, mass = assemble_operators(metric)
+    spec = solve_spectrum(metric, 5, seed=0)
+    lams = np.array([p.lam for p in spec.pairs])
+    assert lams[3] - lams[2] < 1e-12 * lams[2]
+    vecs = fields(spec)
+    vecs = vecs / np.sqrt(np.einsum("ik,ik->k", vecs, mass @ vecs))
+    # rotate the degenerate pair and flip every sign: same subspaces
+    c, s_ = np.cos(0.7), np.sin(0.7)
+    moved = -vecs.copy()
+    moved[:, 2:4] = -vecs[:, 2:4] @ np.array([[c, -s_], [s_, c]])
+    a = eigen._canonical_basis(lams, vecs, mass)
+    b = eigen._canonical_basis(lams, moved, mass)
+    assert np.max(np.abs(a - b)) < 1e-10
+    np.testing.assert_allclose(a.T @ (mass @ a), np.eye(5), atol=1e-12)
 
 
 def test_solve_nonconvergence_carries_residual():

@@ -1,5 +1,6 @@
 """Structural checks on the package source."""
 
+import ast
 import pathlib
 import re
 
@@ -34,3 +35,23 @@ def test_one_fast_march_call_site():
             if "_fast_march(" in line and not line.lstrip().startswith("def ")]
     assert sorted(name for name, _ in hits) == ["growth.py", "surface.py"], hits
     assert "return GridField(_fast_march(metric, p)" in dict(hits)["surface.py"]
+
+
+def test_one_sparse_factorization_and_eigensolve():
+    # solve_spectrum factors the shifted operator once under its fill-reducing
+    # ordering and hands the factor to eigsh; scipy's default-ordering path
+    # lives only in tests/test_eigen.py, as the oracle
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, (ast.Attribute, ast.Name))):
+                    name = getattr(node.func, "attr", None) or node.func.id
+                    if name in ("splu", "eigsh"):
+                        hits.append((path.name, func.name, name))
+    assert sorted(hits) == [("eigen.py", "solve_spectrum", "eigsh"),
+                            ("eigen.py", "solve_spectrum", "splu")], hits
