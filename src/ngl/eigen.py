@@ -213,7 +213,9 @@ def flat_modes(count) -> list[tuple[int, int, float]]:
     then a sine (phase -pi/2) eigenfunction, which reproduces the exact
     multiplicities.  The eigenvalue of a mode is 4 pi^2 (m^2 + n^2).
     """
-    bound = 2
+    # the disk of radius b holds about pi b^2 lattice points, two modes per
+    # representative: start there, so the loop rarely grows the bound
+    bound = max(2, math.ceil(math.sqrt(max(count, 0) / math.pi)))
     while True:
         # only shells m^2 + n^2 <= bound^2 are complete inside the box
         reps = [(m, n) for m in range(0, bound + 1)

@@ -18,7 +18,8 @@ from .errors import EmptyRegionError, InfiniteGrowthError, ResolutionError
 from .eigen import EigenPair, Spectrum
 from .nodal import extract_nodal_set, nodal_length
 from .surface import (TORUS, ConformalMetric, EuclideanDisk, GridField,
-                      _fast_march, lq_norm_on_region, sup_on_region)
+                      _fast_march, _sup_disks_flat, lq_norm_on_region,
+                      sup_on_region)
 
 _BETA_FLOOR = 1e-9  # interpolation noise floor on nested sups
 
@@ -79,73 +80,6 @@ def lq_growth_exponent(field, center, r, alpha, qexp):
 
 # --------------------------------------------------------------------------
 # wavelength-scale growth field
-
-
-def _disk_offsets(radius_cells):
-    r = int(np.floor(radius_cells))
-    rng = np.arange(-r, r + 1)
-    DI, DJ = np.meshgrid(rng, rng, indexing="ij")
-    keep = DI * DI + DJ * DJ <= radius_cells * radius_cells
-    return DI[keep].astype(np.int64), DJ[keep].astype(np.int64)
-
-
-def _ring_offsets(radius_cells, min_angles=256):
-    m = max(min_angles, int(np.ceil(8 * np.pi * radius_cells)))
-    m = 8 * ((m + 7) // 8)
-    th = np.arange(m) * (2 * np.pi / m)
-    return radius_cells * np.cos(th), radius_cells * np.sin(th)
-
-
-_SUP_BLOCK = 64  # centers per gather block; keeps the temporaries in cache
-
-
-def _sup_disks_flat(values, centers_idx, radius_cells):
-    """Per-center max of |values| over lattice disks plus an exact bilinear
-    boundary ring (the ring carries the sup whenever the maximizer sits on
-    the disk boundary, which is the generic case for nested sup ratios).
-
-    The grid is wrap-padded once, so every disk point and ring corner is a
-    flat offset from the center's index into the padded array.
-    """
-    n = values.shape[0]
-    di, dj = _disk_offsets(radius_cells)
-    rx, ry = _ring_offsets(radius_cells)
-    fi = np.floor(rx).astype(np.int64)
-    fj = np.floor(ry).astype(np.int64)
-    wx = rx - fi
-    wy = ry - fj
-    pad = int(np.ceil(radius_cells)) + 2
-    padded = np.pad(values, pad, mode="wrap").ravel()
-    w = n + 2 * pad
-    absvals = np.abs(padded)
-    disk = di * w + dj
-    ring = fi * w + fj
-    # corners (i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1) of each ring cell
-    v00s, v10s, v01s, v11s = padded, padded[w:], padded[1:], padded[w + 1:]
-    base = (centers_idx[:, 0] % n + pad) * w + (centers_idx[:, 1] % n + pad)
-    out = np.empty(base.size)
-    for lo in range(0, base.size, _SUP_BLOCK):
-        b = base[lo:lo + _SUP_BLOCK, None]
-        best = absvals.take(b + disk).max(axis=1)
-        idx = b + ring
-        v00 = v00s.take(idx)
-        v01 = v01s.take(idx)
-        # low = v00 + wx (v10 - v00), high = v01 + wx (v11 - v01) and
-        # low + wy (high - low), in place but in the same operation order
-        low = v10s.take(idx)
-        low -= v00
-        low *= wx
-        low += v00
-        high = v11s.take(idx)
-        high -= v01
-        high *= wx
-        high += v01
-        high -= low
-        high *= wy
-        high += low
-        ring_sup = np.abs(high, out=high).max(axis=1)
-        out[lo:lo + _SUP_BLOCK] = np.maximum(best, ring_sup)
-    return out
 
 
 def _growth_betas_flat(eigenpair, metric, r_metric, m):

@@ -4,8 +4,12 @@ The metric is g = q(x, y)(dx^2 + dy^2) on the unit torus [0,1)^2, realized by
 one global periodic chart.  Lengths scale by sqrt(q), areas by q.  Everything
 downstream (eigenfunctions, nodal sets, growth exponents) consumes the two
 primitives defined here: bilinear interpolation of grid samples and sup / L^q
-evaluation over Euclidean disks.  The geodesic distance solver lives here
-too; geodesic-disk sups are taken in ``growth``.
+evaluation over Euclidean disks.  A torus grid field's sup over Euclidean
+disks has one kernel, ``_sup_disks_flat``, for one center or many: the
+lattice points in the disk plus a dense bilinear ring on the circle.  Each
+cell's interpolant is bilinear, hence harmonic, so the maximum principle puts
+its sup at one or the other.  The geodesic distance solver (fast marching)
+lives here too; geodesic-disk sups are taken in ``growth``.
 """
 
 from __future__ import annotations
@@ -65,18 +69,16 @@ class GridField:
         n = self.grid_n
         return self.side / n if self.domain == TORUS else self.side / (n - 1)
 
-    def axis_coords(self) -> np.ndarray:
-        n = self.grid_n
-        if self.domain == TORUS:
-            return np.arange(n) / n
-        return self.origin[0] + np.arange(n) * self.spacing
-
     def interp(self, x, y):
-        """Bilinear interpolation at arbitrary points (periodic on the torus)."""
-        if self.domain == TORUS:
-            return _bilinear_periodic(self.values, np.asarray(x), np.asarray(y))
-        return _bilinear_planar(self.values, np.asarray(x), np.asarray(y),
-                                self.origin, self.spacing)
+        """Periodic bilinear interpolation at arbitrary points.
+
+        Torus fields only: planar samples are read through the
+        ``PlanarField.evaluate`` spline they come with.
+        """
+        if self.domain != TORUS:
+            raise TypeError("planar grid fields are evaluated through "
+                            "PlanarField.evaluate, not bilinearly")
+        return _bilinear_periodic(self.values, np.asarray(x), np.asarray(y))
 
 
 def _bilinear_periodic(values, x, y):
@@ -94,21 +96,6 @@ def _bilinear_periodic(values, x, y):
     # nested lerp form: exact on constant fields
     low = values[i0, j0] + fx * (values[i1, j0] - values[i0, j0])
     high = values[i0, j1] + fx * (values[i1, j1] - values[i0, j1])
-    return low + fy * (high - low)
-
-
-def _bilinear_planar(values, x, y, origin, h):
-    n = values.shape[0]
-    gx = (np.asarray(x, dtype=float) - origin[0]) / h
-    gy = (np.asarray(y, dtype=float) - origin[1]) / h
-    gx = np.clip(gx, 0.0, n - 1 - 1e-12)
-    gy = np.clip(gy, 0.0, n - 1 - 1e-12)
-    i0 = np.floor(gx).astype(np.int64)
-    j0 = np.floor(gy).astype(np.int64)
-    fx = gx - i0
-    fy = gy - j0
-    low = values[i0, j0] + fx * (values[i0 + 1, j0] - values[i0, j0])
-    high = values[i0, j0 + 1] + fx * (values[i0 + 1, j0 + 1] - values[i0, j0 + 1])
     return low + fy * (high - low)
 
 
@@ -400,14 +387,6 @@ def _fast_march(metric: ConformalMetric, p, stop_radius=None, window=None,
     return result, snaps
 
 
-def geodesic_distance(metric: ConformalMetric, p) -> GridField:
-    """Geodesic distance field from p, by first-order fast marching."""
-    px, py = p
-    if not (0.0 <= px < 1.0 and 0.0 <= py < 1.0):
-        raise ValueError("source point must lie in [0,1)^2")
-    return GridField(_fast_march(metric, p), domain=TORUS)
-
-
 # --------------------------------------------------------------------------
 # sup and L^q over Euclidean disks
 
@@ -418,31 +397,16 @@ class EuclideanDisk:
     r: float
 
 
-_OVERSAMPLE = 4  # refinement factor of the sup lattice
-
-
-def _delta_torus(coord, center):
-    d = coord - center
-    return d - np.round(d)
-
-
-def _fine_lattice_in_disk(field: GridField, center, r):
-    """Fine-lattice points (original grid and its 4x refinement) inside a disk."""
-    hf = 1.0 / (_OVERSAMPLE * field.grid_n)
-    lo_i = int(np.ceil((center[0] - r) / hf))
-    hi_i = int(np.floor((center[0] + r) / hf))
-    lo_j = int(np.ceil((center[1] - r) / hf))
-    hi_j = int(np.floor((center[1] + r) / hf))
-    ii = np.arange(lo_i, hi_i + 1)
-    jj = np.arange(lo_j, hi_j + 1)
-    X = ii[:, None] * hf
-    Y = jj[None, :] * hf
-    dx = _delta_torus(X, center[0])
-    dy = _delta_torus(Y, center[1])
-    inside = dx * dx + dy * dy <= r * r
-    xs = np.broadcast_to(X, inside.shape)[inside]
-    ys = np.broadcast_to(Y, inside.shape)[inside]
-    return xs, ys
+def _disk_offsets(radius_cells, frac=(0.0, 0.0)):
+    """Lattice offsets (di, dj) with (di - fx)^2 + (dj - fy)^2 <= R^2: the
+    grid points of the disk of radius R (in cells) about the point that sits
+    ``frac = (fx, fy)`` cells past a lattice node, 0 <= fx, fy < 1."""
+    fx, fy = frac
+    r = int(np.floor(radius_cells))
+    rng = np.arange(-r, r + 2)
+    DI, DJ = np.meshgrid(rng, rng, indexing="ij")
+    keep = (DI - fx) ** 2 + (DJ - fy) ** 2 <= radius_cells * radius_cells
+    return DI[keep].astype(np.int64), DJ[keep].astype(np.int64)
 
 
 def _ring_points(center, radius, max_step, min_angles=64):
@@ -452,25 +416,67 @@ def _ring_points(center, radius, max_step, min_angles=64):
     return center[0] + radius * np.cos(th), center[1] + radius * np.sin(th)
 
 
-def _count_coarse_samples_in_disk(field: GridField, center, r):
-    coords = field.axis_coords()
-    dx = _delta_torus(coords, center[0])
-    dy = _delta_torus(coords, center[1])
-    inside = (dx * dx)[:, None] + (dy * dy)[None, :] <= r * r
-    return int(inside.sum())
+_SUP_BLOCK = 64  # centers per gather block; keeps the temporaries in cache
 
 
-def _grid_sup_disk(field: GridField, center, r):
-    if _count_coarse_samples_in_disk(field, center, r) == 0:
+def _sup_disks_flat(values, centers_idx, radius_cells, frac=(0.0, 0.0)):
+    """Per-center sup of the bilinear interpolant's |values| over the disk of
+    radius ``radius_cells`` about ``centers_idx[k] + frac`` (grid index units,
+    periodic): the max over the disk's lattice points and an exact bilinear
+    ring of at least 256 angles, at most a quarter cell apart, on its boundary.
+
+    No other point of the disk is needed: on each cell the interpolant is
+    bilinear, hence harmonic, so by the maximum principle |f| over the part
+    of a cell inside the disk peaks on that part's boundary, where f is
+    linear along cell edges: at a lattice point inside the disk or on the
+    circle.  The ring samples the circle, so at a kink of the interpolant
+    (where the circle crosses a grid line) it can read below the circle's
+    sup by up to its Lipschitz constant times an eighth of a cell.  The grid
+    is wrap-padded once, so every disk point and ring corner is a flat
+    offset from the center's index into the padded array.
+    """
+    n = values.shape[0]
+    di, dj = _disk_offsets(radius_cells, frac)
+    if di.size == 0:
         raise EmptyRegionError(
-            f"disk of radius {r:g} contains no grid sample (h = {field.spacing:g})")
-    xs, ys = _fine_lattice_in_disk(field, center, r)
-    best = -np.inf
-    if xs.size:
-        best = float(np.max(np.abs(field.interp(xs, ys))))
-    rx, ry = _ring_points(center, r, field.spacing / _OVERSAMPLE)
-    best = max(best, float(np.max(np.abs(field.interp(rx, ry)))))
-    return best
+            f"disk of radius {radius_cells:g} cells contains no grid sample")
+    rx, ry = _ring_points(frac, radius_cells, 0.25, min_angles=256)
+    fi = np.floor(rx).astype(np.int64)
+    fj = np.floor(ry).astype(np.int64)
+    wx = rx - fi
+    wy = ry - fj
+    pad = int(np.ceil(radius_cells)) + 2
+    padded = np.pad(values, pad, mode="wrap").ravel()
+    w = n + 2 * pad
+    absvals = np.abs(padded)
+    disk = di * w + dj
+    ring = fi * w + fj
+    # corners (i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1) of each ring cell
+    v00s, v10s, v01s, v11s = padded, padded[w:], padded[1:], padded[w + 1:]
+    base = (centers_idx[:, 0] % n + pad) * w + (centers_idx[:, 1] % n + pad)
+    out = np.empty(base.size)
+    for lo in range(0, base.size, _SUP_BLOCK):
+        b = base[lo:lo + _SUP_BLOCK, None]
+        best = absvals.take(b + disk).max(axis=1)
+        idx = b + ring
+        v00 = v00s.take(idx)
+        v01 = v01s.take(idx)
+        # low = v00 + wx (v10 - v00), high = v01 + wx (v11 - v01) and
+        # low + wy (high - low), in place but in the same operation order
+        low = v10s.take(idx)
+        low -= v00
+        low *= wx
+        low += v00
+        high = v11s.take(idx)
+        high -= v01
+        high *= wx
+        high += v01
+        high -= low
+        high *= wy
+        high += low
+        ring_sup = np.abs(high, out=high).max(axis=1)
+        out[lo:lo + _SUP_BLOCK] = np.maximum(best, ring_sup)
+    return out
 
 
 def _callable_sup_disk(fn, center, r, n_radii=96, max_step=None):
@@ -500,18 +506,25 @@ def _as_evaluator(fieldlike):
 def sup_on_region(fieldlike, region):
     """Supremum of |field| over a Euclidean disk.
 
-    Torus grid fields are scanned on the original lattice, its 4x bilinear
-    refinement, and the boundary circle.  Objects exposing an ``evaluate``
-    callable (and bare callables) are scanned on dense polar rasters that
-    include the boundary exactly.  Geodesic disks go through
-    ``growth.growth_exponent`` with a metric.
+    Torus grid fields are scanned by ``_sup_disks_flat``: the lattice points
+    in the disk and a dense bilinear ring on its boundary, which by the
+    maximum principle on each (harmonic) bilinear cell is where the
+    interpolant's sup lies.  Objects exposing an ``evaluate`` callable (and
+    bare callables) are scanned on dense polar rasters that include the
+    boundary exactly.  Geodesic disks go through ``growth.growth_exponent``
+    with a metric.
     """
     if not isinstance(region, EuclideanDisk):
         raise TypeError(f"unknown region type {type(region)!r}")
     ev = _as_evaluator(fieldlike)
     if ev is not None:
         return _callable_sup_disk(ev, region.center, region.r)
-    return _grid_sup_disk(fieldlike, region.center, region.r)
+    n = fieldlike.grid_n
+    g = np.asarray(region.center, dtype=float) * n
+    corner = np.floor(g)
+    sup = _sup_disks_flat(fieldlike.values, corner.astype(np.int64)[None, :],
+                          region.r * n, tuple(g - corner))
+    return float(sup[0])
 
 
 # ---- L^q norms -----------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ngl.surface import GridField, make_metric
+from ngl.surface import GridField, _fast_march, make_metric
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +33,12 @@ def torus_field(fn, grid_n):
 @pytest.fixture(scope="session")
 def sin_x_256():
     return torus_field(lambda x, y: np.sin(2 * np.pi * x), 256)
+
+
+def geodesic_distance(metric, p):
+    """Geodesic distance field from p over the whole torus: the fast march
+    with no stop radius and no window, as the oracle that the windowed,
+    stopped marches behind geodesic-disk sups are checked against."""
+    px, py = p
+    assert 0.0 <= px < 1.0 and 0.0 <= py < 1.0
+    return GridField(_fast_march(metric, p))

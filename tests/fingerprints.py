@@ -17,11 +17,12 @@ bit-identical outputs is checked against digests recorded before it:
 * every file that ``crofton`` writes on the eigenfunction curve of a small
   flat config (the binned probe kernels, both estimators and the consistency
   check) and on the unit segment (the all-pairs kernels);
-* every file that ``growth`` and ``thm1`` write at a small ``wave`` config
-  (geodesic-disk sups; a degenerate pair shares its radius, and the one
-  ``k0_sweep`` entry resolves only the lowest mode, so ``skip_unresolved``
-  drops rows and a second radius set is marched) and at a small flat config
-  (the flat sup-disk scans).
+* every file that ``growth``, ``thm1``, ``spectrum`` and ``nodal`` write at
+  a small ``wave`` config (geodesic-disk sups; a degenerate pair shares its
+  radius, and the one ``k0_sweep`` entry resolves only the lowest mode, so
+  ``skip_unresolved`` drops rows and a second radius set is marched; the
+  solved spectrum and its nodal sets) and at a small flat config (the flat
+  sup-disk scans; the closed-form spectrum and its nodal sets).
 
 The digests hold for one BLAS thread (outputs are byte-identical only in
 single-threaded mode), so this script pins the thread variables before numpy
@@ -89,7 +90,7 @@ CROFTON_CONFIGS = {
                             "seed": 7}},
 }
 
-GROWTH_COMMANDS = ("growth", "thm1")
+GROWTH_COMMANDS = ("growth", "thm1", "spectrum", "nodal")
 GROWTH_CONFIGS = {
     "wave": {"metric": {"profile": "wave", "grid_n": 160},
              "eigen": {"count": 4},

@@ -276,6 +276,7 @@ def test_analytic_spectrum_shells():
 
 
 def reference_mode_list(count):
+    """The shell enumeration that grows its bound by one from 2."""
     bound = 2
     while True:
         reps = [(m, n) for m in range(0, bound + 1)
@@ -302,6 +303,12 @@ def reference_lambda_of_count(count):
             break
         bound += 1
     return 4 * math.pi ** 2 * vals[count - 1]
+
+
+@pytest.mark.parametrize("count", [10 ** 3, 10 ** 4 + 1, 5 * 10 ** 4])
+def test_flat_modes_start_bound_keeps_the_mode_list(count):
+    # flat_modes starts its bound at ceil(sqrt(count / pi)) instead of 2
+    assert flat_modes(count) == reference_mode_list(count)
 
 
 def test_flat_modes_match_reference_enumerations():

@@ -1,5 +1,6 @@
-"""The localized pipeline's, the inequality suites', the Crofton estimators'
-and the growth tables' outputs match the digests in fingerprints.json.
+"""The localized pipeline's, the inequality suites', the Crofton estimators',
+the growth tables', the spectra's and the nodal sets' outputs match the
+digests in fingerprints.json.
 
 See tests/fingerprints.py for what is hashed and how to rewrite the file.
 The digests are computed in a subprocess, because they hold for one BLAS
@@ -68,7 +69,7 @@ def test_crofton_outputs(computed, name):
 @pytest.mark.parametrize("name", sorted(STORED["growth"]))
 def test_growth_outputs(computed, name):
     got, want = computed["growth"][name], STORED["growth"][name]
-    assert got == want, (f"growth / thm1 {name} differ from the recorded "
+    assert got == want, (f"growth / thm1 / spectrum / nodal {name} differ from the recorded "
                          f"outputs; if the change is intended, {UPDATE_HINT}")
 
 

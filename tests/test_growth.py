@@ -6,15 +6,15 @@ import pytest
 from ngl.errors import EmptyRegionError, InfiniteGrowthError, ResolutionError
 from ngl.eigen import analytic_eigenpair, analytic_spectrum, solve_spectrum
 import ngl.growth as growth_module
-from ngl.growth import (_disk_offsets, _ring_offsets, _sup_disks_flat,
-                        average_local_growth, donnelly_fefferman_constant,
+from ngl.growth import (average_local_growth, donnelly_fefferman_constant,
                         growth_exponent, growth_field, growth_fields,
                         lq_growth_exponent, quartile_trend_ratio,
                         verify_length_growth_bound)
-from ngl.surface import (_bilinear_periodic, _fast_march, flat_torus_distance,
-                         geodesic_distance, make_metric)
+from ngl.surface import (_bilinear_periodic, _disk_offsets, _fast_march,
+                         _ring_points, _sup_disks_flat, flat_torus_distance,
+                         make_metric)
 
-from conftest import torus_field
+from conftest import geodesic_distance, torus_field
 
 
 def radial_power(n):
@@ -151,6 +151,19 @@ def test_growth_field_1d_reduction_oracle():
     assert got.beta == pytest.approx(oracle, abs=2e-3)
     assert got.outer_radius == pytest.approx(r, abs=1e-12)
     assert got.alpha == 0.2
+
+
+@pytest.mark.parametrize("mode", [(1, 1), (2, 1)])
+def test_flat_growth_exponent_equals_growth_field_sample(mode):
+    # one Euclidean-disk sup kernel: a single disk at a lattice center gives
+    # the batched growth field's exponent bit for bit
+    metric = make_metric("flat", 320)
+    pair = analytic_eigenpair(*mode, phase=0.3, grid_n=320)
+    samples = growth_field(pair, metric, k0=0.5, sample_grid_m=8)
+    r = 0.5 / np.sqrt(pair.lam)
+    for s in samples:
+        assert growth_exponent(pair.field, s.p, r, metric.alpha0,
+                               metric=metric) == s.beta
 
 
 def test_growth_field_curved_metric_smoke():
@@ -466,6 +479,25 @@ def test_march_snapshot_requests_are_checked(wave_metric_96):
 
 
 # --------------------------------------------------------------- sup kernel
+
+
+def _ring_offsets(radius_cells, min_angles=256):
+    """The flat scan's boundary ring before it shared ``_ring_points``."""
+    m = max(min_angles, int(np.ceil(8 * np.pi * radius_cells)))
+    m = 8 * ((m + 7) // 8)
+    th = np.arange(m) * (2 * np.pi / m)
+    return radius_cells * np.cos(th), radius_cells * np.sin(th)
+
+
+def test_ring_points_at_a_lattice_node_equal_the_flat_ring():
+    # 8 pi R and (2 pi R) / (1/4) round alike (powers of two), so the ring
+    # angles and offsets of a lattice-centered disk are unchanged bit for bit
+    radii = np.concatenate([np.linspace(0.5, 400.0, 4001), [2.28, 10.19, 10.2]])
+    for radius in radii:
+        rx, ry = _ring_points((0.0, 0.0), radius, 0.25, min_angles=256)
+        ox, oy = _ring_offsets(radius)
+        np.testing.assert_array_equal(rx, ox)
+        np.testing.assert_array_equal(ry, oy)
 
 
 def modulo_gather_sup_disks(values, centers_idx, radius_cells):

@@ -249,9 +249,14 @@ def test_core_field_resolution(localized_sine):
     _, _, pf = localized_sine
     core = core_field(pf, grid_n=257)
     assert core.grid_n == 257
-    # core samples agree with the evaluator
-    val = core.interp(0.001, -0.002)
-    assert val == pytest.approx(float(pf.evaluate(0.001, -0.002)), abs=1e-6)
+    assert core.origin == (-1.0 / 48.0, -1.0 / 48.0)
+    assert core.side == 2.0 / 48.0
+    # core samples are the evaluator at the grid nodes origin + (i, j) h
+    idx = np.arange(0, 257, 8)
+    nodes = core.origin[0] + idx * core.spacing
+    X, Y = np.meshgrid(nodes, nodes, indexing="ij")
+    np.testing.assert_allclose(core.values[np.ix_(idx, idx)], pf.evaluate(X, Y),
+                               rtol=0.0, atol=1e-12 * np.abs(core.values).max())
 
 
 def test_localization_commutes_with_growth(localized_sine):

@@ -5,11 +5,11 @@ import pytest
 
 from ngl.errors import EmptyRegionError
 from ngl.surface import (EuclideanDisk, GridField, flat_torus_distance,
-                         geodesic_distance, lq_norm_on_region, make_metric,
-                         polar_quadrature, polyline_metric_length, read_gfd,
-                         sup_on_region, write_gfd)
+                         lq_norm_on_region, make_metric, polar_quadrature,
+                         polyline_metric_length, read_gfd, sup_on_region,
+                         write_gfd)
 
-from conftest import torus_field
+from conftest import geodesic_distance, torus_field
 
 
 # ---------------------------------------------------------------- metrics
@@ -179,6 +179,87 @@ def test_sup_monotone_in_region():
         assert s1 <= s2 + 1e-12
 
 
+_OVERSAMPLE = 4
+
+
+def _delta_torus(coord, center):
+    d = coord - center
+    return d - np.round(d)
+
+
+def refined_grid_sup_disk(field, center, r):
+    """Sup of a torus grid field over a disk on its lattice, the lattice's 4x
+    bilinear refinement and a boundary ring of at least 64 angles at most a
+    quarter cell apart: the single-disk scan that ``sup_on_region`` used before
+    it shared the batched kernel."""
+    n = field.grid_n
+    coords = np.arange(n) / n
+    dx = _delta_torus(coords, center[0])
+    dy = _delta_torus(coords, center[1])
+    if not np.any((dx * dx)[:, None] + (dy * dy)[None, :] <= r * r):
+        raise EmptyRegionError("disk contains no grid sample")
+    hf = 1.0 / (_OVERSAMPLE * n)
+    ii = np.arange(int(np.ceil((center[0] - r) / hf)),
+                   int(np.floor((center[0] + r) / hf)) + 1)
+    jj = np.arange(int(np.ceil((center[1] - r) / hf)),
+                   int(np.floor((center[1] + r) / hf)) + 1)
+    X = ii[:, None] * hf
+    Y = jj[None, :] * hf
+    dx = _delta_torus(X, center[0])
+    dy = _delta_torus(Y, center[1])
+    inside = dx * dx + dy * dy <= r * r
+    best = -np.inf
+    if inside.any():
+        xs = np.broadcast_to(X, inside.shape)[inside]
+        ys = np.broadcast_to(Y, inside.shape)[inside]
+        best = float(np.max(np.abs(field.interp(xs, ys))))
+    m = max(64, int(np.ceil(2 * np.pi * r / (field.spacing / _OVERSAMPLE))))
+    m = 8 * ((m + 7) // 8)
+    th = np.arange(m) * (2 * np.pi / m)
+    ring = field.interp(center[0] + r * np.cos(th), center[1] + r * np.sin(th))
+    return max(best, float(np.max(np.abs(ring))))
+
+
+def test_sup_matches_refined_scan_on_random_disks():
+    # Both scans sample the same bilinear interpolant in the closed disk, so
+    # neither exceeds its sup S.  Each cell's interpolant is harmonic, so S
+    # sits at a lattice point in the disk or on the circle; a ring whose
+    # samples lie s apart along the circle then reads at least S - L s / 2,
+    # L = sqrt(2) * (largest neighbor difference) the interpolant's Lipschitz
+    # constant per cell.  From 10.2 cells on the two rings share their
+    # angles and the refined scan samples a superset; on a resolved
+    # eigenfunction the two then agree to rounding.
+    rng = np.random.Generator(np.random.Philox(key=15))
+    worst = 0.0
+    for k in range(240):  # half eigenfunctions, half noise; half below 10.2
+        n = int(rng.integers(64, 321))
+        noise = k % 2 == 1
+        if noise:
+            values = rng.standard_normal((n, n))
+        else:
+            a, b = rng.integers(-6, 7, 2)
+            coords = np.arange(n) / n
+            x, y = np.meshgrid(coords, coords, indexing="ij")
+            values = np.cos(2 * np.pi * (a * x + b * y) + rng.uniform(0, 6))
+        f = GridField(values)
+        center = tuple(rng.uniform(-0.5, 1.5, 2))
+        cells = float(rng.uniform(1.5, 10.2) if k % 4 < 2
+                      else rng.uniform(10.2, 40.0))
+        got = sup_on_region(f, EuclideanDisk(center, cells / n))
+        want = refined_grid_sup_disk(f, center, cells / n)
+        lip = np.sqrt(2) * max(np.abs(values - np.roll(values, 1, axis)).max()
+                               for axis in (0, 1))
+        m_new = 8 * ((max(256, int(np.ceil(8 * np.pi * cells))) + 7) // 8)
+        m_old = 8 * ((max(64, int(np.ceil(8 * np.pi * cells))) + 7) // 8)
+        assert -lip * np.pi * cells / m_new <= got - want
+        assert got - want <= lip * np.pi * cells / m_old
+        if cells >= 10.2:
+            assert got <= want * (1 + 1e-12)
+            if not noise:
+                worst = max(worst, abs(got - want) / want)
+    assert worst <= 1e-12
+
+
 def test_sup_empty_region_error():
     f = GridField(np.ones((64, 64)))
     with pytest.raises(EmptyRegionError):
@@ -191,6 +272,8 @@ def test_sup_rejects_planar_grid_fields_and_other_regions():
                        side=2.0)
     with pytest.raises(TypeError):
         sup_on_region(planar, EuclideanDisk((0.0, 0.0), 0.5))
+    with pytest.raises(TypeError):
+        planar.interp(0.0, 0.0)
     with pytest.raises(TypeError):
         sup_on_region(GridField(np.ones((64, 64))), (0.5, 0.5, 0.1))
     with pytest.raises(TypeError):
