@@ -27,8 +27,7 @@ from .errors import (ConfigError, ConstraintError, ConvergenceError,
 DEFAULT_CONFIG = {
     "schema_version": 1,
     "metric": {"profile": "flat", "grid_n": 320, "params": {}},
-    "eigen": {"count": 20, "tol": 1e-8, "seed": 0, "solver": "auto",
-              "maxiter": None},
+    "eigen": {"count": 20, "tol": 1e-8, "seed": 0, "maxiter": None},
     "growth": {"k0": 0.5, "sample_grid_m": 64, "k0_sweep": []},
     "localize": {"p": [0.0, 0.0], "eps0": 0.1, "planar_grid_n": 1024,
                  "index": 2},
@@ -36,8 +35,7 @@ DEFAULT_CONFIG = {
     "tiling": {"delta0": None, "k_max": 8, "core_grid_n": 1025},
     "crofton": {"kernel": "disk", "r": 0.05, "samples": 100000, "seed": 0,
                 "curve": "segment"},
-    "harmonic": {"rho_plus": 0.03125, "rho_minus": None, "r0": 0.25,
-                 "n_traces": 100, "max_degree": 10, "seed": 0},
+    "harmonic": {"r0": 0.25, "n_traces": 100, "max_degree": 10, "seed": 0},
     "carleman": {"a": 0.1, "t_values": [1.0, 5.0, 20.0], "pairs": 60,
                  "seed": 0, "delta": 1e-3, "n_centers": 3},
     "output": {"dir": "out"},
@@ -70,9 +68,9 @@ def _is_number(val):
 
 
 def _check_schema(cfg, default, where=""):
-    """Reject keys the defaults do not have and leaves whose type does not
-    match the default's; ``metric.params`` is checked per profile
-    (:func:`_profile_sup`)."""
+    """Reject keys the defaults do not have, leaves whose type does not match
+    the default's, and non-finite numbers; ``metric.params`` is checked per
+    profile (``surface.make_metric``)."""
     for key, val in cfg.items():
         name = where + key
         if key not in default:
@@ -94,6 +92,9 @@ def _check_schema(cfg, default, where=""):
             ok = _is_number(val) or (ref is None and val is None)
         if not ok:
             raise ConfigError(f"{name} has the wrong type: {val!r}")
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (val if isinstance(val, list) else [val])):
+            raise ConfigError(f"{name} must be finite: {val!r}")
 
 
 def load_config(path=None, overrides=None, command=None):
@@ -116,34 +117,6 @@ def load_config(path=None, overrides=None, command=None):
     return cfg
 
 
-# the metric.params keys each profile takes, with their defaults
-_PROFILE_PARAMS = {"flat": {"value": 1.0}, "wave": {"amplitude": 0.2},
-                   "stripe": {"amplitude": 0.3}}
-
-
-def _profile_sup(cfg):
-    """Largest value of the configured conformal factor, which must be
-    positive: a flat value above 0, a wave or stripe amplitude in (-1, 1).
-    A ``metric.params`` key the profile does not take is an error."""
-    profile = cfg["metric"]["profile"]
-    if profile not in _PROFILE_PARAMS:
-        raise ConfigError(f"unknown metric profile {profile!r}")
-    params = dict(_PROFILE_PARAMS[profile])
-    for key, val in cfg["metric"].get("params", {}).items():
-        if key not in params:
-            raise ConfigError(f"unknown metric.params key {key!r} for "
-                              f"profile {profile}")
-        params[key] = val
-    if profile == "flat":
-        if not (_is_number(params["value"]) and params["value"] > 0):
-            raise ConfigError("metric.params.value must be a positive number")
-        return float(params["value"])
-    amplitude = params["amplitude"]
-    if not (_is_number(amplitude) and -1 < amplitude < 1):
-        raise ConfigError("metric.params.amplitude must lie in (-1, 1)")
-    return 1.0 + abs(float(amplitude))
-
-
 _GROWTH_COMMANDS = ("growth", "thm1", "all")
 _LOCALIZE_COMMANDS = ("localize", "tile", "rapid", "all")
 
@@ -152,8 +125,8 @@ _LOCALIZE_COMMANDS = ("localize", "tile", "rapid", "all")
 _RULES = (
     ("metric.grid_n", lambda v: v >= 16, "metric.grid_n must be at least 16"),
     ("eigen.tol", lambda v: v >= 1e-10, "eigen.tol must be at least 1e-10"),
-    ("eigen.solver", lambda v: v in ("auto", "analytic", "iterative"),
-     "eigen.solver must be auto, analytic or iterative"),
+    ("eigen.maxiter", lambda v: v is None or (type(v) is int and v >= 1),
+     "eigen.maxiter must be null or an integer of at least 1"),
     ("growth.k0", lambda v: v > 0, "growth.k0 must be positive"),
     ("growth.k0_sweep", lambda v: all(k > 0 for k in v),
      "growth.k0_sweep entries must be positive"),
@@ -169,6 +142,8 @@ _RULES = (
      "schrodinger.a must lie in (0, 1/3)"),
     ("schrodinger.m_threshold", lambda v: v > 0,
      "schrodinger.m_threshold must be positive"),
+    ("tiling.delta0", lambda v: v is None or v > 0,
+     "tiling.delta0 must be null or a positive number"),
     ("tiling.k_max", lambda v: v >= 0, "tiling.k_max must be at least 0"),
     ("tiling.core_grid_n", lambda v: v >= 16,
      "tiling.core_grid_n must be at least 16"),
@@ -181,8 +156,6 @@ _RULES = (
      "crofton.kernel must be disk or circle"),
     ("crofton.curve", lambda v: v in ("segment", "circle", "eigenfunction"),
      "crofton.curve must be segment, circle or eigenfunction"),
-    ("harmonic.rho_plus", lambda v: 0 < v < 0.5,
-     "harmonic.rho_plus must lie in (0, 1/2)"),
     ("harmonic.r0", lambda v: 0 < v < 0.5, "harmonic.r0 must lie in (0, 1/2)"),
     ("harmonic.n_traces", lambda v: v >= 1, "harmonic.n_traces must be positive"),
     ("harmonic.max_degree", lambda v: v >= 1,
@@ -202,46 +175,35 @@ def validate_config(cfg, command=None):
         if not ok(cfg[section][name]):
             raise ConfigError(message)
     grid_n = cfg["metric"]["grid_n"]
-    eig = cfg["eigen"]
-    if eig["count"] < 1 or eig["count"] > grid_n * grid_n // 4:
+    count = cfg["eigen"]["count"]
+    if count < 1 or count > grid_n * grid_n // 4:
         raise ConfigError("eigen.count must lie in [1, grid_n^2/4]")
-    q_sup = _profile_sup(cfg)
-    if eig["solver"] == "analytic" and (cfg["metric"]["profile"] != "flat"
-                                        or q_sup != 1.0):
-        # the closed-form basis solves only the unit flat torus
-        raise ConfigError("eigen.solver analytic needs the flat profile "
-                          "with value 1")
+    # every profile attains its extremes q- and q+ on the 16-point grid
+    probe = _build_metric(cfg, grid_n=16)
     k0 = cfg["growth"]["k0"]
-    from .eigen import flat_modes
-
-    def flat_lambda(count):
-        """Eigenvalue of the count-th nonconstant flat-torus mode."""
-        m, n, _ = flat_modes(count)[-1]
-        return 4 * math.pi ** 2 * (m * m + n * n)
-
+    needs = []   # (nonconstant mode index, grid_n formula, what it resolves)
     if command in _GROWTH_COMMANDS:
-        # wavelength disks of the largest configured mode must span >= 10 cells
-        lam_max = flat_lambda(eig["count"]) * q_sup
-        need = 10 * math.sqrt(lam_max * q_sup) / k0
-        if grid_n < need:
-            raise ConfigError(
-                f"grid_n = {grid_n} cannot resolve wavelength disks for "
-                f"{eig['count']} modes at k0 = {k0}; need grid_n >= "
-                f"{math.ceil(need)}")
+        from .growth import disk_grid_need
+        needs.append((count, disk_grid_need,
+                      f"wavelength disks for {count} modes at k0 = {k0}"))
     if command in _LOCALIZE_COMMANDS:
-        # checked before flat_lambda, whose enumeration grows with the index
-        if not 1 <= cfg["localize"]["index"] <= eig["count"]:
-            raise ConfigError(
-                f"localize.index must lie in [1, {eig['count']}]")
-        lam_loc = flat_lambda(cfg["localize"]["index"]) * q_sup
-        q_inf = max(2.0 - q_sup, 0.01)   # profiles here are symmetric about 1
-        tau_min = 2.0 * q_inf / 5.0
-        need = 10 * math.sqrt(lam_loc) / (tau_min * k0)
+        # checked before flat_modes, whose enumeration grows with the index
+        index = cfg["localize"]["index"]
+        if not 1 <= index <= count:
+            raise ConfigError(f"localize.index must lie in [1, {count}]")
+        from .schrodinger import patch_grid_need
+        needs.append((index, patch_grid_need,
+                      f"the rescaled patch for localize.index = {index}"))
+    for k, grid_need, what in needs:
+        from .eigen import flat_modes
+        m, n, _ = flat_modes(k)[-1]
+        # min-max: lambda_k >= mu_k / q+, mu_k the k-th flat-torus eigenvalue;
+        # the pipeline checks the solved lambda_k with the same formula
+        need = grid_need(4 * math.pi ** 2 * (m * m + n * n) / probe.q_plus,
+                         probe, k0)
         if grid_n < need:
-            raise ConfigError(
-                f"grid_n = {grid_n} cannot resolve the rescaled patch for "
-                f"localize.index = {cfg['localize']['index']}; need grid_n >= "
-                f"{math.ceil(need)}")
+            raise ConfigError(f"grid_n = {grid_n} cannot resolve {what}; "
+                              f"need grid_n >= {math.ceil(need)}")
 
 
 # --------------------------------------------------------------------------
@@ -290,10 +252,14 @@ def _write_json(obj, path):
 # shared pipeline pieces
 
 
-def _build_metric(cfg):
+def _build_metric(cfg, grid_n=None):
     from .surface import make_metric
-    return make_metric(cfg["metric"]["profile"], cfg["metric"]["grid_n"],
-                       **cfg["metric"].get("params", {}))
+    try:
+        return make_metric(cfg["metric"]["profile"],
+                           grid_n or cfg["metric"]["grid_n"],
+                           **cfg["metric"]["params"])
+    except ValueError as exc:   # an unknown profile or parameter, or q <= 0
+        raise ConfigError(str(exc)) from exc
 
 
 def _spectrum_cache_key(cfg):
@@ -306,9 +272,6 @@ def _get_spectrum(cfg, out_dir, record=None):
     from .surface import TORUS, read_gfd, write_gfd
 
     metric = _build_metric(cfg)
-    solver = cfg["eigen"]["solver"]
-    if solver == "auto":
-        solver = "analytic" if metric.is_flat and metric.q_plus == 1.0 else "iterative"
     cache_dir = os.path.join(out_dir, "spectrum_cache", _spectrum_cache_key(cfg))
     index_path = os.path.join(cache_dir, "index.json")
     count = cfg["eigen"]["count"]
@@ -333,13 +296,13 @@ def _get_spectrum(cfg, out_dir, record=None):
             if record is not None:
                 record.constants["spectrum_cache"] = "hit"
             return metric, Spectrum(pairs=pairs, metric=metric)
-    if solver == "analytic":
+    if metric.is_flat and metric.q_plus == 1.0:   # the closed form solves it
         spectrum = analytic_spectrum(metric.grid_n, count)
         spectrum.metric = metric
     else:
         spectrum = solve_spectrum(metric, count + 1, tol=cfg["eigen"]["tol"],
                                   seed=cfg["eigen"]["seed"],
-                                  maxiter=cfg["eigen"].get("maxiter"))
+                                  maxiter=cfg["eigen"]["maxiter"])
     os.makedirs(cache_dir, exist_ok=True)
     index = []
     for k, pair in enumerate(spectrum.pairs[:count + 1]):

@@ -178,20 +178,23 @@ def _growth_betas_curved(pairs, metric, radii, centers):
     return betas
 
 
+def disk_grid_need(lam, metric, k0):
+    """Smallest grid_n at which the wavelength disk of radius k0 / sqrt(lam)
+    spans 10 grid cells: the metric disk contains a Euclidean disk of radius
+    k0 / sqrt(lam q_plus), and below 10 cells the sup ratio is
+    interpolation noise."""
+    return 10 * np.sqrt(lam * metric.q_plus) / k0
+
+
 def _check_resolution(eigenpair, metric, k0):
-    """The wavelength disk must span at least 10 grid cells, otherwise the sup
-    ratio is interpolation noise."""
     if eigenpair.lam <= 0:
         raise ValueError("growth field needs a nonconstant eigenfunction (lambda > 0)")
-    lam = eigenpair.lam
-    r = k0 / np.sqrt(lam)
-    h = metric.spacing
-    # the metric disk contains a Euclidean disk of radius r / sqrt(q_plus)
-    if r / np.sqrt(metric.q_plus) < 10 * h:
-        need = int(np.ceil(10 * np.sqrt(lam * metric.q_plus) / k0))
+    need = disk_grid_need(eigenpair.lam, metric, k0)
+    if metric.grid_n < need:
         raise ResolutionError(
-            f"wavelength radius {r:.4g} is below 10 grid cells (h = {h:.4g}); "
-            f"increase grid_n to at least {need}")
+            f"wavelength radius {k0 / np.sqrt(eigenpair.lam):.4g} is below 10 "
+            f"grid cells (h = {metric.spacing:.4g}); increase grid_n to at "
+            f"least {int(np.ceil(need))}")
 
 
 def growth_fields(pairs: list[EigenPair], metric: ConformalMetric, k0=0.5,
@@ -204,7 +207,8 @@ def growth_fields(pairs: list[EigenPair], metric: ConformalMetric, k0=0.5,
     is reached, so a caller that reduces one list before taking the next
     holds one at a time.
     """
-    for pair in pairs:
+    # largest lambda first, so that the grid_n a failure quotes resolves all
+    for pair in sorted(pairs, key=lambda pair: -pair.lam):
         _check_resolution(pair, metric, k0)
     m = sample_grid_m
     grid = np.arange(m) / m
@@ -285,15 +289,10 @@ def verify_length_growth_bound(metric: ConformalMetric, spectrum: Spectrum,
     whose wavelength disks fall below grid resolution are dropped instead of
     raising (used by the k0 sweep).
     """
-    pairs = []
-    for pair in spectrum.nonconstant():
-        try:
-            _check_resolution(pair, metric, k0)
-        except ResolutionError:
-            if skip_unresolved:
-                continue
-            raise
-        pairs.append(pair)
+    pairs = spectrum.nonconstant()
+    if skip_unresolved:
+        pairs = [pair for pair in pairs
+                 if metric.grid_n >= disk_grid_need(pair.lam, metric, k0)]
     fields = growth_fields(pairs, metric, k0=k0, sample_grid_m=sample_grid_m)
     rows = []
     for pair, samples in zip(pairs, fields):

@@ -152,6 +152,16 @@ def _planar_residual(field: GridField, potential: GridField):
     return float(np.linalg.norm(defect) / max(np.linalg.norm(v[inner]), 1e-300))
 
 
+def _patch_tau(metric):
+    return 2.0 * metric.q_plus * metric.alpha0
+
+
+def patch_grid_need(lam, metric, k0):
+    """Smallest grid_n at which one rescaled unit of the localized patch,
+    tau k0 / sqrt(lam), spans 10 torus samples (:func:`localize`)."""
+    return 10 * np.sqrt(lam) / (_patch_tau(metric) * k0)
+
+
 def localize(eigenpair: EigenPair, metric: ConformalMetric, p, k0=0.5,
              eps0=0.1, planar_grid_n=1024) -> PlanarField:
     """Rescale an eigenfunction around p to a planar field on the 3-disk.
@@ -164,14 +174,13 @@ def localize(eigenpair: EigenPair, metric: ConformalMetric, p, k0=0.5,
     lam = eigenpair.lam
     if lam <= 0:
         raise ValueError("localization needs a nonconstant eigenfunction")
-    tau = 2.0 * metric.q_plus * metric.alpha0
+    tau = _patch_tau(metric)
     scale = tau * k0 / np.sqrt(lam)
-    h = metric.spacing
-    if scale < 10 * h:
-        need = int(np.ceil(10 * np.sqrt(lam) / (tau * k0)))
+    need = patch_grid_need(lam, metric, k0)
+    if metric.grid_n < need:
         raise ResolutionError(
-            f"one rescaled unit spans {scale / h:.2f} samples (< 10); "
-            f"increase grid_n to at least {need}")
+            f"one rescaled unit spans {scale / metric.spacing:.2f} samples "
+            f"(< 10); increase grid_n to at least {int(np.ceil(need))}")
     pot_sup = (k0 * tau) ** 2 * metric.q_plus
     if pot_sup >= eps0:
         raise ConstraintError(

@@ -184,41 +184,54 @@ class ConformalMetric:
         return _bilinear_periodic(self.q, np.asarray(x), np.asarray(y))
 
 
-def _profile_flat(x, y, value=1.0):
+def _profile_flat(x, y, value):
     return np.full_like(x, float(value))
 
 
-def _profile_wave(x, y, amplitude=0.2):
+def _profile_wave(x, y, amplitude):
     return 1.0 + amplitude * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
 
 
-def _profile_stripe(x, y, amplitude=0.3):
+def _profile_stripe(x, y, amplitude):
     return 1.0 + amplitude * np.sin(2 * np.pi * x)
 
 
+# profile -> (conformal factor, its one parameter, the parameter's default,
+# the range that keeps the factor positive)
 _PROFILES = {
-    "flat": _profile_flat,
-    "wave": _profile_wave,
-    "stripe": _profile_stripe,
+    "flat": (_profile_flat, "value", 1.0, "be a positive number"),
+    "wave": (_profile_wave, "amplitude", 0.2, "lie in (-1, 1)"),
+    "stripe": (_profile_stripe, "amplitude", 0.3, "lie in (-1, 1)"),
 }
 
 
-def make_metric(profile="flat", grid_n=256, **params) -> ConformalMetric:
+def make_metric(profile="flat", grid_n=256, /, **params) -> ConformalMetric:
     """Sample a named conformal-factor profile on the torus grid.
 
-    Rejects any profile that is not strictly positive at every sample.
+    Each profile takes one parameter (``_PROFILES``).  Rejects any other
+    parameter, and a parameter that is not a finite number or leaves the
+    factor non-positive at some sample.  Every profile attains its
+    extremes on the 16-point grid, so ``make_metric(profile, 16)`` carries
+    the closed-form bounds q_minus and q_plus.
     """
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
     if profile not in _PROFILES:
         raise ValueError(f"unknown metric profile {profile!r}; "
                          f"choose from {sorted(_PROFILES)}")
+    factor, name, default, bounds = _PROFILES[profile]
+    for key in params:
+        if key != name:
+            raise ValueError(f"unknown metric.params key {key!r} for "
+                             f"profile {profile}")
+    value = params.get(name, default)
     coords = np.arange(grid_n) / grid_n
     x, y = np.meshgrid(coords, coords, indexing="ij")
-    q = np.asarray(_PROFILES[profile](x, y, **params), dtype=float)
+    ok = type(value) is int or isinstance(value, float) and math.isfinite(value)
+    q = np.asarray(factor(x, y, value) if ok else np.nan, dtype=float)
+    if not q.min() > 0.0:
+        raise ValueError(f"metric.params.{name} must {bounds}")
     q_min = float(q.min())
-    if q_min <= 0.0:
-        raise ValueError("conformal factor must be positive at every sample")
     q_max = float(q.max())
     return ConformalMetric(q=q, q_minus=q_min, q_plus=q_max,
                            volume=float(q.mean()),

@@ -1,15 +1,21 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ngl.cli import (DEFAULT_CONFIG, canonical_hash, deep_merge, load_config,
                      main, run, validate_config)
-from ngl.errors import ConfigError
+from ngl.errors import ConfigError, ResolutionError
 
 
 def small_config(out_dir, **sections):
@@ -305,12 +311,35 @@ def test_all_command_aggregates(tmp_path):
      "unknown metric.params key 'amplitude' for profile flat"),
     ('{"metric": {"profile": "stripe", "params": {"value": 1.0}}}',
      "unknown metric.params key 'value' for profile stripe"),
-    ('{"eigen": {"solver": "bogus"}}',
-     "eigen.solver must be auto, analytic or iterative"),
-    ('{"metric": {"profile": "wave", "grid_n": 64}, "eigen": {"solver": "analytic"}}',
-     "eigen.solver analytic needs the flat profile with value 1"),
-    ('{"metric": {"params": {"value": 2.0}}, "eigen": {"solver": "analytic"}}',
-     "eigen.solver analytic needs the flat profile with value 1"),
+    ('{"metric": {"params": {"value": NaN}}}',
+     "metric.params.value must be a positive number"),
+    ('{"metric": {"profile": "wave", "params": {"amplitude": -Infinity}}}',
+     "metric.params.amplitude must lie in (-1, 1)"),
+    ('{"metric": {"params": {"grid_n": 16}}}',
+     "unknown metric.params key 'grid_n' for profile flat"),
+    ('{"metric": {"profile": "torus"}}', "unknown metric profile 'torus'"),
+    ('{"eigen": {"solver": "auto"}}', "unknown config key 'eigen.solver'"),
+    ('{"harmonic": {"rho_plus": 0.03125}}',
+     "unknown config key 'harmonic.rho_plus'"),
+    ('{"harmonic": {"rho_minus": null}}',
+     "unknown config key 'harmonic.rho_minus'"),
+    ('{"tiling": {"delta0": 0}}', "tiling.delta0 must be null or a positive number"),
+    ('{"tiling": {"delta0": -0.25}}',
+     "tiling.delta0 must be null or a positive number"),
+    ('{"tiling": {"delta0": NaN}}', "tiling.delta0 must be finite: nan"),
+    ('{"eigen": {"maxiter": 0}}',
+     "eigen.maxiter must be null or an integer of at least 1"),
+    ('{"eigen": {"maxiter": -1}}',
+     "eigen.maxiter must be null or an integer of at least 1"),
+    ('{"eigen": {"maxiter": 1.5}}',
+     "eigen.maxiter must be null or an integer of at least 1"),
+    ('{"eigen": {"maxiter": NaN}}', "eigen.maxiter must be finite: nan"),
+    ('{"localize": {"eps0": NaN}}', "localize.eps0 must be finite: nan"),
+    ('{"growth": {"k0": Infinity}}', "growth.k0 must be finite: inf"),
+    ('{"carleman": {"t_values": [1.0, NaN]}}',
+     "carleman.t_values must be finite: [1.0, nan]"),
+    ('{"growth": {"k0_sweep": [-Infinity]}}',
+     "growth.k0_sweep must be finite: [-inf]"),
     ('{"crofton": {"curve": "spiral"}}',
      "crofton.curve must be segment, circle or eigenfunction"),
     ('{"tiling": {"core_grid_n": 2}}', "tiling.core_grid_n must be at least 16"),
@@ -343,6 +372,127 @@ def test_negative_seed_flag_exits_2_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err == "configuration error: eigen.seed must lie in [0, 2^64)\n"
+
+
+# --------------------------------------------------------------- grid rules
+
+
+def _quoted_grid_n(call):
+    """The grid_n that a failed resolution check asks for."""
+    with pytest.raises((ConfigError, ResolutionError)) as info:
+        call()
+    return int(str(info.value).rsplit(" ", 1)[1])
+
+
+@pytest.mark.parametrize("command, value, k0", [
+    ("thm1", 1.0, 2.0), ("thm1", 0.4, 2.0), ("thm1", 2.5, 2.0),
+    ("localize", 1.0, 5.0), ("localize", 0.4, 5.0), ("localize", 2.5, 2.0)])
+def test_grid_precheck_quotes_the_pipelines_need(tmp_path, command, value, k0):
+    """One grid point below the pre-check's need, the pipeline (run without
+    the pre-check) fails too and quotes its own need: the same on the unit
+    flat torus, whose spectrum is the closed form, and otherwise within the
+    5-point stencil's symbol deficit."""
+    cfg = deep_merge(DEFAULT_CONFIG, {
+        "metric": {"grid_n": 16, "params": {"value": value}},
+        "eigen": {"count": 4}, "growth": {"k0": k0, "sample_grid_m": 4},
+        "localize": {"index": 1, "planar_grid_n": 32}})
+    precheck = _quoted_grid_n(lambda: validate_config(cfg, command=command))
+    coarse = deep_merge(cfg, {"metric": {"grid_n": precheck - 1}})
+    assert _quoted_grid_n(lambda: validate_config(coarse, command)) == precheck
+    pipeline = _quoted_grid_n(lambda: run(command, coarse, str(tmp_path)))
+    assert abs(pipeline - precheck) <= (0 if value == 1.0 else 1)
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("thm1", {"metric": {"profile": "wave", "grid_n": 320},
+              "eigen": {"count": 20}, "growth": {"sample_grid_m": 4}}),
+    ("localize", {"metric": {"params": {"value": 2.5}, "grid_n": 400},
+                  "eigen": {"count": 4}, "growth": {"k0": 0.1},
+                  "localize": {"index": 1, "planar_grid_n": 64}}),
+])
+def test_resolved_configs_pass_the_precheck(tmp_path, command, overrides):
+    # the pipeline resolves every pair of both, so a pre-check built on a
+    # lower eigenvalue bound must let them through
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(overrides))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_curved_config_between_the_bounds_is_decided_by_the_pipeline(
+        tmp_path, capsys):
+    # the pre-check's lower eigenvalue bound passes grid_n 320; the solved
+    # spectrum's largest pair needs 339, and the pipeline quotes that
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"metric": {"profile": "stripe", "grid_n": 320},
+                                "eigen": {"count": 20},
+                                "growth": {"sample_grid_m": 4}}))
+    code = main(["thm1", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure: wavelength radius ")
+    assert err.endswith("; increase grid_n to at least 339\n")
+
+
+# --------------------------------------------------------- hostile values
+
+# a base config on which every command runs in well under a second
+_TINY = {"metric": {"grid_n": 320}, "eigen": {"count": 4},
+         "growth": {"sample_grid_m": 8},
+         "localize": {"index": 1, "planar_grid_n": 64},
+         "tiling": {"core_grid_n": 65, "k_max": 2},
+         "crofton": {"samples": 1000}, "harmonic": {"n_traces": 3},
+         "carleman": {"pairs": 2, "t_values": [1.0]}}
+# the command that reads each section
+_READER = {"schema_version": "spectrum", "metric": "thm1", "eigen": "thm1",
+           "growth": "thm1", "localize": "localize", "schrodinger": "rapid",
+           "tiling": "tile", "crofton": "crofton", "harmonic": "harmonic",
+           "carleman": "carleman"}
+
+
+def _numeric_leaves(default, where=()):
+    for key, ref in default.items():
+        if isinstance(ref, dict):
+            yield from _numeric_leaves(ref, where + (key,))
+        elif not isinstance(ref, str):
+            yield where + (key,), isinstance(ref, list)
+
+
+_LEAVES = sorted([*_numeric_leaves(DEFAULT_CONFIG),
+                  (("metric", "params", "value"), False)])
+_HOSTILE = st.sampled_from([0, -1, math.nan])
+
+
+@st.composite
+def _hostile_override(draw):
+    """One numeric config key set to 0, -1 or NaN, or, for a list key, to
+    an empty or short list of those."""
+    path, is_list = draw(st.sampled_from(_LEAVES))
+    value = draw(st.lists(_HOSTILE, max_size=2) if is_list else _HOSTILE)
+    override = value
+    for key in reversed(path):
+        override = {key: override}
+    return _READER[path[0]], override
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_hostile_override())
+def test_hostile_values_exit_cleanly(case):
+    """Exit 0, 2 or 3, with at most one line on stderr (a warning the CLI
+    would print counts as a line) and never a traceback."""
+    command, override = case
+    with tempfile.TemporaryDirectory() as out_dir:
+        path = os.path.join(out_dir, "cfg.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(deep_merge(_TINY, override), f)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", path, "--out", out_dir])
+    assert code in (0, 2, 3)
+    assert err.getvalue().count("\n") + len(caught) <= 1, err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_config_accepts_documented_types():

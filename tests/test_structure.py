@@ -71,3 +71,36 @@ def test_one_euclidean_disk_sup_kernel():
                  "_count_coarse_samples_in_disk", "_delta_torus",
                  "_ring_offsets", "_bilinear_planar", "geodesic_distance"):
         assert gone not in defined, gone
+
+
+def test_one_definition_of_each_resolution_formula():
+    # "the disk spans 10 grid cells" has two formulas, 10 sqrt(...) over the
+    # wavelength disk (growth.disk_grid_need) and over the localized patch
+    # (schrodinger.patch_grid_need); the pipelines' checks and the CLI
+    # pre-check call them and keep no copy of their own
+    def is_sqrt(node):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "sqrt")
+
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                        and 10 in (getattr(node.left, "value", None),
+                                   getattr(node.right, "value", None))
+                        and (is_sqrt(node.left) or is_sqrt(node.right))):
+                    hits.append((path.name, func.name))
+    assert sorted(hits) == [("growth.py", "disk_grid_need"),
+                            ("schrodinger.py", "patch_grid_need")], hits
+
+
+def test_profile_parameters_live_in_surface():
+    # each profile's parameter name, default and range is declared once, in
+    # surface._PROFILES; the CLI reads q- and q+ off a probe metric
+    cli = (SRC / "cli.py").read_text(encoding="utf-8")
+    for word in ("amplitude", "_PROFILE_PARAMS", "_profile_sup", "symmetric"):
+        assert word not in cli, word
