@@ -18,10 +18,9 @@ _EXPORTS = {
     "errors": ("ConfigError", "ConstraintError", "ConvergenceError",
                "CorruptFileError", "EmptyRegionError", "InfiniteGrowthError",
                "NglError", "ResolutionError"),
-    "surface": ("ConformalMetric", "EuclideanDisk", "GridField",
-                "flat_torus_distance", "lq_norm_on_region", "make_metric",
-                "polyline_metric_length", "read_gfd", "sup_on_region",
-                "write_gfd"),
+    "surface": ("ConformalMetric", "GridField", "flat_torus_distance",
+                "lq_norm_on_disk", "make_metric", "polyline_metric_length",
+                "read_gfd", "sup_on_disk", "write_gfd"),
     "eigen": ("EigenPair", "Spectrum", "analytic_eigenpair",
               "analytic_spectrum", "assemble_operators", "solve_spectrum"),
     "nodal": ("NodalSet", "extract_nodal_set", "nodal_length",

@@ -29,8 +29,8 @@ from .surface import polar_quadrature
 _RK4_BLOCK = 512   # RK4 steps whose radii and h values are listed at once
 
 
-def default_h_profile(a, a3=1.0):
-    """Smooth bump: equal to a3 on [1-2a, 1-a], quintic step down to 0 at
+def default_h_profile(a):
+    """Smooth bump: equal to 1 on [1-2a, 1-a], quintic step down to 0 at
     1 - a/2, and zero beyond."""
     lo = 1.0 - a
     hi = 1.0 - a / 2.0
@@ -39,7 +39,7 @@ def default_h_profile(a, a3=1.0):
         r = np.asarray(r, dtype=float)
         s = np.clip((r - lo) / (hi - lo), 0.0, 1.0)
         step = 1.0 - (10.0 * s ** 3 - 15.0 * s ** 4 + 6.0 * s ** 5)
-        return a3 * np.where(r <= lo, 1.0, np.where(r >= hi, 0.0, step))
+        return np.where(r <= lo, 1.0, np.where(r >= hi, 0.0, step))
 
     return h
 
@@ -69,8 +69,7 @@ class RadialWeight:
                         np.where(r < self.r_grid[0], 0.0, self.h_profile(r)))
 
 
-def build_psi0(a, h_profile=None, a3=1.0, n_steps=8000,
-               validate=True) -> RadialWeight:
+def build_psi0(a, h_profile=None, n_steps=8000, validate=True) -> RadialWeight:
     """Integrate the radial ODE backward from r = 1 by classical RK4.
 
     u = log psi_0 solves u'' + u'/r = h with u(1) = u'(1) = 0; since h
@@ -82,7 +81,7 @@ def build_psi0(a, h_profile=None, a3=1.0, n_steps=8000,
     if not (0 < a < 1.0 / 3.0):
         raise ConstraintError("a must lie in (0, 1/3)")
     if h_profile is None:
-        h_profile = default_h_profile(a, a3=a3)
+        h_profile = default_h_profile(a)
     if validate:
         probe = np.linspace(1 - 2 * a, 1 - a, 64)
         hv = np.asarray(h_profile(probe), dtype=float)
@@ -384,18 +383,18 @@ class TestField:
                    for c in self.components)
 
 
+_BUMP_PLACEMENT = 1.1        # bump centers are uniform on [-1.1, 1.1]^2
+_BUMP_WIDTHS = (0.10, 0.45)  # range of the bump widths sigma
+
+
 def random_test_field(rng, weight: CarlemanWeight | None = None,
-                      n_bumps=None, domain_radius=1.1, widths=(0.10, 0.45),
-                      ring_fraction=0.25, real_only=False,
-                      first_width=None) -> TestField:
+                      n_bumps=None, ring_fraction=0.25,
+                      real_only=False) -> TestField:
     """Random bump superposition avoiding the weight's excluded disks.
 
     Plain bumps are rejected until their support clears every disk; with
     probability ``ring_fraction`` (and centers present) a ring bump hugging a
     random disk is added instead, which exercises the annulus terms.
-    ``first_width`` pins the width of the leading bump; cycling it over the
-    width range stratifies a family so that empirical minima over the family
-    stabilize instead of drifting with the sample size.
     """
     comps = []
     n = int(rng.integers(1, 6)) if n_bumps is None else n_bumps
@@ -414,11 +413,8 @@ def random_test_field(rng, weight: CarlemanWeight | None = None,
                                        ring_radius=ring_r))
             continue
         for _attempt in range(200):
-            cx, cy = rng.uniform(-domain_radius, domain_radius, size=2)
-            if k == 0 and first_width is not None:
-                sigma = float(first_width)
-            else:
-                sigma = float(rng.uniform(*widths))
+            cx, cy = rng.uniform(-_BUMP_PLACEMENT, _BUMP_PLACEMENT, size=2)
+            sigma = float(rng.uniform(*_BUMP_WIDTHS))
             support = sigma * float(rng.uniform(2.0, 3.0))
             clear = all(np.hypot(cx - zx, cy - zy) > support + delta
                         for zx, zy in centers)
@@ -477,13 +473,15 @@ def c1_test_family(rng, weight: CarlemanWeight, size) -> list:
 # quadrature
 
 _BAND_NODES = (48, 512)   # radial x angular nodes of each polar disk band
+_GRID_CAP = 1200          # most midpoint nodes per side of the global grid
+_VANISH_PROBES = 64       # angles per probe circle of the vanishing check
 
 
-def _grid_quadrature(box, min_feature, cap=1200):
+def _grid_quadrature(box, min_feature):
     x0, x1, y0, y1 = box
     span = max(x1 - x0, y1 - y0)
     n = int(np.ceil(span / (min_feature / 24.0)))
-    n = min(max(n, 128), cap)
+    n = min(max(n, 128), _GRID_CAP)
     xs = x0 + (np.arange(n) + 0.5) * (x1 - x0) / n
     ys = y0 + (np.arange(n) + 0.5) * (y1 - y0) / n
     X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -570,12 +568,12 @@ def check_subharmonic_inequality(u: TestField, weight: CarlemanWeight) -> Subhar
     return SubharmonicReport(lhs=lhs, rhs=rhs, margin=lhs - rhs, scale=scale)
 
 
-def _check_vanishing(u: TestField, weight: CarlemanWeight, n_probe=64):
+def _check_vanishing(u: TestField, weight: CarlemanWeight):
     """Sample each shrunk disk to confirm the test function vanishes there."""
     if not weight.centers:
         return
     r = (1 - 2 * weight.a) * weight.delta
-    th = np.arange(n_probe) * (2 * np.pi / n_probe)
+    th = np.arange(_VANISH_PROBES) * (2 * np.pi / _VANISH_PROBES)
     worst = 0.0
     for cx, cy in weight.centers:
         for frac in (0.0, 0.5, 0.999):

@@ -20,8 +20,7 @@ import math
 import os
 import sys
 
-from .errors import (ConfigError, ConstraintError, ConvergenceError,
-                     CorruptFileError, InfiniteGrowthError, NglError,
+from .errors import (ConfigError, ConstraintError, CorruptFileError, NglError,
                      ResolutionError)
 
 DEFAULT_CONFIG = {
@@ -69,8 +68,9 @@ def _is_number(val):
 
 def _check_schema(cfg, default, where=""):
     """Reject keys the defaults do not have, leaves whose type does not match
-    the default's, and non-finite numbers; ``metric.params`` is checked per
-    profile (``surface.make_metric``)."""
+    the default's, non-finite numbers and, where a float is expected,
+    integers beyond the float range; ``metric.params`` is checked per profile
+    (``surface.make_metric``)."""
     for key, val in cfg.items():
         name = where + key
         if key not in default:
@@ -92,9 +92,13 @@ def _check_schema(cfg, default, where=""):
             ok = _is_number(val) or (ref is None and val is None)
         if not ok:
             raise ConfigError(f"{name} has the wrong type: {val!r}")
-        if any(isinstance(v, float) and not math.isfinite(v)
-               for v in (val if isinstance(val, list) else [val])):
+        values = val if isinstance(val, list) else [val]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
             raise ConfigError(f"{name} must be finite: {val!r}")
+        if not isinstance(ref, int) and any(
+                isinstance(v, int) and abs(v) > sys.float_info.max
+                for v in values):
+            raise ConfigError(f"{name} must lie within the float range")
 
 
 def load_config(path=None, overrides=None, command=None):
@@ -105,7 +109,7 @@ def load_config(path=None, overrides=None, command=None):
                 user = json.load(f)
         except OSError as exc:
             raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # also an integer literal too long to parse
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError(f"{path} must hold a JSON object")
@@ -164,6 +168,7 @@ _RULES = (
     ("carleman.t_values", lambda v: len(v) > 0,
      "carleman.t_values must not be empty"),
     ("carleman.delta", lambda v: v > 0, "carleman.delta must be positive"),
+    ("output.dir", lambda v: v != "", "output.dir must not be empty"),
 )
 
 
@@ -691,8 +696,7 @@ def main(argv=None) -> int:
     except (ConfigError, ConstraintError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, ResolutionError, InfiniteGrowthError,
-            NglError) as exc:
+    except NglError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

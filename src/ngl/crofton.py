@@ -108,9 +108,10 @@ def circle_count_length(curve: NodalSet, r, samples, seed=0) -> CroftonEstimate:
 
 
 _KINEMATIC_CACHE: dict[float, dict] = {}
+_KINEMATIC_NODES = 20001   # midpoint nodes of each outer quadrature
 
 
-def validate_circle_kinematic_constant(r=0.1, n_quad=20001) -> dict:
+def validate_circle_kinematic_constant(r=0.1) -> dict:
     """Confirm by quadrature that circle probes integrate to 4 r per unit length.
 
     Translation integrals are reduced to one dimension by symmetry; the inner
@@ -120,7 +121,7 @@ def validate_circle_kinematic_constant(r=0.1, n_quad=20001) -> dict:
     # unit segment along the x-axis: for |py| < r the circle meets the segment
     # where t = px -+ s, s = sqrt(r^2 - py^2); each root contributes a px-set
     # of measure min(1 + 2s, ...) pieces that integrate exactly.
-    py = (np.arange(n_quad) + 0.5) / n_quad * (2 * r) - r
+    py = (np.arange(_KINEMATIC_NODES) + 0.5) / _KINEMATIC_NODES * (2 * r) - r
     s = np.sqrt(np.maximum(r * r - py * py, 0.0))
     # measure of px with 0 <= px - s <= 1 is exactly 1; same for px + s
     inner = np.full_like(py, 2.0)
@@ -130,7 +131,7 @@ def validate_circle_kinematic_constant(r=0.1, n_quad=20001) -> dict:
     # circle of radius R: two circles of radii R and r centered rho apart meet
     # in 2 points iff |R - r| < rho < R + r
     big_r = 0.3
-    rho = np.linspace(abs(big_r - r), big_r + r, n_quad)
+    rho = np.linspace(abs(big_r - r), big_r + r, _KINEMATIC_NODES)
     mid = 0.5 * (rho[1:] + rho[:-1])
     counts = np.where((mid > abs(big_r - r)) & (mid < big_r + r), 2.0, 0.0)
     circ_integral = float(np.sum(counts * 2 * np.pi * mid * np.diff(rho)))
@@ -192,17 +193,17 @@ def crofton_consistency(field, r=0.05, samples=100_000, seed=0,
             "samples": samples, "r": r, "seed": seed}
 
 
-def synthetic_segment(length=1.0, origin=(0.0, 0.0), angle=0.0) -> NodalSet:
-    """One straight segment as a curve (planar), for estimator calibration."""
+def synthetic_segment(origin=(0.0, 0.0), angle=0.0) -> NodalSet:
+    """One unit segment as a curve (planar), for estimator calibration."""
     x0, y0 = origin
-    seg = np.array([[x0, y0, x0 + length * np.cos(angle),
-                     y0 + length * np.sin(angle)]])
+    seg = np.array([[x0, y0, x0 + np.cos(angle), y0 + np.sin(angle)]])
     return NodalSet(segments=seg, domain="planar")
 
 
-def synthetic_circle(radius=0.3, center=(0.0, 0.0), n_seg=4096) -> NodalSet:
+def synthetic_circle(radius=0.3, n_seg=4096) -> NodalSet:
+    """A circle about the origin as an n_seg-gon (planar)."""
     th = np.linspace(0.0, 2 * np.pi, n_seg + 1)
-    xs = center[0] + radius * np.cos(th)
-    ys = center[1] + radius * np.sin(th)
+    xs = radius * np.cos(th)
+    ys = radius * np.sin(th)
     seg = np.stack([xs[:-1], ys[:-1], xs[1:], ys[1:]], axis=1)
     return NodalSet(segments=seg, domain="planar")

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError
-from .surface import ConformalMetric, GridField, TORUS
+from .surface import ConformalMetric, GridField, TORUS, make_metric
 
 _LAMBDA_ZERO_TOL = 1e-6  # below this a computed eigenvalue is the constant mode
 _DEGENERATE_RTOL = 1e-10  # eigenvalues this close (relative) share an eigenspace
@@ -232,15 +232,12 @@ def flat_modes(count) -> list[tuple[int, int, float]]:
     return modes[:count]
 
 
-def analytic_spectrum(grid_n, count, include_constant=True) -> Spectrum:
-    """First ``count`` flat-torus eigenpairs in closed form, in the order of
-    :func:`flat_modes`, after the constant mode unless excluded."""
-    pairs = []
-    if include_constant:
-        pairs.append(analytic_eigenpair(0, 0, grid_n=grid_n))
+def analytic_spectrum(grid_n, count) -> Spectrum:
+    """The constant mode, then the first ``count`` flat-torus eigenpairs in
+    closed form, in the order of :func:`flat_modes`."""
+    pairs = [analytic_eigenpair(0, 0, grid_n=grid_n)]
     for m, n, phase in flat_modes(count):
         pairs.append(analytic_eigenpair(m, n, phase=phase, grid_n=grid_n))
-    metric = ConformalMetric(q=np.ones((grid_n, grid_n)), q_minus=1.0,
-                             q_plus=1.0, volume=1.0, alpha0=0.2, profile="flat")
-    return Spectrum(pairs=pairs, metric=metric, orthogonality_error=0.0)
+    return Spectrum(pairs=pairs, metric=make_metric("flat", grid_n),
+                    orthogonality_error=0.0)
 

@@ -17,9 +17,8 @@ import numpy as np
 from .errors import EmptyRegionError, InfiniteGrowthError, ResolutionError
 from .eigen import EigenPair, Spectrum
 from .nodal import extract_nodal_set, nodal_length
-from .surface import (TORUS, ConformalMetric, EuclideanDisk, GridField,
-                      _fast_march, _sup_disks_flat, lq_norm_on_region,
-                      sup_on_region)
+from .surface import (TORUS, ConformalMetric, GridField, _fast_march,
+                      _sup_disks_flat, lq_norm_on_disk, sup_on_disk)
 
 _BETA_FLOOR = 1e-9  # interpolation noise floor on nested sups
 
@@ -59,8 +58,8 @@ def growth_exponent(field, center, r, alpha, metric: ConformalMetric | None = No
                                                [r], alpha)
     else:
         scale = 1.0 if metric is None else 1.0 / np.sqrt(metric.q_plus)
-        outer = sup_on_region(field, EuclideanDisk(tuple(center), r * scale))
-        inner = sup_on_region(field, EuclideanDisk(tuple(center), alpha * r * scale))
+        outer = sup_on_disk(field, center, r * scale)
+        inner = sup_on_disk(field, center, alpha * r * scale)
     if inner == 0.0:
         raise InfiniteGrowthError("field vanishes identically on the inner disk")
     return _clamp_beta(float(np.log(outer) - np.log(inner)))
@@ -71,8 +70,8 @@ def lq_growth_exponent(field, center, r, alpha, qexp):
     recovers the sup version."""
     if qexp == np.inf:
         return growth_exponent(field, center, r, alpha)
-    outer = lq_norm_on_region(field, EuclideanDisk(tuple(center), r), qexp)
-    inner = lq_norm_on_region(field, EuclideanDisk(tuple(center), alpha * r), qexp)
+    outer = lq_norm_on_disk(field, center, r, qexp)
+    inner = lq_norm_on_disk(field, center, alpha * r, qexp)
     if inner == 0.0:
         raise InfiniteGrowthError("field vanishes identically on the inner disk")
     return _clamp_beta(float(np.log(outer) - np.log(inner)))

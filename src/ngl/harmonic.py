@@ -117,14 +117,8 @@ class HarmonicExtension:
         return float(np.max(np.abs(vals)))
 
 
-def harmonic_extend(trace: CircleTrace, rho=1.0) -> HarmonicExtension:
-    """Series extension of the trace; harmonic to machine precision inside.
-
-    ``rho`` only marks the radius the caller intends to evaluate on; the
-    coefficients are independent of it.
-    """
-    if not (0 < rho <= 1.0):
-        raise ValueError("rho must lie in (0, 1]")
+def harmonic_extend(trace: CircleTrace) -> HarmonicExtension:
+    """Series extension of the trace; harmonic to machine precision inside."""
     a, b = trace.fourier()
     return HarmonicExtension(a=a, b=b)
 
@@ -186,29 +180,26 @@ def growth_vs_signs_check(trace: CircleTrace, r0) -> SignGrowthReport:
                             holds=bool(np.log(lhs) <= rhs_log))
 
 
-def growth_vs_boundary_zeros_check(fieldlike, rho_plus=1.0 / 32.0,
-                                   rho_minus=None, q_minus=1.0, q_plus=1.0,
-                                   n_trace=4096):
+def growth_vs_boundary_zeros_check(fieldlike, rho_plus=1.0 / 32.0):
     """Endpoint check relating interior sup growth to unit-circle zeros.
 
     For a planar solution with small potential, log of the sup ratio between
     rho_plus D and rho_minus D is compared against 1 + the number of sign
     changes on the unit circle; the ratio of the two is the tracked empirical
-    constant.  Default radii: rho_plus = 1/32 and
-    rho_minus = rho_plus / 5 * (q_minus / q_plus)^2.
+    constant.  rho_minus = rho_plus / 5, the radius
+    rho_plus / 5 (q_minus / q_plus)^2 at q_minus = q_plus.
     """
-    from .surface import EuclideanDisk, sup_on_region
+    from .surface import sup_on_disk
 
-    if rho_minus is None:
-        rho_minus = rho_plus / 5.0 * (q_minus / q_plus) ** 2
-    if not (0 < rho_minus < rho_plus < 0.5):
-        raise ValueError("need 0 < rho_minus < rho_plus < 1/2")
-    sup_plus = sup_on_region(fieldlike, EuclideanDisk((0.0, 0.0), rho_plus))
-    sup_minus = sup_on_region(fieldlike, EuclideanDisk((0.0, 0.0), rho_minus))
+    if not (0 < rho_plus < 0.5):
+        raise ValueError("rho_plus must lie in (0, 1/2)")
+    rho_minus = rho_plus / 5.0
+    sup_plus = sup_on_disk(fieldlike, (0.0, 0.0), rho_plus)
+    sup_minus = sup_on_disk(fieldlike, (0.0, 0.0), rho_minus)
     if sup_minus == 0.0:
         raise ValueError("field vanishes on the inner disk")
     lhs = float(np.log(sup_plus / sup_minus))
     ev = fieldlike.evaluate if hasattr(fieldlike, "evaluate") else fieldlike
-    trace = trace_from_function(lambda cx, cy: ev(cx, cy), n_samples=n_trace)
+    trace = trace_from_function(lambda cx, cy: ev(cx, cy), n_samples=4096)
     zero_count = sign_changes(trace)
     return lhs, zero_count, lhs / (1.0 + zero_count)

@@ -8,7 +8,7 @@ total; ambiguous saddle cells are split by the interpolated center sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -40,7 +40,6 @@ class NodalSet:
     domain: str = TORUS
     origin: tuple[float, float] = (0.0, 0.0)
     side: float = 1.0
-    singular_points: list = dataclass_field(default_factory=list)
 
     @property
     def euclidean_length(self) -> float:
@@ -122,15 +121,18 @@ def nodal_length(nodal_set: NodalSet, metric: ConformalMetric | None = None):
     return euclid, polyline_metric_length(nodal_set.segments, metric)
 
 
-def singular_points(field: GridField, tol_f=1e-3, tol_g=1e-2) -> list[tuple[float, float]]:
+_SINGULAR_TOL_G = 1e-2   # gradient threshold, relative to max |grad f|
+
+
+def singular_points(field: GridField, tol_f=1e-3) -> list[tuple[float, float]]:
     """Points where the field and its gradient both nearly vanish.
 
     Samples with |f| < tol_f * max|f| and central-difference |grad f| below
-    tol_g * max|grad f| are flagged; 8-connected clusters of flags reduce to
+    1e-2 * max|grad f| are flagged; 8-connected clusters of flags reduce to
     their centroids (periodic-aware on the torus).
     """
-    if tol_f <= 0 or tol_g <= 0:
-        raise ValueError("tolerances must be positive")
+    if tol_f <= 0:
+        raise ValueError("tol_f must be positive")
     v = field.values
     n = field.grid_n
     h = field.spacing
@@ -144,7 +146,8 @@ def singular_points(field: GridField, tol_f=1e-3, tol_g=1e-2) -> list[tuple[floa
     g_scale = np.max(grad)
     if f_scale == 0:
         return []
-    flags = (np.abs(v) < tol_f * f_scale) & (grad < tol_g * max(g_scale, 1e-300))
+    flags = ((np.abs(v) < tol_f * f_scale)
+             & (grad < _SINGULAR_TOL_G * max(g_scale, 1e-300)))
     if field.mask is not None:
         flags &= field.mask
     if not flags.any():

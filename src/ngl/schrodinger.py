@@ -18,19 +18,23 @@ from scipy import interpolate
 from .errors import ConstraintError, InfiniteGrowthError, ResolutionError
 from .eigen import EigenPair
 from .growth import growth_exponent
-from .surface import (ConformalMetric, EuclideanDisk, GridField, PLANAR,
-                      polar_quadrature, sup_on_region)
+from .surface import (ConformalMetric, GridField, PLANAR, polar_quadrature,
+                      sup_on_disk)
 
 PATCH_RADIUS = 3.0          # the planar field lives on |z| <= 3
 CORE_RADIUS = 1.0 / 60.0    # all rapid-disk machinery happens inside here
 _RESIDUAL_RADIUS = 2.9
+_CORE_HALF_WIDTH = 1.0 / 48.0  # half side of the fine window around the core
+_ANNULUS_NODES = (24, 512)     # radial x angular nodes of a readout annulus
+_CHAIN_TOL = 1e-2              # slack of the growth-chain comparisons
 
 
 _SPLINE_BLOCK = 32      # knot intervals per block side
 _SPLINE_SLICE = 8192    # points routed at a time (bounds the temporaries)
+_SPLINE_PAD = 4         # samples wrapped onto each side before the fit
 
 
-def periodic_spline(values, pad=4):
+def periodic_spline(values):
     """C^2 periodic interpolant of torus samples (cubic spline on padded data).
 
     Bilinear interpolation has zero Laplacian inside cells, which would make
@@ -47,7 +51,7 @@ def periodic_spline(values, pad=4):
     """
     n = values.shape[0]
     h = 1.0 / n
-    idx = np.arange(-pad, n + pad + 1)
+    idx = np.arange(-_SPLINE_PAD, n + _SPLINE_PAD + 1)
     coords = idx * h
     padded = values[np.ix_(idx % n, idx % n)]
     tx, ty, c = interpolate.RectBivariateSpline(coords, coords, padded,
@@ -207,21 +211,16 @@ def localize(eigenpair: EigenPair, metric: ConformalMetric, p, k0=0.5,
             return factor * q_ev(px + scale * np.asarray(x),
                                  py + scale * np.asarray(y))
 
-    sup3 = sup_on_region(raw_field, EuclideanDisk((0.0, 0.0), PATCH_RADIUS))
+    sup3 = sup_on_disk(raw_field, (0.0, 0.0), PATCH_RADIUS)
     if sup3 == 0.0:
         raise InfiniteGrowthError("eigenfunction vanishes on the whole patch")
 
     def field_fn(x, y):
         return raw_field(x, y) / sup3
 
-    grid = _planar_grid(field_fn, planar_grid_n)
-    pot_grid = _planar_grid(potential, planar_grid_n)
-    residual = _planar_residual(grid, pot_grid)
-    return PlanarField(
-        field=grid, potential=pot_grid, eps0=eps0, residual=residual,
-        evaluate=field_fn, potential_evaluate=potential,
-        meta={"lambda": lam, "p": (px, py), "k0": k0, "tau": tau,
-              "scale": scale, "potential_sup": pot_sup})
+    return _planar_field(field_fn, potential, planar_grid_n, eps0,
+                         {"lambda": lam, "p": (px, py), "k0": k0, "tau": tau,
+                          "scale": scale, "potential_sup": pot_sup})
 
 
 def planar_field_from_function(fn, potential_fn=None, planar_grid_n=512,
@@ -231,7 +230,7 @@ def planar_field_from_function(fn, potential_fn=None, planar_grid_n=512,
     The potential defaults to zero, in which case the field should be
     harmonic for the residual to be meaningful.
     """
-    sup3 = sup_on_region(fn, EuclideanDisk((0.0, 0.0), PATCH_RADIUS))
+    sup3 = sup_on_disk(fn, (0.0, 0.0), PATCH_RADIUS)
     norm = sup3 if (normalize and sup3 > 0) else 1.0
 
     def field_fn(x, y):
@@ -242,26 +241,34 @@ def planar_field_from_function(fn, potential_fn=None, planar_grid_n=512,
             return np.zeros(np.broadcast_shapes(np.asarray(x).shape,
                                                 np.asarray(y).shape))
 
-    grid = _planar_grid(field_fn, planar_grid_n)
-    pot_grid = _planar_grid(potential_fn, planar_grid_n)
+    return _planar_field(field_fn, potential_fn, planar_grid_n, eps0,
+                         {"source": "function"})
+
+
+def _planar_field(field_fn, potential_fn, grid_n, eps0, meta) -> PlanarField:
+    """The field and potential sampled on the planar grid, with the residual
+    certificate of the discrete equation."""
+    grid = _planar_grid(field_fn, grid_n)
+    pot_grid = _planar_grid(potential_fn, grid_n)
     residual = _planar_residual(grid, pot_grid)
     return PlanarField(field=grid, potential=pot_grid, eps0=eps0,
                        residual=residual, evaluate=field_fn,
-                       potential_evaluate=potential_fn,
-                       meta={"source": "function"})
+                       potential_evaluate=potential_fn, meta=meta)
 
 
-def core_field(pf: PlanarField, half_width=1.0 / 48.0, grid_n=1025) -> GridField:
-    """Fine planar resampling of F around the core square, for contours.
+def core_field(pf: PlanarField, grid_n=1025) -> GridField:
+    """Fine planar resampling of F on [-1/48, 1/48]^2 around the core
+    square, for contours.
 
     The main grid cannot resolve the core disk of radius 1/60, so nodal
     extraction and tiling clip against this dedicated window.
     """
-    coords = np.linspace(-half_width, half_width, grid_n)
+    coords = np.linspace(-_CORE_HALF_WIDTH, _CORE_HALF_WIDTH, grid_n)
     X, Y = np.meshgrid(coords, coords, indexing="ij")
     vals = pf.evaluate(X, Y)
-    return GridField(vals, domain=PLANAR, origin=(-half_width, -half_width),
-                     side=2 * half_width)
+    return GridField(vals, domain=PLANAR,
+                     origin=(-_CORE_HALF_WIDTH, -_CORE_HALF_WIDTH),
+                     side=2 * _CORE_HALF_WIDTH)
 
 
 # --------------------------------------------------------------------------
@@ -271,8 +278,8 @@ def core_field(pf: PlanarField, half_width=1.0 / 48.0, grid_n=1025) -> GridField
 def beta_star(pf: PlanarField):
     """(beta, beta*) with beta the log sup ratio between the 5/2- and
     1/4-disks and beta* its floor at 1."""
-    outer = sup_on_region(pf, EuclideanDisk((0.0, 0.0), 2.5))
-    inner = sup_on_region(pf, EuclideanDisk((0.0, 0.0), 0.25))
+    outer = sup_on_disk(pf, (0.0, 0.0), 2.5)
+    inner = sup_on_disk(pf, (0.0, 0.0), 0.25)
     if inner == 0.0:
         raise InfiniteGrowthError("field vanishes identically on the 1/4-disk")
     beta = float(np.log(outer / inner))
@@ -324,9 +331,8 @@ def check_beta_related(delta, beta_star_value):
             f"delta * beta* = {delta * beta_star_value:g} must be below 1/2")
 
 
-def _annulus_f2_integral(pf_eval, center, r_inner, r_outer,
-                         n_radial=24, n_angular=512):
-    px, py, w = polar_quadrature(center, r_inner, r_outer, n_radial, n_angular)
+def _annulus_f2_integral(pf_eval, center, r_inner, r_outer):
+    px, py, w = polar_quadrature(center, r_inner, r_outer, *_ANNULUS_NODES)
     vals = np.asarray(pf_eval(px, py))
     return float(np.sum(vals * vals * w))
 
@@ -426,18 +432,16 @@ class GrowthChainReport:
     beta_p: float           # growth exponent on the metric disk
     radius_plus: float
     radius_minus: float
-    chain_upper_holds: bool      # beta* < disk_ratio + 1 (+ tol)
+    chain_upper_holds: bool      # beta* < disk_ratio + 1 (+ _CHAIN_TOL)
     disk_ratio_below_beta_p: bool
 
 
 def growth_chain_report(eigenpair: EigenPair, metric: ConformalMetric, p,
-                        k0=0.5, pf: PlanarField | None = None,
-                        radius_plus=None, radius_minus=None,
-                        tol=1e-2) -> GrowthChainReport:
+                        k0=0.5, pf: PlanarField | None = None) -> GrowthChainReport:
     """Compare planar growth of the localized field with surface growth at p.
 
-    Default disk radii follow the sqrt(q) pinching convention: the outer disk
-    is the exact pullback of the 5/2-disk (contained in the metric ball of
+    The disk radii follow the sqrt(q) pinching convention: the outer disk is
+    the exact pullback of the 5/2-disk (contained in the metric ball of
     radius k0/sqrt(lambda)); the inner one contains the alpha0-scaled metric
     ball.  The comparison is reported, never asserted: the printed chain can
     fail at strong-growth points.
@@ -446,13 +450,11 @@ def growth_chain_report(eigenpair: EigenPair, metric: ConformalMetric, p,
         pf = localize(eigenpair, metric, p, k0=k0, planar_grid_n=256)
     beta, bstar = beta_star(pf)
     lam = eigenpair.lam
-    scale = pf.meta.get("scale", 2 * metric.q_plus * metric.alpha0 * k0 / np.sqrt(lam))
-    if radius_plus is None:
-        radius_plus = 2.5 * scale
-    if radius_minus is None:
-        radius_minus = metric.alpha0 * k0 / np.sqrt(lam) / np.sqrt(metric.q_minus)
-    sup_plus = sup_on_region(eigenpair.field, EuclideanDisk(tuple(p), radius_plus))
-    sup_minus = sup_on_region(eigenpair.field, EuclideanDisk(tuple(p), radius_minus))
+    scale = pf.meta.get("scale", _patch_tau(metric) * k0 / np.sqrt(lam))
+    radius_plus = 2.5 * scale
+    radius_minus = metric.alpha0 * k0 / np.sqrt(lam) / np.sqrt(metric.q_minus)
+    sup_plus = sup_on_disk(eigenpair.field, p, radius_plus)
+    sup_minus = sup_on_disk(eigenpair.field, p, radius_minus)
     if sup_minus == 0.0:
         raise InfiniteGrowthError("field vanishes on the inner matched disk")
     disk_ratio = float(np.log(sup_plus / sup_minus))
@@ -461,5 +463,5 @@ def growth_chain_report(eigenpair: EigenPair, metric: ConformalMetric, p,
     return GrowthChainReport(
         beta=beta, beta_star=bstar, disk_ratio=disk_ratio, beta_p=beta_p,
         radius_plus=radius_plus, radius_minus=radius_minus,
-        chain_upper_holds=bool(bstar < disk_ratio + 1.0 + tol),
-        disk_ratio_below_beta_p=bool(disk_ratio <= beta_p + tol))
+        chain_upper_holds=bool(bstar < disk_ratio + 1.0 + _CHAIN_TOL),
+        disk_ratio_below_beta_p=bool(disk_ratio <= beta_p + _CHAIN_TOL))

@@ -1,4 +1,4 @@
-"""Conformally flat torus metrics, sampled scalar fields, and region evaluation.
+"""Conformally flat torus metrics, sampled scalar fields, and disk evaluation.
 
 The metric is g = q(x, y)(dx^2 + dy^2) on the unit torus [0,1)^2, realized by
 one global periodic chart.  Lengths scale by sqrt(q), areas by q.  Everything
@@ -19,6 +19,7 @@ import heapq
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,7 +228,9 @@ def make_metric(profile="flat", grid_n=256, /, **params) -> ConformalMetric:
     value = params.get(name, default)
     coords = np.arange(grid_n) / grid_n
     x, y = np.meshgrid(coords, coords, indexing="ij")
-    ok = type(value) is int or isinstance(value, float) and math.isfinite(value)
+    # a finite number within the float range (NaN fails the comparison)
+    ok = ((type(value) is int or isinstance(value, float))
+          and abs(value) <= sys.float_info.max)
     q = np.asarray(factor(x, y, value) if ok else np.nan, dtype=float)
     if not q.min() > 0.0:
         raise ValueError(f"metric.params.{name} must {bounds}")
@@ -404,12 +407,6 @@ def _fast_march(metric: ConformalMetric, p, stop_radius=None, window=None,
 # sup and L^q over Euclidean disks
 
 
-@dataclass(frozen=True)
-class EuclideanDisk:
-    center: tuple[float, float]
-    r: float
-
-
 def _disk_offsets(radius_cells, frac=(0.0, 0.0)):
     """Lattice offsets (di, dj) with (di - fx)^2 + (dj - fy)^2 <= R^2: the
     grid points of the disk of radius R (in cells) about the point that sits
@@ -492,10 +489,13 @@ def _sup_disks_flat(values, centers_idx, radius_cells, frac=(0.0, 0.0)):
     return out
 
 
-def _callable_sup_disk(fn, center, r, n_radii=96, max_step=None):
-    radii = np.linspace(0.0, r, n_radii)
+_CALLABLE_RADII = 96   # concentric rings of a callable's disk scan
+
+
+def _callable_sup_disk(fn, center, r):
+    radii = np.linspace(0.0, r, _CALLABLE_RADII)
     best = float(np.abs(np.asarray(fn(center[0], center[1]))).max())
-    step = max_step if max_step is not None else max(r / n_radii, 1e-12)
+    step = max(r / _CALLABLE_RADII, 1e-12)
     for rad in radii[1:]:
         rx, ry = _ring_points(center, rad, step, min_angles=96)
         best = max(best, float(np.max(np.abs(fn(rx, ry)))))
@@ -516,8 +516,8 @@ def _as_evaluator(fieldlike):
     raise TypeError(f"cannot evaluate object of type {type(fieldlike)!r}")
 
 
-def sup_on_region(fieldlike, region):
-    """Supremum of |field| over a Euclidean disk.
+def sup_on_disk(fieldlike, center, r):
+    """Supremum of |field| over the Euclidean disk of radius r about center.
 
     Torus grid fields are scanned by ``_sup_disks_flat``: the lattice points
     in the disk and a dense bilinear ring on its boundary, which by the
@@ -527,16 +527,14 @@ def sup_on_region(fieldlike, region):
     boundary exactly.  Geodesic disks go through ``growth.growth_exponent``
     with a metric.
     """
-    if not isinstance(region, EuclideanDisk):
-        raise TypeError(f"unknown region type {type(region)!r}")
     ev = _as_evaluator(fieldlike)
     if ev is not None:
-        return _callable_sup_disk(ev, region.center, region.r)
+        return _callable_sup_disk(ev, center, r)
     n = fieldlike.grid_n
-    g = np.asarray(region.center, dtype=float) * n
+    g = np.asarray(center, dtype=float) * n
     corner = np.floor(g)
     sup = _sup_disks_flat(fieldlike.values, corner.astype(np.int64)[None, :],
-                          region.r * n, tuple(g - corner))
+                          r * n, tuple(g - corner))
     return float(sup[0])
 
 
@@ -570,25 +568,18 @@ def polar_quadrature(center, r_inner, r_outer, n_radial, n_angular):
     return px, py, w
 
 
-def _callable_lq_polar(fn, center, r_inner, r_outer, qexp,
-                       n_radial=64, n_angular=512):
-    """L^q over a disk/annulus by Gauss-Legendre (radial) x trapezoid (angular)."""
-    px, py, w = polar_quadrature(center, r_inner, r_outer, n_radial, n_angular)
-    vals = np.abs(np.asarray(fn(px, py)))
-    return float(np.sum((vals ** qexp) * w)) ** (1.0 / qexp)
-
-
-def lq_norm_on_region(fieldlike, region, qexp):
-    """L^q norm of a callable field (or one exposing ``evaluate``) over a
-    Euclidean disk, by polar quadrature."""
+def lq_norm_on_disk(fieldlike, center, r, qexp):
+    """L^q norm of a callable field (or one exposing ``evaluate``) over the
+    Euclidean disk of radius r about center, by Gauss-Legendre (radial) x
+    trapezoid (angular) quadrature."""
     if not (1.0 <= qexp < np.inf):
         raise ValueError("qexp must lie in [1, inf)")
-    if not isinstance(region, EuclideanDisk):
-        raise TypeError(f"unknown region type {type(region)!r}")
     ev = _as_evaluator(fieldlike)
     if ev is None:
         raise TypeError("L^q norms need a callable field")
-    return _callable_lq_polar(ev, region.center, 0.0, region.r, qexp)
+    px, py, w = polar_quadrature(center, 0.0, r, 64, 512)
+    vals = np.abs(np.asarray(ev(px, py)))
+    return float(np.sum((vals ** qexp) * w)) ** (1.0 / qexp)
 
 
 def polyline_metric_length(segments: np.ndarray, metric: ConformalMetric) -> float:

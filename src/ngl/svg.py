@@ -9,6 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 
+_SIZE = 640     # canvas side, pixels
+_MARGIN = 40    # blank border around the data rectangle, pixels
+
+
 def _fmt(x):
     return f"{float(x):.6g}"
 
@@ -16,20 +20,18 @@ def _fmt(x):
 class SvgCanvas:
     """Fixed-size canvas mapping a data rectangle to pixel coordinates."""
 
-    def __init__(self, data_box, size=640, margin=40):
+    def __init__(self, data_box):
         x0, x1, y0, y1 = data_box
         self.x0, self.x1, self.y0, self.y1 = x0, x1, y0, y1
-        self.size = size
-        self.margin = margin
         self.elements = []
 
     def _px(self, x):
         u = (x - self.x0) / (self.x1 - self.x0)
-        return self.margin + u * (self.size - 2 * self.margin)
+        return _MARGIN + u * (_SIZE - 2 * _MARGIN)
 
     def _py(self, y):
         v = (y - self.y0) / (self.y1 - self.y0)
-        return self.size - self.margin - v * (self.size - 2 * self.margin)
+        return _SIZE - _MARGIN - v * (_SIZE - 2 * _MARGIN)
 
     def rect(self, x, y, w, h, fill="none", stroke="black", width=0.5):
         px = self._px(x)
@@ -54,15 +56,15 @@ class SvgCanvas:
             f'r="{_fmt(pr)}" fill="{fill}" stroke="{stroke}" '
             f'stroke-width="{_fmt(width)}"/>')
 
-    def dot(self, x, y, radius_px=2.5, fill="black"):
+    def dot(self, x, y, fill="black"):
         self.elements.append(
             f'<circle cx="{_fmt(self._px(x))}" cy="{_fmt(self._py(y))}" '
-            f'r="{_fmt(radius_px)}" fill="{fill}"/>')
+            f'r="2.5" fill="{fill}"/>')
 
-    def text(self, x, y, s, size=12, anchor="middle"):
+    def text(self, x, y, s, anchor="middle"):
         self.elements.append(
             f'<text x="{_fmt(self._px(x))}" y="{_fmt(self._py(y))}" '
-            f'font-size="{size}" text-anchor="{anchor}" '
+            f'font-size="12" text-anchor="{anchor}" '
             f'font-family="sans-serif">{s}</text>')
 
     def axes(self, xlabel="", ylabel=""):
@@ -78,23 +80,18 @@ class SvgCanvas:
     def save(self, path):
         body = "\n".join(self.elements)
         doc = (f'<svg xmlns="http://www.w3.org/2000/svg" '
-               f'width="{self.size}" height="{self.size}" '
-               f'viewBox="0 0 {self.size} {self.size}">\n{body}\n</svg>\n')
+               f'width="{_SIZE}" height="{_SIZE}" '
+               f'viewBox="0 0 {_SIZE} {_SIZE}">\n{body}\n</svg>\n')
         with open(path, "w", encoding="ascii") as f:
             f.write(doc)
 
 
-def nodal_svg(nodal_set, path, singular=(), domain_box=None, title=""):
-    if domain_box is None:
-        if nodal_set.domain == "torus":
-            domain_box = (0.0, 1.0, 0.0, 1.0)
-        else:
-            s = nodal_set.segments
-            if len(s):
-                domain_box = (s[:, 0].min(), s[:, 2].max(),
-                              s[:, 1].min(), s[:, 3].max())
-            else:
-                domain_box = (0.0, 1.0, 0.0, 1.0)
+def nodal_svg(nodal_set, path, singular=(), title=""):
+    s = nodal_set.segments
+    if nodal_set.domain == "torus" or not len(s):
+        domain_box = (0.0, 1.0, 0.0, 1.0)
+    else:
+        domain_box = (s[:, 0].min(), s[:, 2].max(), s[:, 1].min(), s[:, 3].max())
     cv = SvgCanvas(domain_box)
     cv.axes()
     if title:
@@ -106,7 +103,7 @@ def nodal_svg(nodal_set, path, singular=(), domain_box=None, title=""):
     cv.save(path)
 
 
-def tiling_svg(state, path, nodal_set=None, core_circle=True):
+def tiling_svg(state, path, nodal_set=None):
     half = 1.0 / 60.0
     cv = SvgCanvas((-half * 1.1, half * 1.1, -half * 1.1, half * 1.1))
     for k in sorted(state.slow_by_level):
@@ -120,15 +117,15 @@ def tiling_svg(state, path, nodal_set=None, core_circle=True):
         s = float(sq.side(state.delta0))
         cv.rect(float(ox), float(oy), s, s, fill="#e8c9c9",
                 stroke="#a33", width=0.4)
-    if core_circle:
-        cv.circle(0.0, 0.0, half, stroke="#333", width=0.8)
+    cv.circle(0.0, 0.0, half, stroke="#333", width=0.8)
     if nodal_set is not None:
         for x0, y0, x1, y1 in np.asarray(nodal_set.segments):
             cv.line(x0, y0, x1, y1, stroke="#1f4e9c", width=0.7)
     cv.save(path)
 
 
-def scatter_svg(xs, ys, path, xlabel="lambda", ylabel="A"):
+def scatter_svg(xs, ys, path):
+    """A(lambda) against lambda, one dot per eigenfunction."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size == 0:
@@ -139,14 +136,16 @@ def scatter_svg(xs, ys, path, xlabel="lambda", ylabel="A"):
         box = (xs.min() - pad_x, xs.max() + pad_x,
                min(ys.min() - pad_y, 0.0), ys.max() + pad_y)
     cv = SvgCanvas(box)
-    cv.axes(xlabel=xlabel, ylabel=ylabel)
+    cv.axes(xlabel="lambda", ylabel="A")
     for x, y in zip(xs, ys):
         cv.dot(x, y, fill="#1f4e9c")
     cv.save(path)
 
 
-def disk_config_svg(rows, path, delta, annuli_factors=((0.8, 1.0),)):
-    """Probe-disk layout in the core: rapid disks filled, slow disks open."""
+def disk_config_svg(rows, path, delta):
+    """Probe-disk layout in the core: rapid disks filled, slow disks open,
+    each with the grey band 0.8 delta .. delta (whose outer circle retraces
+    the disk's own)."""
     half = 1.0 / 60.0
     cv = SvgCanvas((-half * 1.1, half * 1.1, -half * 1.1, half * 1.1))
     cv.circle(0.0, 0.0, half, stroke="#333", width=0.8)
@@ -155,7 +154,6 @@ def disk_config_svg(rows, path, delta, annuli_factors=((0.8, 1.0),)):
         color = "#c22" if row["is_rapid"] else "#1f4e9c"
         fill = "#e8c9c9" if row["is_rapid"] else "none"
         cv.circle(x, y, delta, fill=fill, stroke=color, width=0.8)
-        for f0, f1 in annuli_factors:
-            cv.circle(x, y, f0 * delta, stroke="#999", width=0.4)
-            cv.circle(x, y, f1 * delta, stroke="#999", width=0.4)
+        cv.circle(x, y, 0.8 * delta, stroke="#999", width=0.4)
+        cv.circle(x, y, delta, stroke="#999", width=0.4)
     cv.save(path)

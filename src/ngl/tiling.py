@@ -22,6 +22,7 @@ from .schrodinger import (CORE_RADIUS, DiskAnnuli, PlanarField, beta_star,
 
 P_HALF = Fraction(1, 60)
 P_SIDE = 2 * P_HALF
+_PROBES_PER_AXIS = 3   # each square is probed on a 3 x 3 sub-lattice of centers
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,6 @@ class TilingState:
     rapid_by_level: dict = dataclass_field(default_factory=dict)
     slow_by_level: dict = dataclass_field(default_factory=dict)
     capped: bool = False
-    probes_per_axis: int = 3
 
     @property
     def rapid(self) -> list[Square]:
@@ -87,14 +87,14 @@ def default_delta0(beta_star_value) -> Fraction:
     raise ConstraintError("no admissible delta0 below the radius constraints")
 
 
-def _square_is_rapid(pf, square: Square, delta0, m_threshold, a, probes):
+def _square_is_rapid(pf, square: Square, delta0, m_threshold, a):
     s = square.side(delta0)
     ox, oy = square.origin(delta0)
     radius = float(s)
-    for i in range(probes):
-        for j in range(probes):
-            cx = float(ox + s * Fraction(2 * i + 1, 2 * probes))
-            cy = float(oy + s * Fraction(2 * j + 1, 2 * probes))
+    for i in range(_PROBES_PER_AXIS):
+        for j in range(_PROBES_PER_AXIS):
+            cx = float(ox + s * Fraction(2 * i + 1, 2 * _PROBES_PER_AXIS))
+            cy = float(oy + s * Fraction(2 * j + 1, 2 * _PROBES_PER_AXIS))
             res = classify_rapid(pf, DiskAnnuli((cx, cy), radius, a), m_threshold)
             if res.is_rapid:
                 return True
@@ -102,12 +102,12 @@ def _square_is_rapid(pf, square: Square, delta0, m_threshold, a, probes):
 
 
 def init_tiling(pf: PlanarField, delta0=None, m_threshold=10.0, a=0.1,
-                probes_per_axis=3, beta_star_value=None) -> TilingState:
+                beta_star_value=None) -> TilingState:
     """Classify the level-0 tiling of P into rapid and slow squares.
 
     ``delta0`` must divide the side of P exactly; by default it is the
     largest admissible dyadic fraction of it.  Each square is probed on a
-    probes_per_axis^2 sub-lattice of candidate disk centers.
+    3 x 3 sub-lattice of candidate disk centers.
     """
     if beta_star_value is None:
         _, beta_star_value = beta_star(pf)
@@ -121,13 +121,12 @@ def init_tiling(pf: PlanarField, delta0=None, m_threshold=10.0, a=0.1,
         raise ConstraintError("delta0 must divide the side of P exactly")
     per_axis = int(per_axis)
     state = TilingState(field=pf, delta0=delta0, m_threshold=m_threshold, a=a,
-                        beta_star=beta_star_value, level=0,
-                        probes_per_axis=probes_per_axis)
+                        beta_star=beta_star_value, level=0)
     rapid, slow = [], []
     for ix in range(per_axis):
         for iy in range(per_axis):
             sq = Square(0, ix, iy)
-            if _square_is_rapid(pf, sq, delta0, m_threshold, a, probes_per_axis):
+            if _square_is_rapid(pf, sq, delta0, m_threshold, a):
                 rapid.append(sq)
             else:
                 slow.append(sq)
@@ -146,8 +145,7 @@ def refine(state: TilingState) -> TilingState:
     for sq in state.rapid:
         for child in sq.children():
             if _square_is_rapid(state.field, child, state.delta0,
-                                state.m_threshold, state.a,
-                                state.probes_per_axis):
+                                state.m_threshold, state.a):
                 rapid.append(child)
             else:
                 slow.append(child)
@@ -155,17 +153,15 @@ def refine(state: TilingState) -> TilingState:
                       m_threshold=state.m_threshold, a=state.a,
                       beta_star=state.beta_star, level=new_level,
                       rapid_by_level=dict(state.rapid_by_level),
-                      slow_by_level=dict(state.slow_by_level),
-                      probes_per_axis=state.probes_per_axis)
+                      slow_by_level=dict(state.slow_by_level))
     out.rapid_by_level[new_level] = rapid
     out.slow_by_level[new_level] = slow
     return out
 
 
 def run_tiling(pf: PlanarField, delta0=None, m_threshold=10.0, a=0.1,
-               k_max=8, probes_per_axis=3, beta_star_value=None) -> TilingState:
+               k_max=8, beta_star_value=None) -> TilingState:
     state = init_tiling(pf, delta0=delta0, m_threshold=m_threshold, a=a,
-                        probes_per_axis=probes_per_axis,
                         beta_star_value=beta_star_value)
     while state.rapid and state.level < k_max:
         state = refine(state)
@@ -194,7 +190,7 @@ def level_counts(state: TilingState):
     return rows
 
 
-def _clip_lengths_to_rect(segments, x0, y0, x1, y1, half_open=True):
+def _clip_lengths_to_rect(segments, x0, y0, x1, y1):
     """Clipped length of each segment inside [x0,x1) x [y0,y1) (Liang-Barsky).
 
     Half-open membership is decided by the clipped midpoint, so a segment
@@ -219,13 +215,11 @@ def _clip_lengths_to_rect(segments, x0, y0, x1, y1, half_open=True):
         t1 = np.where(exit_, np.minimum(t1, r), t1)
         alive &= ~((p == 0) & (q < 0))
     frac = np.where(alive, np.maximum(t1 - t0, 0.0), 0.0)
-    if half_open:
-        tm = 0.5 * (t0 + t1)
-        mx = px + tm * dx
-        my = py + tm * dy
-        member = (mx >= x0) & (mx < x1) & (my >= y0) & (my < y1)
-        frac = np.where(member, frac, 0.0)
-    return frac * np.hypot(dx, dy)
+    tm = 0.5 * (t0 + t1)
+    mx = px + tm * dx
+    my = py + tm * dy
+    member = (mx >= x0) & (mx < x1) & (my >= y0) & (my < y1)
+    return np.where(member, frac, 0.0) * np.hypot(dx, dy)
 
 
 def clip_length_to_square(nodal_set: NodalSet, square: Square,

@@ -355,12 +355,27 @@ def test_all_command_aggregates(tmp_path):
     ('{"metric": {"grid_n": 64}, "eigen": {"count": 4}, "localize": {"index": 0},'
      ' "crofton": {"curve": "eigenfunction", "samples": 100}}',
      "localize.index must lie in [1, 4]"),
+    ('{"output": {"dir": ""}}', "output.dir must not be empty"),
+    # 10^400, written out: no float holds it
+    pytest.param('{"growth": {"k0": 1' + "0" * 400 + '}}',
+                 "growth.k0 must lie within the float range", id="k0-10^400"),
+    pytest.param('{"carleman": {"t_values": [1.0, 1' + "0" * 400 + ']}}',
+                 "carleman.t_values must lie within the float range",
+                 id="t_values-10^400"),
+    pytest.param('{"metric": {"params": {"value": 1' + "0" * 400 + '}}}',
+                 "metric.params.value must be a positive number",
+                 id="params.value-10^400"),
+    # beyond the 4300 digits Python parses into an int
+    pytest.param('{"growth": {"k0": ' + "9" * 4301 + '}}', "not valid JSON",
+                 id="k0-4301-digits"),
 ])
-def test_config_faults_exit_2_with_one_line(tmp_path, capsys, content, message):
+def test_config_faults_exit_2_with_one_line(tmp_path, capsys, monkeypatch,
+                                            content, message):
+    monkeypatch.chdir(tmp_path)   # so the config's output.dir is the one used
     path = tmp_path / "cfg.json"
     if content is not None:
         path.write_text(content)
-    code = main(["crofton", "--config", str(path), "--out", str(tmp_path / "o")])
+    code = main(["crofton", "--config", str(path)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("configuration error: ")
@@ -446,28 +461,40 @@ _TINY = {"metric": {"grid_n": 320}, "eigen": {"count": 4},
 _READER = {"schema_version": "spectrum", "metric": "thm1", "eigen": "thm1",
            "growth": "thm1", "localize": "localize", "schrodinger": "rapid",
            "tiling": "tile", "crofton": "crofton", "harmonic": "harmonic",
-           "carleman": "carleman"}
+           "carleman": "carleman", "output": "harmonic"}
 
 
-def _numeric_leaves(default, where=()):
+def _leaves(default, where=()):
     for key, ref in default.items():
         if isinstance(ref, dict):
-            yield from _numeric_leaves(ref, where + (key,))
-        elif not isinstance(ref, str):
-            yield where + (key,), isinstance(ref, list)
+            yield from _leaves(ref, where + (key,))
+        else:
+            yield where + (key,), ref
 
 
-_LEAVES = sorted([*_numeric_leaves(DEFAULT_CONFIG),
-                  (("metric", "params", "value"), False)])
+_LEAVES = sorted([*_leaves(DEFAULT_CONFIG), (("metric", "params", "value"), 1.0)],
+                 key=lambda leaf: leaf[0])
+_NULL_FLOAT_KEYS = {("tiling", "delta0")}   # eigen.maxiter is null or an int
 _HOSTILE = st.sampled_from([0, -1, math.nan])
+# a float key also gets 10^400, which no float holds; integer keys size the
+# work, so they never do
+_FLOAT_HOSTILE = st.sampled_from([0, -1, math.nan, 10 ** 400])
 
 
 @st.composite
 def _hostile_override(draw):
-    """One numeric config key set to 0, -1 or NaN, or, for a list key, to
-    an empty or short list of those."""
-    path, is_list = draw(st.sampled_from(_LEAVES))
-    value = draw(st.lists(_HOSTILE, max_size=2) if is_list else _HOSTILE)
+    """One config key set to a hostile value: a string key to "", an integer
+    key to 0, -1 or NaN, a float key to one of those or 10^400, and a list
+    key to an empty or short list of float-key values."""
+    path, ref = draw(st.sampled_from(_LEAVES))
+    if isinstance(ref, str):
+        value = ""
+    elif isinstance(ref, list):
+        value = draw(st.lists(_FLOAT_HOSTILE, max_size=2))
+    elif isinstance(ref, float) or path in _NULL_FLOAT_KEYS:
+        value = draw(_FLOAT_HOSTILE)
+    else:
+        value = draw(_HOSTILE)
     override = value
     for key in reversed(path):
         override = {key: override}
@@ -483,13 +510,14 @@ def test_hostile_values_exit_cleanly(case):
     command, override = case
     with tempfile.TemporaryDirectory() as out_dir:
         path = os.path.join(out_dir, "cfg.json")
+        base = deep_merge(_TINY, {"output": {"dir": out_dir}})
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(deep_merge(_TINY, override), f)
+            json.dump(deep_merge(base, override), f)
         err = io.StringIO()
         with contextlib.redirect_stderr(err), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main([command, "--config", path, "--out", out_dir])
+            code = main([command, "--config", path])
     assert code in (0, 2, 3)
     assert err.getvalue().count("\n") + len(caught) <= 1, err.getvalue()
     assert "Traceback" not in err.getvalue()

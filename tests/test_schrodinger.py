@@ -7,7 +7,7 @@ from ngl.schrodinger import (DiskAnnuli, beta_star, check_beta_related, classify
                              count_rapid_disks, growth_chain_report, localize,
                              planar_field_from_function,
                              separated_probe_centers)
-from ngl.surface import EuclideanDisk, make_metric, sup_on_region
+from ngl.surface import make_metric, sup_on_disk
 
 
 def constant_field(value=1.0, **kw):
@@ -54,7 +54,7 @@ def test_localize_residual_certificate(localized_sine):
 
 def test_localize_sup_normalized(localized_sine):
     _, _, pf = localized_sine
-    sup = sup_on_region(pf, EuclideanDisk((0.0, 0.0), 3.0))
+    sup = sup_on_disk(pf, (0.0, 0.0), 3.0)
     assert sup == pytest.approx(1.0, abs=1e-9)
 
 
@@ -265,8 +265,8 @@ def test_localization_commutes_with_growth(localized_sine):
     # eigenfunction over the matched pullback disks, within interpolation
     beta, _ = beta_star(pf)
     s = pf.meta["scale"]
-    sup_plus = sup_on_region(pair.field, EuclideanDisk((0.0, 0.5), 2.5 * s))
-    sup_minus = sup_on_region(pair.field, EuclideanDisk((0.0, 0.5), 0.25 * s))
+    sup_plus = sup_on_disk(pair.field, (0.0, 0.5), 2.5 * s)
+    sup_minus = sup_on_disk(pair.field, (0.0, 0.5), 0.25 * s)
     direct = float(np.log(sup_plus / sup_minus))
     assert abs(beta - direct) < 5e-3
 

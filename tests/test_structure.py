@@ -104,3 +104,91 @@ def test_profile_parameters_live_in_surface():
     cli = (SRC / "cli.py").read_text(encoding="utf-8")
     for word in ("amplitude", "_PROFILE_PARAMS", "_profile_sup", "symmetric"):
         assert word not in cli, word
+
+
+
+REPO = SRC.parents[1]
+CALLER_DIRS = ("src/ngl", "tests", "demos", "perfbench")
+
+
+def _defaulted_parameters():
+    """(module, qualified name, parameter, positional index or None) of every
+    parameter with a default of every def in src/ngl; the index counts the
+    arguments a call passes, so a method's self or cls is not counted."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(node, None) for node in tree.body]
+        while scopes:
+            node, owner = scopes.pop()
+            if isinstance(node, ast.ClassDef):
+                scopes.extend((child, node.name) for child in node.body)
+                continue
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            scopes.extend((child, None) for child in node.body)
+            args = node.args
+            positional = args.posonlyargs + args.args
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in node.decorator_list)
+            skip = 1 if owner is not None and not static else 0
+            qualname = f"{owner}.{node.name}" if owner else node.name
+            for index in range(len(positional) - len(args.defaults),
+                               len(positional)):
+                found.append((path.stem, qualname, positional[index].arg,
+                              index - skip))
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    found.append((path.stem, qualname, arg.arg, None))
+    return sorted(found)
+
+
+def _calls_by_name():
+    """callee name -> [(positional count, keyword names, has *args,
+    has **kwargs)] over every call in the package, its tests, demos and
+    benchmark; a call ``f(...)`` or ``x.f(...)`` is filed under ``f``."""
+    calls = {}
+    for folder in CALLER_DIRS:
+        for path in sorted((REPO / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                calls.setdefault(name, []).append((
+                    len(node.args),
+                    {k.arg for k in node.keywords if k.arg is not None},
+                    any(isinstance(a, ast.Starred) for a in node.args),
+                    any(k.arg is None for k in node.keywords)))
+    return calls
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    # a default that no call in the package, its tests, demos or benchmark
+    # overrides, by keyword or by position, is a constant dressed as a knob;
+    # ``Name(...)`` is a call of ``Name.__init__``
+    calls = _calls_by_name()
+    params = _defaulted_parameters()
+    unset = []
+    for module, qualname, param, index in params:
+        owner, _, name = qualname.rpartition(".")
+        callee = owner if name == "__init__" else name
+        if not any(param in keywords or double
+                   or (index is not None and (starred or n_pos > index))
+                   for n_pos, keywords, starred, double in calls.get(callee, ())):
+            unset.append(f"{module}.{qualname}({param})")
+    print(f"{len(params)} defaulted parameters in src/ngl, "
+          f"{len(unset)} never set")
+    assert not unset, f"{len(unset)} never set:\n" + "\n".join(unset)
+
+
+def test_no_region_type_dispatch():
+    # a disk is (center, r): sup_on_disk and lq_norm_on_disk take it
+    # directly, with no one-variant region type to check
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for word in ("EuclideanDisk", "sup_on_region", "lq_norm_on_region"):
+            assert word not in text, (path.name, word)
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef):
+                assert not node.name.endswith(("Region", "Disk")), node.name

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from ngl.errors import EmptyRegionError
-from ngl.surface import (EuclideanDisk, GridField, flat_torus_distance,
-                         lq_norm_on_region, make_metric, polar_quadrature,
-                         polyline_metric_length, read_gfd, sup_on_region,
-                         write_gfd)
+from ngl.surface import (GridField, flat_torus_distance, lq_norm_on_disk,
+                         make_metric, polar_quadrature, polyline_metric_length,
+                         read_gfd, sup_on_disk, write_gfd)
 
 from conftest import geodesic_distance, torus_field
 
@@ -139,19 +138,19 @@ def test_metric_disk_pinching_per_sample():
 
 def test_sup_constant_field():
     f = GridField(np.full((64, 64), -3.5))
-    assert sup_on_region(f, EuclideanDisk((0.3, 0.3), 0.1)) == 3.5
+    assert sup_on_disk(f, (0.3, 0.3), 0.1) == 3.5
 
 
 def test_sup_maximizer_inside(sin_x_256):
     # the disk contains x = 1/4 where sin peaks at 1
-    val = sup_on_region(sin_x_256, EuclideanDisk((0.25, 0.5), 0.1))
+    val = sup_on_disk(sin_x_256, (0.25, 0.5), 0.1)
     assert val == pytest.approx(1.0, abs=1e-6)
 
 
 def test_sup_maximizer_on_boundary_oracle():
     # 10x-dense brute-force sampling of the interpolant as the oracle
     f = torus_field(lambda x, y: np.sin(2 * np.pi * x), 1024)
-    val = sup_on_region(f, EuclideanDisk((0.0, 0.5), 0.1))
+    val = sup_on_disk(f, (0.0, 0.5), 0.1)
     th = np.linspace(0, 2 * np.pi, 40961)
     rad = np.linspace(0, 0.1, 1025)
     best = 0.0
@@ -174,8 +173,8 @@ def test_sup_monotone_in_region():
         # offset containment: |shift| + r1 <= r2
         shift = rng.uniform(-1, 1, 2)
         shift *= float(rng.uniform(0, r2 - r1 - 2 * h)) / max(np.hypot(*shift), 1e-9)
-        s1 = sup_on_region(f, EuclideanDisk((cx + shift[0], cy + shift[1]), r1))
-        s2 = sup_on_region(f, EuclideanDisk((cx, cy), r2))
+        s1 = sup_on_disk(f, (cx + shift[0], cy + shift[1]), r1)
+        s2 = sup_on_disk(f, (cx, cy), r2)
         assert s1 <= s2 + 1e-12
 
 
@@ -190,8 +189,8 @@ def _delta_torus(coord, center):
 def refined_grid_sup_disk(field, center, r):
     """Sup of a torus grid field over a disk on its lattice, the lattice's 4x
     bilinear refinement and a boundary ring of at least 64 angles at most a
-    quarter cell apart: the single-disk scan that ``sup_on_region`` used before
-    it shared the batched kernel."""
+    quarter cell apart: the single-disk scan that ``sup_on_disk`` replaced
+    with the batched kernel."""
     n = field.grid_n
     coords = np.arange(n) / n
     dx = _delta_torus(coords, center[0])
@@ -245,7 +244,7 @@ def test_sup_matches_refined_scan_on_random_disks():
         center = tuple(rng.uniform(-0.5, 1.5, 2))
         cells = float(rng.uniform(1.5, 10.2) if k % 4 < 2
                       else rng.uniform(10.2, 40.0))
-        got = sup_on_region(f, EuclideanDisk(center, cells / n))
+        got = sup_on_disk(f, center, cells / n)
         want = refined_grid_sup_disk(f, center, cells / n)
         lip = np.sqrt(2) * max(np.abs(values - np.roll(values, 1, axis)).max()
                                for axis in (0, 1))
@@ -263,7 +262,7 @@ def test_sup_matches_refined_scan_on_random_disks():
 def test_sup_empty_region_error():
     f = GridField(np.ones((64, 64)))
     with pytest.raises(EmptyRegionError):
-        sup_on_region(f, EuclideanDisk((0.5 + 0.5 / 64, 0.5 + 0.5 / 64), 1e-4))
+        sup_on_disk(f, (0.5 + 0.5 / 64, 0.5 + 0.5 / 64), 1e-4)
 
 
 def test_sup_rejects_planar_grid_fields_and_other_regions():
@@ -271,14 +270,11 @@ def test_sup_rejects_planar_grid_fields_and_other_regions():
     planar = GridField(np.ones((64, 64)), domain="planar", origin=(-1.0, -1.0),
                        side=2.0)
     with pytest.raises(TypeError):
-        sup_on_region(planar, EuclideanDisk((0.0, 0.0), 0.5))
+        sup_on_disk(planar, (0.0, 0.0), 0.5)
     with pytest.raises(TypeError):
         planar.interp(0.0, 0.0)
     with pytest.raises(TypeError):
-        sup_on_region(GridField(np.ones((64, 64))), (0.5, 0.5, 0.1))
-    with pytest.raises(TypeError):
-        lq_norm_on_region(GridField(np.ones((64, 64))),
-                          EuclideanDisk((0.5, 0.5), 0.1), 2)
+        lq_norm_on_disk(GridField(np.ones((64, 64))), (0.5, 0.5), 0.1, 2)
 
 
 def test_sup_metric_disk_matches_euclidean_on_flat(sin_x_256):
@@ -296,25 +292,25 @@ def test_sup_metric_disk_matches_euclidean_on_flat(sin_x_256):
 
 def test_lq_constant_disk():
     f = lambda x, y: np.ones(np.broadcast_shapes(np.shape(x), np.shape(y)))
-    val = lq_norm_on_region(f, EuclideanDisk((0.5, 0.5), 0.1), 2)
+    val = lq_norm_on_disk(f, (0.5, 0.5), 0.1, 2)
     assert val == pytest.approx(np.sqrt(np.pi * 0.01), rel=0.01)
 
 
 def test_lq_zero_field():
     f = lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
-    assert lq_norm_on_region(f, EuclideanDisk((0.5, 0.5), 0.1), 2) == 0.0
+    assert lq_norm_on_disk(f, (0.5, 0.5), 0.1, 2) == 0.0
 
 
 def test_lq_approaches_sup_at_large_exponent():
     f = lambda x, y: np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), 2.0)
-    disk = EuclideanDisk((0.5, 0.5), 0.15)
-    lq = lq_norm_on_region(f, disk, 64)
-    sup = sup_on_region(f, disk)
+    center, r = (0.5, 0.5), 0.15
+    lq = lq_norm_on_disk(f, center, r, 64)
+    sup = sup_on_disk(f, center, r)
     assert abs(lq - sup) / sup < 0.05
     g = lambda x, y: 2.0 + 0.3 * np.sin(2 * np.pi * np.asarray(x))
-    disk = EuclideanDisk((0.25, 0.5), 0.3)
-    lq = lq_norm_on_region(g, disk, 64)
-    sup = sup_on_region(g, disk)
+    center, r = (0.25, 0.5), 0.3
+    lq = lq_norm_on_disk(g, center, r, 64)
+    sup = sup_on_disk(g, center, r)
     assert abs(lq - sup) / sup < 0.05
 
 
@@ -386,7 +382,7 @@ def test_callable_lq_matches_reference_rule():
         center = tuple(rng.uniform(-1, 1, 2))
         r = rng.uniform(0.01, 0.8)
         qexp = float(rng.choice([1.0, 2.0, 3.5]))
-        got = lq_norm_on_region(fn, EuclideanDisk(center, r), qexp)
+        got = lq_norm_on_disk(fn, center, r, qexp)
         ref = reference_lq_polar(fn, center, 0.0, r, qexp)
         assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
 
