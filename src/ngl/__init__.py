@@ -25,16 +25,15 @@ _EXPORTS = {
               "analytic_spectrum", "assemble_operators", "solve_spectrum"),
     "nodal": ("NodalSet", "extract_nodal_set", "nodal_length",
               "singular_points"),
-    "growth": ("GrowthSample", "LengthGrowthReport", "average_local_growth",
+    "growth": ("LengthGrowthReport", "average_local_growth",
                "donnelly_fefferman_constant", "growth_exponent",
-               "growth_field", "lq_growth_exponent", "quartile_trend_ratio",
+               "growth_fields", "lq_growth_exponent", "quartile_trend_ratio",
                "verify_length_growth_bound"),
     "schrodinger": ("DiskAnnuli", "PlanarField", "beta_star", "classify_rapid",
                     "core_field", "count_rapid_disks", "growth_chain_report",
                     "localize", "planar_field_from_function"),
-    "tiling": ("Square", "TilingState", "coverage_check", "init_tiling",
-               "level_counts", "refine", "run_tiling", "slow_square_budgets",
-               "total_bound_report"),
+    "tiling": ("Square", "TilingState", "coverage_check", "level_counts",
+               "run_tiling", "slow_square_budgets", "total_bound_report"),
     "crofton": ("CroftonEstimate", "circle_count_length", "crofton_consistency",
                 "disk_average_length", "synthetic_circle", "synthetic_segment",
                 "validate_circle_kinematic_constant"),

@@ -197,13 +197,6 @@ class CarlemanWeight:
             out = out - 2.0 * np.log(np.maximum(np.hypot(x - cx, y - cy), 1e-300))
         return out
 
-    def excluded(self, x, y):
-        """Points inside some shrunk disk, where the weight is undefined."""
-        if not self.centers:
-            return np.zeros(np.broadcast_shapes(np.asarray(x).shape,
-                                                np.asarray(y).shape), dtype=bool)
-        return self._nearest(x, y) < (1 - 2 * self.a) * self.delta
-
 
 def build_weight(centers, delta, a=0.1, t=1.0, radial=None) -> CarlemanWeight:
     if t <= 0:

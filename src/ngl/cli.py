@@ -123,6 +123,8 @@ def load_config(path=None, overrides=None, command=None):
 
 _GROWTH_COMMANDS = ("growth", "thm1", "all")
 _LOCALIZE_COMMANDS = ("localize", "tile", "rapid", "all")
+# commands that write the per-pair files of the pair localize.index names
+_INDEX_COMMANDS = ("nodal", "growth") + _LOCALIZE_COMMANDS
 
 # (dotted key, predicate, one-line message), checked in order for every
 # command; a value of the wrong type never gets here (_check_schema)
@@ -191,11 +193,11 @@ def validate_config(cfg, command=None):
         from .growth import disk_grid_need
         needs.append((count, disk_grid_need,
                       f"wavelength disks for {count} modes at k0 = {k0}"))
-    if command in _LOCALIZE_COMMANDS:
+    index = cfg["localize"]["index"]
+    if command in _INDEX_COMMANDS and not 1 <= index <= count:
         # checked before flat_modes, whose enumeration grows with the index
-        index = cfg["localize"]["index"]
-        if not 1 <= index <= count:
-            raise ConfigError(f"localize.index must lie in [1, {count}]")
+        raise ConfigError(f"localize.index must lie in [1, {count}]")
+    if command in _LOCALIZE_COMMANDS:
         from .schrodinger import patch_grid_need
         needs.append((index, patch_grid_need,
                       f"the rescaled patch for localize.index = {index}"))
@@ -357,6 +359,7 @@ def cmd_nodal(cfg, out_dir, record):
     from .svg import nodal_svg
     metric, spectrum = _get_spectrum(cfg, out_dir)
     idx = cfg["localize"]["index"]
+    _indexed_pair(cfg, spectrum)   # a run() that skipped validate_config
     for k, pair in enumerate(spectrum.nonconstant()):
         ns = extract_nodal_set(pair.field)
         e_len, m_len = nodal_length(ns, metric)
@@ -385,16 +388,16 @@ def cmd_growth(cfg, out_dir, record):
     k0 = cfg["growth"]["k0"]
     m = cfg["growth"]["sample_grid_m"]
     idx = cfg["localize"]["index"]
+    _indexed_pair(cfg, spectrum)   # a run() that skipped validate_config
     pairs = spectrum.nonconstant()
-    fields = growth_fields(pairs, metric, k0=k0, sample_grid_m=m)
-    for k, (pair, samples) in enumerate(zip(pairs, fields)):
-        avg = average_local_growth(samples, metric)
+    centers, betas = growth_fields(pairs, metric, k0=k0, sample_grid_m=m)
+    for pair, row in zip(pairs, betas):
+        avg = average_local_growth(row, centers, metric)
         record.rows.append({"lambda": pair.lam, "A": avg,
-                            "beta_max": max(s.beta for s in samples)})
-        if k + 1 == idx:
-            path = os.path.join(out_dir, "growth_field.csv")
-            growth_samples_to_csv(samples, path)
-            record.add_artifact(path, out_dir)
+                            "beta_max": float(row.max())})
+    path = os.path.join(out_dir, "growth_field.csv")
+    growth_samples_to_csv(centers, betas[idx - 1], path)
+    record.add_artifact(path, out_dir)
     path = os.path.join(out_dir, "growth.json")
     _write_json(record.rows, path)
     record.add_artifact(path, out_dir)

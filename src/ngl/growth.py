@@ -9,7 +9,6 @@ the nodal length per wavelength.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,18 +22,16 @@ from .surface import (TORUS, ConformalMetric, GridField, _fast_march,
 _BETA_FLOOR = 1e-9  # interpolation noise floor on nested sups
 
 
-@dataclass
-class GrowthSample:
-    p: tuple[float, float]
-    beta: float
-    outer_radius: float
-    alpha: float
+def _log_ratio(outer, inner):
+    """Growth exponents log(outer / inner) of sup pairs, scalars or arrays.
 
-
-def _clamp_beta(beta):
-    if -_BETA_FLOOR <= beta < 0.0:
-        return 0.0
-    return beta
+    A vanishing inner sup makes the exponent infinite; exponents within the
+    noise floor below 0 are clamped to 0.
+    """
+    if np.any(inner == 0.0):
+        raise InfiniteGrowthError("field vanishes identically on an inner disk")
+    betas = np.log(outer) - np.log(inner)
+    return np.where((betas < 0) & (betas >= -_BETA_FLOOR), 0.0, betas)
 
 
 def growth_exponent(field, center, r, alpha, metric: ConformalMetric | None = None):
@@ -60,9 +57,7 @@ def growth_exponent(field, center, r, alpha, metric: ConformalMetric | None = No
         scale = 1.0 if metric is None else 1.0 / np.sqrt(metric.q_plus)
         outer = sup_on_disk(field, center, r * scale)
         inner = sup_on_disk(field, center, alpha * r * scale)
-    if inner == 0.0:
-        raise InfiniteGrowthError("field vanishes identically on the inner disk")
-    return _clamp_beta(float(np.log(outer) - np.log(inner)))
+    return float(_log_ratio(outer, inner))
 
 
 def lq_growth_exponent(field, center, r, alpha, qexp):
@@ -72,29 +67,11 @@ def lq_growth_exponent(field, center, r, alpha, qexp):
         return growth_exponent(field, center, r, alpha)
     outer = lq_norm_on_disk(field, center, r, qexp)
     inner = lq_norm_on_disk(field, center, alpha * r, qexp)
-    if inner == 0.0:
-        raise InfiniteGrowthError("field vanishes identically on the inner disk")
-    return _clamp_beta(float(np.log(outer) - np.log(inner)))
+    return float(_log_ratio(outer, inner))
 
 
 # --------------------------------------------------------------------------
 # wavelength-scale growth field
-
-
-def _growth_betas_flat(eigenpair, metric, r_metric, m):
-    r = r_metric / np.sqrt(metric.q_plus)  # Euclidean radius of the metric disk
-    n = eigenpair.field.grid_n
-    values = eigenpair.field.values
-    grid = np.arange(m) / m
-    ci = np.round(grid * n).astype(np.int64) % n
-    centers_idx = np.stack(np.meshgrid(ci, ci, indexing="ij"), axis=-1).reshape(-1, 2)
-    sup_out = _sup_disks_flat(values, centers_idx, r * n)
-    sup_in = _sup_disks_flat(values, centers_idx, metric.alpha0 * r * n)
-    if np.any(sup_in == 0.0):
-        raise InfiniteGrowthError("field vanishes identically on an inner disk")
-    betas = np.log(sup_out) - np.log(sup_in)
-    betas[(betas < 0) & (betas >= -_BETA_FLOOR)] = 0.0
-    return betas
 
 
 # bilinear weights of the 4x refinement: phase u of a cell sits at u / 4
@@ -165,18 +142,6 @@ def _geodesic_disk_sups(fields, metric, p, radii, alpha):
             for values, dist, half, r in zip(fields, dists, halves, radii)]
 
 
-def _growth_betas_curved(pairs, metric, radii, centers):
-    fields = [pair.field.values for pair in pairs]
-    betas = np.empty((len(pairs), len(centers)))
-    for c, p in enumerate(centers):
-        sups = _geodesic_disk_sups(fields, metric, p, radii, metric.alpha0)
-        for k, (outer, inner) in enumerate(sups):
-            if inner == 0.0:
-                raise InfiniteGrowthError("field vanishes on an inner metric disk")
-            betas[k, c] = _clamp_beta(float(np.log(outer) - np.log(inner)))
-    return betas
-
-
 def disk_grid_need(lam, metric, k0):
     """Smallest grid_n at which the wavelength disk of radius k0 / sqrt(lam)
     spans 10 grid cells: the metric disk contains a Euclidean disk of radius
@@ -197,51 +162,47 @@ def _check_resolution(eigenpair, metric, k0):
 
 
 def growth_fields(pairs: list[EigenPair], metric: ConformalMetric, k0=0.5,
-                  sample_grid_m=64) -> Iterator[list[GrowthSample]]:
-    """``growth_field`` of each eigenpair, on the same m x m centers.
+                  sample_grid_m=64) -> tuple[np.ndarray, np.ndarray]:
+    """Growth exponents of each eigenpair at wavelength radius
+    k0 / sqrt(lambda), on the same m x m grid of centers.
 
-    The call checks every pair's resolution and computes every exponent; on
-    a curved metric each center is marched once for all pairs.  It returns
-    an iterator over the pairs' sample lists, which builds each list when it
-    is reached, so a caller that reduces one list before taking the next
-    holds one at a time.
+    Returns ``(centers, betas)``: ``centers`` is the (m^2, 2) array of
+    points (i / m, j / m), i major, and ``betas[k, c]`` is the exponent of
+    ``pairs[k]`` at ``centers[c]``.  Every disk radius must span 10 grid
+    cells, otherwise the sup ratio is interpolation noise and the call is
+    rejected.  On a curved metric each center is marched once for all pairs.
     """
     # largest lambda first, so that the grid_n a failure quotes resolves all
     for pair in sorted(pairs, key=lambda pair: -pair.lam):
         _check_resolution(pair, metric, k0)
     m = sample_grid_m
     grid = np.arange(m) / m
-    centers = list(zip(np.repeat(grid, m), np.tile(grid, m)))
+    centers = np.stack([np.repeat(grid, m), np.tile(grid, m)], axis=1)
     radii = [k0 / np.sqrt(pair.lam) for pair in pairs]
+    outer = np.empty((len(pairs), m * m))
+    inner = np.empty_like(outer)
     if metric.is_flat:
-        betas = [_growth_betas_flat(pair, metric, r, m)
-                 for pair, r in zip(pairs, radii)]
+        for k, (pair, r_metric) in enumerate(zip(pairs, radii)):
+            r = r_metric / np.sqrt(metric.q_plus)  # Euclidean radius of the metric disk
+            n = pair.field.grid_n
+            centers_idx = np.round(centers * n).astype(np.int64) % n
+            outer[k] = _sup_disks_flat(pair.field.values, centers_idx, r * n)
+            inner[k] = _sup_disks_flat(pair.field.values, centers_idx,
+                                       metric.alpha0 * r * n)
     else:
-        betas = _growth_betas_curved(pairs, metric, radii, centers)
-    alpha = metric.alpha0
-    return ([GrowthSample(p=p, beta=float(beta), outer_radius=r, alpha=alpha)
-             for p, beta in zip(centers, row)]
-            for r, row in zip(radii, betas))
+        fields = [pair.field.values for pair in pairs]
+        for c, p in enumerate(centers):
+            sups = _geodesic_disk_sups(fields, metric, p, radii, metric.alpha0)
+            outer[:, c], inner[:, c] = np.reshape(sups, (len(pairs), 2)).T
+    return centers, _log_ratio(outer, inner)
 
 
-def growth_field(eigenpair: EigenPair, metric: ConformalMetric, k0=0.5,
-                 sample_grid_m=64) -> list[GrowthSample]:
-    """Growth exponent at wavelength radius k0 / sqrt(lambda) on an m x m grid.
-
-    The disk radius must stay at least 10 grid cells, otherwise the sup ratio
-    is interpolation noise and the call is rejected.
-    """
-    return next(growth_fields([eigenpair], metric, k0, sample_grid_m))
-
-
-def average_local_growth(samples: list[GrowthSample], metric: ConformalMetric) -> float:
-    """Volume-weighted average of the growth samples (quadrature of beta dV / Vol)."""
-    if len(samples) < 4:
+def average_local_growth(betas, centers, metric: ConformalMetric) -> float:
+    """Volume-weighted average of one pair's exponents over the centers
+    (quadrature of beta dV / Vol)."""
+    if len(betas) < 4:
         raise ValueError("need at least 4 growth samples")
-    betas = np.array([s.beta for s in samples])
-    px = np.array([s.p[0] for s in samples])
-    py = np.array([s.p[1] for s in samples])
-    weights = metric.q_at(px, py)
+    weights = metric.q_at(centers[:, 0], centers[:, 1])
     return float(np.sum(betas * weights) / np.sum(weights))
 
 
@@ -292,11 +253,12 @@ def verify_length_growth_bound(metric: ConformalMetric, spectrum: Spectrum,
     if skip_unresolved:
         pairs = [pair for pair in pairs
                  if metric.grid_n >= disk_grid_need(pair.lam, metric, k0)]
-    fields = growth_fields(pairs, metric, k0=k0, sample_grid_m=sample_grid_m)
+    centers, betas = growth_fields(pairs, metric, k0=k0,
+                                   sample_grid_m=sample_grid_m)
     rows = []
-    for pair, samples in zip(pairs, fields):
-        avg = average_local_growth(samples, metric)
-        beta_max = max(s.beta for s in samples)
+    for pair, row in zip(pairs, betas):
+        avg = average_local_growth(row, centers, metric)
+        beta_max = float(row.max())
         ns = extract_nodal_set(pair.field)
         h1_e, h1_m = nodal_length(ns, metric)
         sq = np.sqrt(pair.lam)
@@ -331,8 +293,9 @@ def report_to_csv(report: LengthGrowthReport, path) -> None:
                     f"{float(r.upper_ratio)!r}\n")
 
 
-def growth_samples_to_csv(samples: list[GrowthSample], path) -> None:
+def growth_samples_to_csv(centers, betas, path) -> None:
+    """One pair's exponents, one ``x,y,beta`` row per center."""
     with open(path, "w", encoding="ascii") as f:
         f.write("x,y,beta\n")
-        for s in samples:
-            f.write(f"{float(s.p[0])!r},{float(s.p[1])!r},{float(s.beta)!r}\n")
+        for (x, y), beta in zip(centers.tolist(), betas.tolist()):
+            f.write(f"{x!r},{y!r},{beta!r}\n")

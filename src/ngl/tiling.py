@@ -46,10 +46,7 @@ class Square:
 
 @dataclass
 class TilingState:
-    field: PlanarField
     delta0: Fraction
-    m_threshold: float
-    a: float
     beta_star: float
     level: int
     rapid_by_level: dict = dataclass_field(default_factory=dict)
@@ -101,13 +98,17 @@ def _square_is_rapid(pf, square: Square, delta0, m_threshold, a):
     return False
 
 
-def init_tiling(pf: PlanarField, delta0=None, m_threshold=10.0, a=0.1,
-                beta_star_value=None) -> TilingState:
-    """Classify the level-0 tiling of P into rapid and slow squares.
+def run_tiling(pf: PlanarField, delta0=None, m_threshold=10.0, a=0.1,
+               k_max=8, beta_star_value=None) -> TilingState:
+    """Tile P level by level into rapid and slow squares.
 
-    ``delta0`` must divide the side of P exactly; by default it is the
-    largest admissible dyadic fraction of it.  Each square is probed on a
-    3 x 3 sub-lattice of candidate disk centers.
+    Level 0 is the row-major lattice of side ``delta0``, which must divide
+    the side of P exactly; by default it is the largest admissible dyadic
+    fraction of it.  Each level bisects every rapid square of the level
+    before into its 4 children and reclassifies them at the halved disk
+    radius; slow squares stay untouched.  The loop ends when no square is
+    rapid or at level ``k_max`` (then the state is ``capped``).  Each square
+    is probed on a 3 x 3 sub-lattice of candidate disk centers.
     """
     if beta_star_value is None:
         _, beta_star_value = beta_star(pf)
@@ -119,53 +120,23 @@ def init_tiling(pf: PlanarField, delta0=None, m_threshold=10.0, a=0.1,
     per_axis = P_SIDE / delta0
     if per_axis.denominator != 1:
         raise ConstraintError("delta0 must divide the side of P exactly")
-    per_axis = int(per_axis)
-    state = TilingState(field=pf, delta0=delta0, m_threshold=m_threshold, a=a,
-                        beta_star=beta_star_value, level=0)
-    rapid, slow = [], []
-    for ix in range(per_axis):
-        for iy in range(per_axis):
-            sq = Square(0, ix, iy)
+    state = TilingState(delta0=delta0, beta_star=beta_star_value, level=0)
+    squares = [Square(0, ix, iy) for ix in range(int(per_axis))
+               for iy in range(int(per_axis))]
+    while True:
+        rapid, slow = [], []
+        for sq in squares:
             if _square_is_rapid(pf, sq, delta0, m_threshold, a):
                 rapid.append(sq)
             else:
                 slow.append(sq)
-    state.rapid_by_level[0] = rapid
-    state.slow_by_level[0] = slow
-    return state
-
-
-def refine(state: TilingState) -> TilingState:
-    """Bisect every rapid square into 4 children and reclassify them at the
-    halved disk radius; slow squares of earlier levels stay untouched."""
-    if not state.rapid:
-        raise ConstraintError("no rapid squares left to refine")
-    new_level = state.level + 1
-    rapid, slow = [], []
-    for sq in state.rapid:
-        for child in sq.children():
-            if _square_is_rapid(state.field, child, state.delta0,
-                                state.m_threshold, state.a):
-                rapid.append(child)
-            else:
-                slow.append(child)
-    out = TilingState(field=state.field, delta0=state.delta0,
-                      m_threshold=state.m_threshold, a=state.a,
-                      beta_star=state.beta_star, level=new_level,
-                      rapid_by_level=dict(state.rapid_by_level),
-                      slow_by_level=dict(state.slow_by_level))
-    out.rapid_by_level[new_level] = rapid
-    out.slow_by_level[new_level] = slow
-    return out
-
-
-def run_tiling(pf: PlanarField, delta0=None, m_threshold=10.0, a=0.1,
-               k_max=8, beta_star_value=None) -> TilingState:
-    state = init_tiling(pf, delta0=delta0, m_threshold=m_threshold, a=a,
-                        beta_star_value=beta_star_value)
-    while state.rapid and state.level < k_max:
-        state = refine(state)
-    state.capped = bool(state.rapid)
+        state.rapid_by_level[state.level] = rapid
+        state.slow_by_level[state.level] = slow
+        if not rapid or state.level >= k_max:
+            break
+        state.level += 1
+        squares = [child for sq in rapid for child in sq.children()]
+    state.capped = bool(rapid)
     return state
 
 

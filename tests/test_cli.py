@@ -356,6 +356,13 @@ def test_all_command_aggregates(tmp_path):
      ' "crofton": {"curve": "eigenfunction", "samples": 100}}',
      "localize.index must lie in [1, 4]"),
     ('{"output": {"dir": ""}}', "output.dir must not be empty"),
+    # (command, content): nodal and growth write the indexed pair's files
+    pytest.param(("nodal", '{"eigen": {"count": 1}}'),
+                 "localize.index must lie in [1, 1]", id="nodal-index-2-of-1"),
+    pytest.param(("growth", '{"eigen": {"count": 1}}'),
+                 "localize.index must lie in [1, 1]", id="growth-index-2-of-1"),
+    pytest.param(("growth", '{"localize": {"index": 0}}'),
+                 "localize.index must lie in [1, 20]", id="growth-index-0"),
     # 10^400, written out: no float holds it
     pytest.param('{"growth": {"k0": 1' + "0" * 400 + '}}',
                  "growth.k0 must lie within the float range", id="k0-10^400"),
@@ -372,14 +379,25 @@ def test_all_command_aggregates(tmp_path):
 def test_config_faults_exit_2_with_one_line(tmp_path, capsys, monkeypatch,
                                             content, message):
     monkeypatch.chdir(tmp_path)   # so the config's output.dir is the one used
+    command, content = (content if isinstance(content, tuple)
+                        else ("crofton", content))
     path = tmp_path / "cfg.json"
     if content is not None:
         path.write_text(content)
-    code = main(["crofton", "--config", str(path)])
+    code = main([command, "--config", str(path)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("configuration error: ")
     assert message in err
+
+
+@pytest.mark.parametrize("command", ["nodal", "growth"])
+def test_run_rejects_index_outside_the_spectrum(tmp_path, command):
+    # run() takes a config that was validated for no command in particular
+    cfg = small_config(tmp_path / "out", localize={"index": 0})
+    with pytest.raises(ConfigError, match=r"localize.index must lie in \[1, 5\]"):
+        run(command, cfg)
+    assert not (tmp_path / "out" / f"record_{command}.json").exists()
 
 
 def test_negative_seed_flag_exits_2_with_one_line(tmp_path, capsys):

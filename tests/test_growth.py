@@ -7,9 +7,8 @@ from ngl.errors import EmptyRegionError, InfiniteGrowthError, ResolutionError
 from ngl.eigen import analytic_eigenpair, analytic_spectrum, solve_spectrum
 import ngl.growth as growth_module
 from ngl.growth import (average_local_growth, donnelly_fefferman_constant,
-                        growth_exponent, growth_field, growth_fields,
-                        lq_growth_exponent, quartile_trend_ratio,
-                        verify_length_growth_bound)
+                        growth_exponent, growth_fields, lq_growth_exponent,
+                        quartile_trend_ratio, verify_length_growth_bound)
 from ngl.surface import (_bilinear_periodic, _disk_offsets, _fast_march,
                          _ring_points, _sup_disks_flat, flat_torus_distance,
                          make_metric)
@@ -120,37 +119,34 @@ def test_lq_monomial_radial_integral(n):
 def test_growth_field_rejects_constant(flat_metric_256):
     pair = analytic_eigenpair(0, 0, grid_n=256)
     with pytest.raises(ValueError):
-        growth_field(pair, flat_metric_256, k0=0.5)
+        growth_fields([pair], flat_metric_256, k0=0.5)
 
 
 def test_growth_field_resolution_guard():
     metric = make_metric("flat", 128)
     pair = analytic_eigenpair(4, 4, grid_n=128)
     with pytest.raises(ResolutionError, match="increase grid_n"):
-        growth_field(pair, metric, k0=0.5)
+        growth_fields([pair], metric, k0=0.5)
 
 
 def test_growth_field_y_invariance():
     metric = make_metric("flat", 512)
     pair = analytic_eigenpair(1, 0, phase=-np.pi / 2, grid_n=512)
-    samples = growth_field(pair, metric, k0=0.5, sample_grid_m=16)
-    by_x = {}
-    for s in samples:
-        by_x.setdefault(round(s.p[0], 12), []).append(s.beta)
-    for betas in by_x.values():
-        assert max(betas) - min(betas) < 1e-6
+    centers, betas = growth_fields([pair], metric, k0=0.5, sample_grid_m=16)
+    # centers run x-major: row i of the 16 x 16 block is the line x = i / 16
+    assert np.all(centers[:, 0].reshape(16, 16) == np.arange(16)[:, None] / 16)
+    assert np.ptp(betas[0].reshape(16, 16), axis=1).max() < 1e-6
 
 
 def test_growth_field_1d_reduction_oracle():
     metric = make_metric("flat", 512)
     pair = analytic_eigenpair(1, 0, phase=-np.pi / 2, grid_n=512)
-    samples = growth_field(pair, metric, k0=1.0, sample_grid_m=16)
-    got = [s for s in samples if s.p == (0.0, 0.5)][0]
+    centers, betas = growth_fields([pair], metric, k0=1.0, sample_grid_m=16)
+    [c] = [c for c, p in enumerate(centers.tolist()) if p == [0.0, 0.5]]
     r = 1.0 / (2 * np.pi)
+    assert metric.alpha0 == 0.2
     oracle = np.log(np.sin(2 * np.pi * r) / np.sin(2 * np.pi * 0.2 * r))
-    assert got.beta == pytest.approx(oracle, abs=2e-3)
-    assert got.outer_radius == pytest.approx(r, abs=1e-12)
-    assert got.alpha == 0.2
+    assert betas[0, c] == pytest.approx(oracle, abs=2e-3)
 
 
 @pytest.mark.parametrize("mode", [(1, 1), (2, 1)])
@@ -159,19 +155,19 @@ def test_flat_growth_exponent_equals_growth_field_sample(mode):
     # the batched growth field's exponent bit for bit
     metric = make_metric("flat", 320)
     pair = analytic_eigenpair(*mode, phase=0.3, grid_n=320)
-    samples = growth_field(pair, metric, k0=0.5, sample_grid_m=8)
+    centers, betas = growth_fields([pair], metric, k0=0.5, sample_grid_m=8)
     r = 0.5 / np.sqrt(pair.lam)
-    for s in samples:
-        assert growth_exponent(pair.field, s.p, r, metric.alpha0,
-                               metric=metric) == s.beta
+    for p, beta in zip(centers, betas[0]):
+        assert growth_exponent(pair.field, p, r, metric.alpha0,
+                               metric=metric) == beta
 
 
 def test_growth_field_curved_metric_smoke():
     metric = make_metric("wave", 320)
     pair_flat = analytic_eigenpair(1, 0, phase=-np.pi / 2, grid_n=320)
-    samples = growth_field(pair_flat, metric, k0=0.5, sample_grid_m=4)
-    assert len(samples) == 16
-    assert all(np.isfinite(s.beta) and s.beta >= 0 for s in samples)
+    centers, betas = growth_fields([pair_flat], metric, k0=0.5, sample_grid_m=4)
+    assert centers.shape == (16, 2) and betas.shape == (1, 16)
+    assert np.all(np.isfinite(betas) & (betas >= 0))
 
 
 # --------------------------------------------------------------- geodesic disks
@@ -400,15 +396,13 @@ def test_shared_march_growth_equals_per_pair_oracle(case, wave_metric_256,
     else:
         (metric, spectrum), k0, m = stripe_spectrum_160, 0.8, 4
     pairs = spectrum.nonconstant()
-    fields = list(growth_fields(pairs, metric, k0=k0, sample_grid_m=m))
-    for pair, samples in zip(pairs, fields):
-        assert [s.beta for s in samples] == oracle_growth_field_curved(
-            pair, metric, k0, m)
-        assert [s.p for s in samples] == [(i / m, j / m) for i in range(m)
-                                          for j in range(m)]
-        assert {s.outer_radius for s in samples} == {k0 / np.sqrt(pair.lam)}
-    assert [s.beta for s in growth_field(pairs[0], metric, k0, m)] == [
-        s.beta for s in fields[0]]
+    centers, betas = growth_fields(pairs, metric, k0=k0, sample_grid_m=m)
+    assert centers.tolist() == [[i / m, j / m] for i in range(m)
+                                for j in range(m)]
+    for pair, row in zip(pairs, betas):
+        assert row.tolist() == oracle_growth_field_curved(pair, metric, k0, m)
+    _, first = growth_fields(pairs[:1], metric, k0, m)
+    assert first[0].tolist() == betas[0].tolist()
 
 
 def test_shared_march_fallback_marches_each_radius(monkeypatch, wave_metric_256,
@@ -426,10 +420,10 @@ def test_shared_march_fallback_marches_each_radius(monkeypatch, wave_metric_256,
 
     monkeypatch.setattr(growth_module, "_fast_march", tiny_windows)
     pairs = wave_spectrum_256.nonconstant()
-    fields = growth_fields(pairs, wave_metric_256, k0=0.5, sample_grid_m=2)
+    _, betas = growth_fields(pairs, wave_metric_256, k0=0.5, sample_grid_m=2)
     assert calls == [2, 1, 0] * 4
-    for pair, samples in zip(pairs, fields):
-        assert [s.beta for s in samples] == oracle_growth_field_curved(
+    for pair, row in zip(pairs, betas):
+        assert row.tolist() == oracle_growth_field_curved(
             pair, wave_metric_256, 0.5, 2)
 
 
@@ -554,33 +548,34 @@ def test_sup_kernel_matches_modulo_gather_on_random_fields(radius):
 # --------------------------------------------------------------- averaging
 
 
+def unit_centers(m):
+    return np.array([(i / m, j / m) for i in range(m) for j in range(m)])
+
+
 def test_average_constant_samples(flat_metric_256):
-    from ngl.growth import GrowthSample
-    samples = [GrowthSample((i / 4, j / 4), 0.7, 0.1, 0.2)
-               for i in range(4) for j in range(4)]
-    assert average_local_growth(samples, flat_metric_256) == pytest.approx(0.7)
+    assert average_local_growth(np.full(16, 0.7), unit_centers(4),
+                                flat_metric_256) == pytest.approx(0.7)
 
 
 def test_average_weights_normalize_on_wave(wave_metric_256):
-    from ngl.growth import GrowthSample
-    samples = [GrowthSample((i / 8, j / 8), 1.0, 0.1, 0.2)
-               for i in range(8) for j in range(8)]
-    assert average_local_growth(samples, wave_metric_256) == pytest.approx(1.0, abs=1e-14)
+    assert average_local_growth(np.ones(64), unit_centers(8),
+                                wave_metric_256) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_average_needs_enough_samples(flat_metric_256):
-    from ngl.growth import GrowthSample
     with pytest.raises(ValueError):
-        average_local_growth([GrowthSample((0, 0), 1.0, 0.1, 0.2)],
-                             flat_metric_256)
+        average_local_growth(np.ones(1), np.zeros((1, 2)), flat_metric_256)
 
 
 def test_average_quadrature_stable_under_doubling():
     # the default 64 x 64 center grid is within 1% of its doubling
     metric = make_metric("flat", 512)
     pair = analytic_eigenpair(1, 1, grid_n=512)
-    a64 = average_local_growth(growth_field(pair, metric, 0.5, 64), metric)
-    a128 = average_local_growth(growth_field(pair, metric, 0.5, 128), metric)
+    def average(m):
+        centers, betas = growth_fields([pair], metric, 0.5, m)
+        return average_local_growth(betas[0], centers, metric)
+    a64 = average(64)
+    a128 = average(128)
     assert abs(a128 - a64) / a64 < 0.01
 
 

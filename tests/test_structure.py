@@ -192,3 +192,37 @@ def test_no_region_type_dispatch():
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.ClassDef):
                 assert not node.name.endswith(("Region", "Disk")), node.name
+
+
+def _names_defined(tree):
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def _calls_of(tree, name):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == name]
+
+
+def test_growth_exponents_are_one_array():
+    # growth_fields returns (centers, betas) with no per-center sample
+    # objects or one-pair wrapper; one log-ratio rule checks the inner sup,
+    # takes the log ratio and clamps the noise floor for every caller
+    tree = ast.parse((SRC / "growth.py").read_text(encoding="utf-8"))
+    defined = _names_defined(tree)
+    for gone in ("GrowthSample", "growth_field", "_clamp_beta"):
+        assert gone not in defined, gone
+    raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)
+              and _calls_of(node, "InfiniteGrowthError")]
+    assert len(raises) == 1, [node.lineno for node in raises]
+
+
+def test_tiling_is_one_level_loop():
+    # run_tiling classifies level 0 and each level's children in one loop;
+    # no separate first-level or refinement step copies the state
+    tree = ast.parse((SRC / "tiling.py").read_text(encoding="utf-8"))
+    defined = _names_defined(tree)
+    for gone in ("init_tiling", "refine"):
+        assert gone not in defined, gone
+    sites = _calls_of(tree, "_square_is_rapid")
+    assert len(sites) == 1, [node.lineno for node in sites]

@@ -7,8 +7,8 @@ from ngl.errors import ConstraintError
 from ngl.nodal import NodalSet, clip_lengths, extract_nodal_set, singular_points
 from ngl.schrodinger import CORE_RADIUS, core_field, planar_field_from_function
 from ngl.tiling import (P_SIDE, Square, coverage_check, default_delta0,
-                        init_tiling, level_counts, refine, run_tiling,
-                        slow_square_budgets, tiling_to_csv, total_bound_report)
+                        level_counts, run_tiling, slow_square_budgets,
+                        tiling_to_csv, total_bound_report)
 
 
 def constant_field():
@@ -56,7 +56,7 @@ def test_square_children_partition_parent():
 
 
 def test_delta_halving_exact():
-    st = init_tiling(constant_field(), m_threshold=10.0)
+    st = run_tiling(constant_field(), m_threshold=10.0)
     for k in range(6):
         assert st.delta(k) == st.delta0 / 2 ** k
 
@@ -85,26 +85,22 @@ def test_zero_threshold_all_rapid_capped():
 
 
 def test_area_partition_exact_at_every_level():
-    pf = constant_field()
-    st = init_tiling(pf, m_threshold=0.0)
-    for _ in range(3):
-        assert st.covered_area() + st.rapid_area() == P_SIDE ** 2
-        st = refine(st)
+    # the slow squares up to level k and the rapid squares of level k
+    st = run_tiling(constant_field(), m_threshold=0.0, k_max=3)
+    assert st.level == 3
+    for k in range(st.level + 1):
+        slow = sum(len(st.slow_by_level[j]) * st.delta(j) ** 2
+                   for j in range(k + 1))
+        assert slow + len(st.rapid_by_level[k]) * st.delta(k) ** 2 == P_SIDE ** 2
     assert st.covered_area() + st.rapid_area() == P_SIDE ** 2
-
-
-def test_refine_without_rapid_squares_rejected():
-    st = run_tiling(constant_field(), m_threshold=10.0)
-    with pytest.raises(ConstraintError):
-        refine(st)
 
 
 def test_init_delta0_constraint_violations():
     pf = constant_field()
     with pytest.raises(ConstraintError):
-        init_tiling(pf, delta0=Fraction(1, 30), m_threshold=10.0)
+        run_tiling(pf, delta0=Fraction(1, 30), m_threshold=10.0)
     with pytest.raises(ConstraintError):
-        init_tiling(pf, delta0=Fraction(1, 100), m_threshold=10.0)  # not dyadic
+        run_tiling(pf, delta0=Fraction(1, 100), m_threshold=10.0)  # not dyadic
 
 
 def test_structural_slow_count_bound():
