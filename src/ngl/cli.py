@@ -126,9 +126,18 @@ _LOCALIZE_COMMANDS = ("localize", "tile", "rapid", "all")
 # commands that write the per-pair files of the pair localize.index names
 _INDEX_COMMANDS = ("nodal", "growth") + _LOCALIZE_COMMANDS
 
+# integer keys but the seeds, which are uint64 and have their own rule
+_INT64_KEYS = ("eigen.maxiter",) + tuple(
+    f"{section}.{key}" for section, keys in DEFAULT_CONFIG.items()
+    if isinstance(keys, dict)
+    for key, ref in keys.items() if type(ref) is int and key != "seed")
+
 # (dotted key, predicate, one-line message), checked in order for every
 # command; a value of the wrong type never gets here (_check_schema)
 _RULES = (
+    # numpy would turn a wider integer into an error that names no key
+    *((key, lambda v: v is None or -2 ** 63 <= v < 2 ** 63,
+       f"{key} must lie within the int64 range") for key in _INT64_KEYS),
     ("metric.grid_n", lambda v: v >= 16, "metric.grid_n must be at least 16"),
     ("eigen.tol", lambda v: v >= 1e-10, "eigen.tol must be at least 1e-10"),
     ("eigen.maxiter", lambda v: v is None or (type(v) is int and v >= 1),
@@ -194,7 +203,9 @@ def validate_config(cfg, command=None):
         needs.append((count, disk_grid_need,
                       f"wavelength disks for {count} modes at k0 = {k0}"))
     index = cfg["localize"]["index"]
-    if command in _INDEX_COMMANDS and not 1 <= index <= count:
+    indexed = command in _INDEX_COMMANDS or (
+        command == "crofton" and cfg["crofton"]["curve"] == "eigenfunction")
+    if indexed and not 1 <= index <= count:
         # checked before flat_modes, whose enumeration grows with the index
         raise ConfigError(f"localize.index must lie in [1, {count}]")
     if command in _LOCALIZE_COMMANDS:

@@ -29,9 +29,26 @@ _ANNULUS_NODES = (24, 512)     # radial x angular nodes of a readout annulus
 _CHAIN_TOL = 1e-2              # slack of the growth-chain comparisons
 
 
-_SPLINE_BLOCK = 32      # knot intervals per block side
-_SPLINE_SLICE = 8192    # points routed at a time (bounds the temporaries)
+_SPLINE_SLICE = 16384   # points per numpy pass (bounds the temporaries)
 _SPLINE_PAD = 4         # samples wrapped onto each side before the fit
+
+
+def _cubic_basis(t, x):
+    """FITPACK's fpbspl on cubic knots t, vectorized over x: the interval l
+    (t[l] <= x < t[l+1], clipped to 3 .. t.size - 5 like fpbisp's scan) and
+    the four nonzero B-splines, in FITPACK's operation order."""
+    l = np.clip(np.searchsorted(t, x, side="right") - 1, 3, t.size - 5)
+    knot = {m: t.take(l + m) for m in range(-2, 4)}     # t[l - 2] .. t[l + 3]
+    h = [np.ones_like(x)]
+    for j in range(1, 4):
+        prev = 0.0      # fpbspl zeroes h(1) and then adds to it
+        for i in range(1, j + 1):
+            tl, tr = knot[i - j], knot[i]
+            f = h[i - 1] / (tr - tl)
+            h[i - 1] = prev + f * (tr - x)
+            prev = f * (x - tl)
+        h.append(prev)
+    return l, h
 
 
 def periodic_spline(values):
@@ -41,72 +58,54 @@ def periodic_spline(values):
     residual certificates for pulled-back fields meaningless; the cubic
     spline tracks second derivatives to O(h^2).
 
-    FITPACK finds a point's knot interval by a linear scan from the first
-    knot, so evaluating the global spline costs O(n) per point.  The
-    evaluator instead cuts the spline into blocks of _SPLINE_BLOCK^2 knot
-    intervals (built on first use) and sends every point to its block.  A
-    block keeps the knots and coefficients its intervals read, so it does the
-    same floating-point operations as the global spline: values are
-    bit-identical.
+    Every value is bit-identical to FITPACK's ``spl.ev`` (fpbisp on one
+    point), whose knot search is a linear scan, O(n) per point.  Two paths
+    do the same floating-point operations without it.  A tensor grid (x of
+    shape (a, 1), y of shape (1, b), all finite) is one ``spl(xs, ys)`` call
+    on the sorted axes (bispev: one forward scan per axis), scattered back.
+    Other points (annuli, disk sups, non-finite input) run through numpy,
+    _SPLINE_SLICE at a time: bisection for the interval, _cubic_basis, and
+    fpbisp's 16-term sum ``sp + (c * hx) * hy`` in its order.
     """
     n = values.shape[0]
-    h = 1.0 / n
     idx = np.arange(-_SPLINE_PAD, n + _SPLINE_PAD + 1)
-    coords = idx * h
-    padded = values[np.ix_(idx % n, idx % n)]
-    tx, ty, c = interpolate.RectBivariateSpline(coords, coords, padded,
-                                                kx=3, ky=3, s=0).tck
-    coef = c.reshape(tx.size - 4, ty.size - 4)
-    # interval l (t[l] <= x < t[l+1]) reads knots t[l-2 : l+4] and
-    # coefficient rows l-3 .. l; FITPACK's valid l run from 3 to t.size - 5
-    last_x, last_y = tx.size - 5, ty.size - 5
-    n_by = (last_y - 3) // _SPLINE_BLOCK + 1
-    blocks = {}
+    coords = idx * (1.0 / n)
+    spl = interpolate.RectBivariateSpline(
+        coords, coords, values[np.ix_(idx % n, idx % n)], kx=3, ky=3, s=0)
+    tx, ty, c = spl.tck
+    n_cols = ty.size - 4    # c is the flat (tx.size - 4, ty.size - 4) array
 
-    def block(key):
-        spl = blocks.get(key)
-        if spl is None:
-            bx, by = divmod(key, n_by)
-            lo_x = 3 + bx * _SPLINE_BLOCK
-            lo_y = 3 + by * _SPLINE_BLOCK
-            hi_x = min(lo_x + _SPLINE_BLOCK, last_x + 1)
-            hi_y = min(lo_y + _SPLINE_BLOCK, last_y + 1)
-            spl = blocks[key] = interpolate.BivariateSpline._from_tck(
-                (tx[lo_x - 3:hi_x + 4], ty[lo_y - 3:hi_y + 4],
-                 coef[lo_x - 3:hi_x, lo_y - 3:hi_y].ravel(), 3, 3))
-        return spl
-
-    def block_keys(x, y):
-        lx = np.clip(np.searchsorted(tx, x, side="right") - 1, 3, last_x)
-        ly = np.clip(np.searchsorted(ty, y, side="right") - 1, 3, last_y)
-        return ((lx - 3) // _SPLINE_BLOCK) * n_by + (ly - 3) // _SPLINE_BLOCK
-
-    def ev_slice(x, y):
-        # a NaN coordinate gives NaN in every block, so the NaN-ignoring
-        # extremes decide whether one block serves the whole slice
-        ends = block_keys(np.array([np.fmin.reduce(x), np.fmax.reduce(x)]),
-                          np.array([np.fmin.reduce(y), np.fmax.reduce(y)]))
-        if ends[0] == ends[1]:
-            return block(ends[0]).ev(x, y)
-        keys = block_keys(x, y)
-        out = np.empty(x.size)
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        cuts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-        for run in np.split(order, cuts):
-            out[run] = block(keys[run[0]]).ev(x[run], y[run])
-        return out
+    def ev_points(x, y):
+        lx, hx = _cubic_basis(tx, x)
+        ly, hy = _cubic_basis(ty, y)
+        base = (lx - 3) * n_cols + (ly - 3)
+        sp = np.zeros(base.size)
+        term = np.empty(base.size)
+        for a in range(4):
+            for b in range(4):
+                c.take(base + (a * n_cols + b), out=term)
+                term *= hx[a]
+                term *= hy[b]
+                sp += term
+        return sp
 
     def ev(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        # the torus wrap: the same one rounding as % 1.0, a tenth of its cost
+        x, y = x - np.floor(x), y - np.floor(y)
+        if (x.ndim == y.ndim == 2 and x.shape[1] == y.shape[0] == 1
+                and np.isfinite(x).all() and np.isfinite(y).all()):
+            ox, oy = np.argsort(x[:, 0]), np.argsort(y[0])
+            out = np.empty((ox.size, oy.size))
+            out[np.ix_(ox, oy)] = spl(x[ox, 0], y[0, oy])
+            return out
         shape = np.broadcast_shapes(x.shape, y.shape)
-        xb = np.broadcast_to(x, shape).ravel() % 1.0
-        yb = np.broadcast_to(y, shape).ravel() % 1.0
+        xb = np.broadcast_to(x, shape).ravel()
+        yb = np.broadcast_to(y, shape).ravel()
         out = np.empty(xb.size)
         for s in range(0, xb.size, _SPLINE_SLICE):
             part = slice(s, s + _SPLINE_SLICE)
-            out[part] = ev_slice(xb[part], yb[part])
+            out[part] = ev_points(xb[part], yb[part])
         return out.reshape(shape) if shape else float(out[0])
 
     return ev
@@ -132,13 +131,18 @@ class PlanarField:
         return self.field.grid_n
 
 
-def _planar_grid(fn, grid_n):
-    coords = np.linspace(-PATCH_RADIUS, PATCH_RADIUS, grid_n)
-    X, Y = np.meshgrid(coords, coords, indexing="ij")
-    vals = fn(X, Y)
-    mask = X * X + Y * Y <= PATCH_RADIUS ** 2
-    return GridField(vals, domain=PLANAR, origin=(-PATCH_RADIUS, -PATCH_RADIUS),
-                     side=2 * PATCH_RADIUS, mask=mask)
+def _planar_grid(fn, grid_n, half=PATCH_RADIUS, disk=True):
+    """fn on the grid_n^2 lattice of [-half, half]^2 (masked to the inscribed
+    disk), called on a column and a row so that periodic_spline takes its
+    grid path; the copy keeps the values C-contiguous float when fn ignores
+    an argument or is constant."""
+    coords = np.linspace(-half, half, grid_n)
+    vals = np.array(np.broadcast_to(fn(coords[:, None], coords[None, :]),
+                                    (grid_n, grid_n)), dtype=float)
+    sq = coords ** 2
+    mask = sq[:, None] + sq[None, :] <= half ** 2 if disk else None
+    return GridField(vals, domain=PLANAR, origin=(-half, -half),
+                     side=2 * half, mask=mask)
 
 
 def _planar_residual(field: GridField, potential: GridField):
@@ -148,9 +152,8 @@ def _planar_residual(field: GridField, potential: GridField):
     lap = np.zeros_like(v)
     lap[1:-1, 1:-1] = (v[2:, 1:-1] + v[:-2, 1:-1] + v[1:-1, 2:] + v[1:-1, :-2]
                        - 4 * v[1:-1, 1:-1]) / (h * h)
-    coords = field.origin[0] + np.arange(field.grid_n) * h
-    X, Y = np.meshgrid(coords, coords, indexing="ij")
-    inner = X * X + Y * Y <= _RESIDUAL_RADIUS ** 2
+    sq = (field.origin[0] + np.arange(field.grid_n) * h) ** 2
+    inner = sq[:, None] + sq[None, :] <= _RESIDUAL_RADIUS ** 2
     inner[0, :] = inner[-1, :] = inner[:, 0] = inner[:, -1] = False
     defect = lap[inner] + q[inner] * v[inner]
     return float(np.linalg.norm(defect) / max(np.linalg.norm(v[inner]), 1e-300))
@@ -263,12 +266,7 @@ def core_field(pf: PlanarField, grid_n=1025) -> GridField:
     The main grid cannot resolve the core disk of radius 1/60, so nodal
     extraction and tiling clip against this dedicated window.
     """
-    coords = np.linspace(-_CORE_HALF_WIDTH, _CORE_HALF_WIDTH, grid_n)
-    X, Y = np.meshgrid(coords, coords, indexing="ij")
-    vals = pf.evaluate(X, Y)
-    return GridField(vals, domain=PLANAR,
-                     origin=(-_CORE_HALF_WIDTH, -_CORE_HALF_WIDTH),
-                     side=2 * _CORE_HALF_WIDTH)
+    return _planar_grid(pf.evaluate, grid_n, _CORE_HALF_WIDTH, disk=False)
 
 
 # --------------------------------------------------------------------------
@@ -367,7 +365,6 @@ def separated_probe_centers(delta):
     if reach <= 0:
         return []
     centers = []
-    j = 0
     row_step = pitch * np.sqrt(3) / 2
     j_max = int(np.floor(reach / row_step)) if row_step > 0 else 0
     for j in range(-j_max, j_max + 1):

@@ -355,6 +355,10 @@ def test_all_command_aggregates(tmp_path):
     ('{"metric": {"grid_n": 64}, "eigen": {"count": 4}, "localize": {"index": 0},'
      ' "crofton": {"curve": "eigenfunction", "samples": 100}}',
      "localize.index must lie in [1, 4]"),
+    # checked before the spectrum is solved and cached
+    ('{"crofton": {"curve": "eigenfunction"}, "localize": {"index": 30},'
+     ' "metric": {"profile": "wave", "grid_n": 128}, "eigen": {"count": 4}}',
+     "localize.index must lie in [1, 4]"),
     ('{"output": {"dir": ""}}', "output.dir must not be empty"),
     # (command, content): nodal and growth write the indexed pair's files
     pytest.param(("nodal", '{"eigen": {"count": 1}}'),
@@ -372,6 +376,15 @@ def test_all_command_aggregates(tmp_path):
     pytest.param('{"metric": {"params": {"value": 1' + "0" * 400 + '}}}',
                  "metric.params.value must be a positive number",
                  id="params.value-10^400"),
+    pytest.param('{"metric": {"grid_n": 1' + "0" * 400 + '}}',
+                 "metric.grid_n must lie within the int64 range",
+                 id="grid_n-10^400"),
+    pytest.param(("spectrum", '{"eigen": {"maxiter": 9223372036854775808}}'),
+                 "eigen.maxiter must lie within the int64 range",
+                 id="maxiter-2^63"),
+    pytest.param('{"tiling": {"k_max": -9223372036854775809}}',
+                 "tiling.k_max must lie within the int64 range",
+                 id="k_max-below-int64"),
     # beyond the 4300 digits Python parses into an int
     pytest.param('{"growth": {"k0": ' + "9" * 4301 + '}}', "not valid JSON",
                  id="k0-4301-digits"),
@@ -389,6 +402,7 @@ def test_config_faults_exit_2_with_one_line(tmp_path, capsys, monkeypatch,
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("configuration error: ")
     assert message in err
+    assert not (tmp_path / "out" / "spectrum_cache").exists()
 
 
 @pytest.mark.parametrize("command", ["nodal", "growth"])
@@ -492,25 +506,20 @@ def _leaves(default, where=()):
 
 _LEAVES = sorted([*_leaves(DEFAULT_CONFIG), (("metric", "params", "value"), 1.0)],
                  key=lambda leaf: leaf[0])
-_NULL_FLOAT_KEYS = {("tiling", "delta0")}   # eigen.maxiter is null or an int
-_HOSTILE = st.sampled_from([0, -1, math.nan])
-# a float key also gets 10^400, which no float holds; integer keys size the
-# work, so they never do
-_FLOAT_HOSTILE = st.sampled_from([0, -1, math.nan, 10 ** 400])
+# 10^400 is beyond every float and every int64
+_HOSTILE = st.sampled_from([0, -1, math.nan, 10 ** 400])
 
 
 @st.composite
 def _hostile_override(draw):
-    """One config key set to a hostile value: a string key to "", an integer
-    key to 0, -1 or NaN, a float key to one of those or 10^400, and a list
-    key to an empty or short list of float-key values."""
+    """One config key set to a hostile value: a string key to "", a number
+    key to 0, -1, NaN or 10^400, and a list key to an empty or short list of
+    those."""
     path, ref = draw(st.sampled_from(_LEAVES))
     if isinstance(ref, str):
         value = ""
     elif isinstance(ref, list):
-        value = draw(st.lists(_FLOAT_HOSTILE, max_size=2))
-    elif isinstance(ref, float) or path in _NULL_FLOAT_KEYS:
-        value = draw(_FLOAT_HOSTILE)
+        value = draw(st.lists(_HOSTILE, max_size=2))
     else:
         value = draw(_HOSTILE)
     override = value

@@ -297,12 +297,12 @@ def test_annulus_mass_matches_reference_rule():
                                     rel=1e-14, abs=0.0)
 
 
-# ------------------------------------------------------ blocked spline oracle
+# -------------------------------------------------------------- spline oracle
 
 
 def global_spline(values, pad=4):
-    """The spline periodic_spline is built from, evaluated by FITPACK over
-    the whole knot vector (a linear knot search per point)."""
+    """The spline periodic_spline is built from, evaluated by FITPACK one
+    point at a time over the whole knot vector (a linear knot search)."""
     from scipy.interpolate import RectBivariateSpline
     n = values.shape[0]
     idx = np.arange(-pad, n + pad + 1)
@@ -312,82 +312,126 @@ def global_spline(values, pad=4):
     return lambda x, y: sp.ev(np.asarray(x) % 1.0, np.asarray(y) % 1.0)
 
 
-def assert_blocked_matches_global(values, rng, n_random=20_000):
-    from ngl.schrodinger import _SPLINE_BLOCK, _SPLINE_SLICE, periodic_spline
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    num = ~np.isnan(want)       # the sign of a NaN carries nothing
+    assert np.array_equal(np.signbit(got[num]), np.signbit(want[num]))
+
+
+def assert_grid_matches_global(ev, ref, gx, gy):
+    # a column and a row take the tensor-grid path
+    gx = np.asarray(gx, dtype=float)[:, None]
+    gy = np.asarray(gy, dtype=float)[None, :]
+    assert_same_bits(ev(gx, gy), ref(*np.broadcast_arrays(gx, gy)))
+
+
+def assert_spline_matches_global(values, rng, n_random=40_000):
+    from ngl.schrodinger import _SPLINE_SLICE, periodic_spline
     ev = periodic_spline(values)
     ref = global_spline(values)
     n = values.shape[0]
-    # random points over the whole torus, in more than one routing slice
+    # random points over the whole torus, in more than one slice
     x, y = rng.random(n_random), rng.random(n_random)
     assert n_random > _SPLINE_SLICE
-    assert np.array_equal(ev(x, y), ref(x, y))
-    # every knot in [0, 1) and its neighbours, against a spread of the other
-    # coordinate, in both orders; knot interval l starts at (l - 6) / n, so
-    # the block edges l = 3 + 32 k sit at (32 k - 3) / n
+    assert_same_bits(ev(x, y), ref(x, y))
+    # every knot in [0, 1) and its neighbours one ulp away, against a spread
+    # of the other coordinate, in both orders
     knots = np.arange(-2, n + 3) * (1.0 / n)
-    edges = (np.arange(_SPLINE_BLOCK, n + 6, _SPLINE_BLOCK) - 3) * (1.0 / n)
-    assert np.isin(edges, knots).all() and edges.size >= 1
     pts = np.concatenate([knots, np.nextafter(knots, -np.inf),
                           np.nextafter(knots, np.inf),
                           [0.0, np.nextafter(1.0, 0.0), 0.5]])
     pts = pts[(pts >= 0.0) & (pts < 1.0)]
     other = rng.permutation(pts)
     for a, b in ((pts, other), (other, pts)):
-        assert np.array_equal(ev(a, b), ref(a, b))
-    # a small patch inside one block, and one straddling the seam corner
+        assert_same_bits(ev(a, b), ref(a, b))
+    # a small patch inside one knot cell, and one straddling the seam corner
     for cx, cy in ((0.37, 0.61), (0.0, 0.0)):
         px = cx + 2e-3 * (rng.random(500) - 0.5)
         py = cy + 2e-3 * (rng.random(500) - 0.5)
-        assert np.array_equal(ev(px, py), ref(px, py))
+        assert_same_bits(ev(px, py), ref(px, py))
     # coordinates outside [0, 1) wrap like the torus
     wx, wy = 6 * rng.random(300) - 3, 6 * rng.random(300) - 3
-    assert np.array_equal(ev(wx, wy), ref(wx, wy))
-    # scalars give floats, shapes broadcast, empty inputs stay empty
+    assert_same_bits(ev(wx, wy), ref(wx, wy))
+    # tensor grids: unsorted axes with n != m, duplicates, knot-exact values,
+    # axes across the seam, a one-point axis and empty axes
+    assert_grid_matches_global(ev, ref, rng.random(41), rng.random(29))
+    dup = rng.random(6)[rng.integers(0, 6, 40)]
+    assert_grid_matches_global(ev, ref, dup, rng.permutation(dup)[:17])
+    assert_grid_matches_global(ev, ref, rng.permutation(pts), pts[::3])
+    seam = np.concatenate([1e-3 * rng.standard_normal(30), [-1.0, 1.0, 2.5]])
+    assert_grid_matches_global(ev, ref, seam, 5 * rng.random(23) - 2)
+    assert_grid_matches_global(ev, ref, [0.3], rng.random(9))
+    for a, b in ((np.empty(0), rng.random(7)), (rng.random(7), np.empty(0))):
+        assert ev(a[:, None], b[None, :]).shape == (a.size, b.size)
+    # scalars give floats, other shapes broadcast, empty inputs stay empty
     got = ev(0.8125, 0.25)
     assert type(got) is float and got == float(ref(0.8125, 0.25))
-    bx, by = rng.random((5, 1)), rng.random((1, 7))
-    got = ev(bx, by)
-    assert got.shape == (5, 7)
-    want = ref(*np.broadcast_arrays(bx, by))
-    assert np.array_equal(got, want)
+    bx, by = rng.random((5, 1, 3)), rng.random((1, 7, 1))
+    assert_same_bits(ev(bx, by), ref(*np.broadcast_arrays(bx, by)))
     assert ev(np.empty(0), np.empty(0)).shape == (0,)
 
 
 @pytest.mark.parametrize("n", [37, 320])
-def test_blocked_spline_bit_identical_on_random_fields(n):
+def test_spline_bit_identical_on_random_fields(n):
     rng = np.random.default_rng(n)
-    assert_blocked_matches_global(rng.standard_normal((n, n)), rng)
+    assert_spline_matches_global(rng.standard_normal((n, n)), rng)
 
 
-def test_blocked_spline_bit_identical_on_wave_potential():
+def test_spline_bit_identical_on_wave_potential():
     # the potential spline of localize on a non-flat metric
     rng = np.random.default_rng(5)
-    assert_blocked_matches_global(make_metric("wave", 256).q, rng)
+    assert_spline_matches_global(make_metric("wave", 256).q, rng)
 
 
-def test_blocked_spline_nan_stays_local():
+def test_spline_bit_identical_where_products_underflow():
+    # one tiny sample: most products c * hx * hy underflow to signed zeros;
+    # the values, and the sign of every zero, are FITPACK's (whose sums
+    # start at +0.0, so no zero comes out negative)
+    from ngl.schrodinger import periodic_spline
+    values = np.zeros((64, 64))
+    values[10, 10] = -1e-300
+    rng = np.random.default_rng(3)
+    x, y = rng.random(5000), rng.random(5000)
+    got = periodic_spline(values)(x, y)
+    assert_same_bits(got, global_spline(values)(x, y))
+    assert (got == 0.0).any() and not np.signbit(got[got == 0.0]).any()
+
+
+def test_spline_nan_stays_local():
     from ngl.schrodinger import periodic_spline
     rng = np.random.default_rng(2)
     values = rng.standard_normal((200, 200))
     ev, ref = periodic_spline(values), global_spline(values)
     x = np.array([np.nan, 0.01, 0.99, 0.5, 0.995])
     y = np.array([0.3, np.nan, 0.5, 0.7, 0.993])
-    assert np.array_equal(ev(x, y), ref(x, y), equal_nan=True)
-    assert np.array_equal(ev(x[[0, 4]], y[[0, 4]]), ref(x[[0, 4]], y[[0, 4]]),
-                          equal_nan=True)
+    assert_same_bits(ev(x, y), ref(x, y))
+    assert_same_bits(ev(x[[0, 4]], y[[0, 4]]), ref(x[[0, 4]], y[[0, 4]]))
+    # a column and a row with non-finite entries cannot go to bispev (it
+    # needs sorted axes); they stay local on the per-point path
+    gx = np.array([0.2, np.nan, 0.7, np.inf, 0.4])[:, None]
+    gy = np.array([0.9, 0.1, -np.inf, 0.5])[None, :]
+    with np.errstate(invalid="ignore"):
+        got, want = ev(gx, gy), ref(*np.broadcast_arrays(gx, gy))
+    assert_same_bits(got, want)
+    assert np.isfinite(got[[0, 2, 4]][:, [0, 1, 3]]).all()
 
 
-def test_bivariate_spline_from_tck_round_trips():
-    """periodic_spline builds its blocks through this private scipy
-    constructor; a scipy without it must fail here, not in a pipeline."""
-    from scipy.interpolate import BivariateSpline, RectBivariateSpline
-    rng = np.random.default_rng(4)
-    coords = np.linspace(0.0, 1.0, 12)
-    sp = RectBivariateSpline(coords, coords, rng.standard_normal((12, 12)),
-                             kx=3, ky=3, s=0)
-    tx, ty, c = sp.tck
-    back = BivariateSpline._from_tck((tx, ty, c, 3, 3))
-    assert all(a is b for a, b in zip(back.tck, (tx, ty, c)))
-    assert tuple(back.degrees) == (3, 3)
-    x, y = rng.random(50), rng.random(50)
-    assert np.array_equal(back.ev(x, y), sp.ev(x, y))
+@pytest.mark.parametrize("fn", [lambda x, y: np.asarray(x),
+                                lambda x, y: 0.25],
+                         ids=["x-only", "constant"])
+def test_planar_grids_broadcast_to_full_grids(fn):
+    """The planar and core grids call fn on a column and a row; a field that
+    ignores an argument still gives the full, writable, C-contiguous grid."""
+    pf = planar_field_from_function(fn, planar_grid_n=33, normalize=False)
+    coords = np.linspace(-3.0, 3.0, 33)
+    X, Y = np.meshgrid(coords, coords, indexing="ij")
+    grid = pf.field.values
+    assert grid.shape == (33, 33) and grid.dtype == np.float64
+    assert grid.flags.c_contiguous and grid.flags.writeable
+    assert np.array_equal(grid, np.broadcast_to(fn(X, Y), (33, 33)))
+    core = core_field(pf, grid_n=17).values
+    coords = np.linspace(-1.0 / 48.0, 1.0 / 48.0, 17)
+    X, Y = np.meshgrid(coords, coords, indexing="ij")
+    assert core.flags.c_contiguous and core.flags.writeable
+    assert np.array_equal(core, np.broadcast_to(fn(X, Y), (17, 17)))
