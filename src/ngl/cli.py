@@ -176,6 +176,8 @@ _RULES = (
     ("harmonic.max_degree", lambda v: v >= 1,
      "harmonic.max_degree must be at least 1"),
     ("carleman.pairs", lambda v: v >= 1, "carleman.pairs must be positive"),
+    ("carleman.n_centers", lambda v: v >= 1,
+     "carleman.n_centers must be at least 1"),
     ("carleman.t_values", lambda v: len(v) > 0,
      "carleman.t_values must not be empty"),
     ("carleman.delta", lambda v: v > 0, "carleman.delta must be positive"),
@@ -280,40 +282,59 @@ def _build_metric(cfg, grid_n=None):
         raise ConfigError(str(exc)) from exc
 
 
-def _spectrum_cache_key(cfg):
-    return canonical_hash({"metric": cfg["metric"], "eigen": cfg["eigen"]})[:16]
+def _cache_dir(cfg, out_dir):
+    key = canonical_hash({"metric": cfg["metric"], "eigen": cfg["eigen"]})
+    return os.path.join(out_dir, "spectrum_cache", key[:16])
+
+
+def _cached_pairs(cache_dir, metric, count, index):
+    """The cached pairs 0 .. count (index None) or [the index-th nonconstant
+    one], picked from index.json by ``EigenPair.is_constant``'s rule; None
+    when index.json is missing, unreadable or short, or a file read is bad."""
+    from .eigen import EigenPair, _LAMBDA_ZERO_TOL
+    from .surface import TORUS, read_gfd
+    try:
+        with open(os.path.join(cache_dir, "index.json"), "r",
+                  encoding="ascii") as f:
+            entries = json.load(f)[:count + 1]
+        if len(entries) < count + 1:
+            return None
+        if index is not None:
+            entries = [e for e in entries
+                       if not float(e["lambda"]) <= _LAMBDA_ZERO_TOL]
+            if not 1 <= index <= len(entries):
+                return None
+            entries = [entries[index - 1]]
+        pairs = []
+        for entry in entries:
+            field = read_gfd(os.path.join(cache_dir, entry["file"]))
+            if field.grid_n != metric.grid_n or field.domain != TORUS:
+                return None
+            pairs.append(EigenPair(lam=float(entry["lambda"]), field=field,
+                                   residual=float(entry["residual"])))
+    except (OSError, ValueError, KeyError, TypeError, CorruptFileError):
+        return None
+    return pairs
 
 
 def _get_spectrum(cfg, out_dir, record=None):
     """Solve (or load from cache) the configured spectrum."""
-    from .eigen import Spectrum, EigenPair, analytic_spectrum, solve_spectrum
-    from .surface import TORUS, read_gfd, write_gfd
+    from .eigen import Spectrum, analytic_spectrum, solve_spectrum
+    from .surface import write_gfd
 
     metric = _build_metric(cfg)
-    cache_dir = os.path.join(out_dir, "spectrum_cache", _spectrum_cache_key(cfg))
+    cache_dir = _cache_dir(cfg, out_dir)
     index_path = os.path.join(cache_dir, "index.json")
     count = cfg["eigen"]["count"]
     status = "miss"
     if os.path.exists(index_path):
         # anything unreadable, short or of the wrong shape is recomputed
-        try:
-            with open(index_path, "r", encoding="ascii") as f:
-                index = json.load(f)
-            if len(index) < count + 1:
-                raise CorruptFileError(f"{index_path}: {len(index)} entries")
-            pairs = []
-            for entry in index[:count + 1]:
-                field = read_gfd(os.path.join(cache_dir, entry["file"]))
-                if field.grid_n != metric.grid_n or field.domain != TORUS:
-                    raise CorruptFileError(f"{entry['file']}: wrong grid")
-                pairs.append(EigenPair(lam=float(entry["lambda"]), field=field,
-                                       residual=float(entry["residual"])))
-        except (OSError, ValueError, KeyError, TypeError, CorruptFileError):
-            status = "recomputed"
-        else:
+        pairs = _cached_pairs(cache_dir, metric, count, None)
+        if pairs is not None:
             if record is not None:
                 record.constants["spectrum_cache"] = "hit"
             return metric, Spectrum(pairs=pairs, metric=metric)
+        status = "recomputed"
     if metric.is_flat and metric.q_plus == 1.0:   # the closed form solves it
         spectrum = analytic_spectrum(metric.grid_n, count)
         spectrum.metric = metric
@@ -343,9 +364,21 @@ def _indexed_pair(cfg, spectrum):
     return nonconst[idx - 1]
 
 
-def _localized_field(cfg, metric, spectrum):
+def _get_indexed_pair(cfg, out_dir):
+    """(metric, the pair ``localize.index`` names): on a cache hit read from
+    index.json and that pair's one file, otherwise from ``_get_spectrum``."""
+    metric = _build_metric(cfg)
+    pairs = _cached_pairs(_cache_dir(cfg, out_dir), metric,
+                          cfg["eigen"]["count"], cfg["localize"]["index"])
+    if pairs is not None:
+        return metric, pairs[0]
+    metric, spectrum = _get_spectrum(cfg, out_dir)
+    return metric, _indexed_pair(cfg, spectrum)
+
+
+def _localized_field(cfg, out_dir):
     from .schrodinger import localize
-    pair = _indexed_pair(cfg, spectrum)
+    metric, pair = _get_indexed_pair(cfg, out_dir)
     return pair, localize(pair, metric, tuple(cfg["localize"]["p"]),
                           k0=cfg["growth"]["k0"], eps0=cfg["localize"]["eps0"],
                           planar_grid_n=cfg["localize"]["planar_grid_n"])
@@ -448,8 +481,7 @@ def cmd_thm1(cfg, out_dir, record):
 
 def cmd_localize(cfg, out_dir, record):
     from .surface import write_gfd
-    metric, spectrum = _get_spectrum(cfg, out_dir)
-    pair, pf = _localized_field(cfg, metric, spectrum)
+    pair, pf = _localized_field(cfg, out_dir)
     f_path = os.path.join(out_dir, "localized_field.gfd")
     write_gfd(pf.field, f_path)
     record.add_artifact(f_path, out_dir)
@@ -470,8 +502,7 @@ def cmd_tile(cfg, out_dir, record):
     from .svg import tiling_svg
     from .tiling import (coverage_check, level_counts, run_tiling,
                          slow_square_budgets, tiling_to_csv, total_bound_report)
-    metric, spectrum = _get_spectrum(cfg, out_dir)
-    _, pf = _localized_field(cfg, metric, spectrum)
+    _, pf = _localized_field(cfg, out_dir)
     state = run_tiling(pf, delta0=cfg["tiling"]["delta0"],
                        m_threshold=cfg["schrodinger"]["m_threshold"],
                        a=cfg["schrodinger"]["a"], k_max=cfg["tiling"]["k_max"])
@@ -505,8 +536,7 @@ def cmd_tile(cfg, out_dir, record):
 def cmd_rapid(cfg, out_dir, record):
     from .schrodinger import count_rapid_disks, rapid_rows_to_csv
     from .svg import disk_config_svg
-    metric, spectrum = _get_spectrum(cfg, out_dir)
-    _, pf = _localized_field(cfg, metric, spectrum)
+    _, pf = _localized_field(cfg, out_dir)
     rep = count_rapid_disks(pf, cfg["schrodinger"]["delta"],
                             cfg["schrodinger"]["m_threshold"],
                             a=cfg["schrodinger"]["a"])
@@ -535,8 +565,7 @@ def cmd_crofton(cfg, out_dir, record):
         curve = synthetic_circle()
     else:   # eigenfunction
         from .nodal import extract_nodal_set
-        metric, spectrum = _get_spectrum(cfg, out_dir)
-        curve = extract_nodal_set(_indexed_pair(cfg, spectrum).field)
+        curve = extract_nodal_set(_get_indexed_pair(cfg, out_dir)[1].field)
     fn = disk_average_length if c["kernel"] == "disk" else circle_count_length
     est = fn(curve, c["r"], c["samples"], seed=c["seed"])
     out = {"value": est.value, "stderr": est.stderr, "samples": est.samples}

@@ -493,13 +493,13 @@ _CALLABLE_RADII = 96   # concentric rings of a callable's disk scan
 
 
 def _callable_sup_disk(fn, center, r):
-    radii = np.linspace(0.0, r, _CALLABLE_RADII)
-    best = float(np.abs(np.asarray(fn(center[0], center[1]))).max())
+    """max |fn| over the center and 95 rings out to r, in one call of fn."""
     step = max(r / _CALLABLE_RADII, 1e-12)
-    for rad in radii[1:]:
-        rx, ry = _ring_points(center, rad, step, min_angles=96)
-        best = max(best, float(np.max(np.abs(fn(rx, ry)))))
-    return best
+    rings = [_ring_points(center, rad, step, min_angles=96)
+             for rad in np.linspace(0.0, r, _CALLABLE_RADII)[1:]]
+    xs = np.concatenate([[center[0]]] + [rx for rx, _ in rings])
+    ys = np.concatenate([[center[1]]] + [ry for _, ry in rings])
+    return float(np.max(np.abs(fn(xs, ys))))
 
 
 def _as_evaluator(fieldlike):
@@ -524,8 +524,8 @@ def sup_on_disk(fieldlike, center, r):
     maximum principle on each (harmonic) bilinear cell is where the
     interpolant's sup lies.  Objects exposing an ``evaluate`` callable (and
     bare callables) are scanned on dense polar rasters that include the
-    boundary exactly.  Geodesic disks go through ``growth.growth_exponent``
-    with a metric.
+    boundary exactly, in one call; a NaN at any scanned point makes the sup
+    NaN.  Geodesic disks go through ``growth.growth_exponent`` with a metric.
     """
     ev = _as_evaluator(fieldlike)
     if ev is not None:
@@ -556,16 +556,25 @@ def polar_quadrature(center, r_inner, r_outer, n_radial, n_angular):
     """Gauss-Legendre (radial) x trapezoid (angular) rule on an annulus.
 
     Returns points ``(px, py)`` of shape (n_radial, n_angular) and weights
-    ``w`` of shape (n_radial, 1) that broadcast against them; a disk is the
-    annulus with ``r_inner = 0``.
+    ``w`` of shape (n_radial, 1) that broadcast against them (read-only,
+    shared between calls); a disk is the annulus with ``r_inner = 0``.
     """
+    ox, oy, w = _polar_offsets(float(r_inner), float(r_outer), n_radial,
+                               n_angular)
+    return center[0] + ox, center[1] + oy, w
+
+
+@functools.lru_cache(maxsize=8)
+def _polar_offsets(r_inner, r_outer, n_radial, n_angular):
+    """Read-only node offsets and weights of the annulus at any center."""
     nodes, weights, cos_th, sin_th = _polar_tables(n_radial, n_angular)
     rad = 0.5 * (r_outer - r_inner) * nodes + 0.5 * (r_outer + r_inner)
     wr = 0.5 * (r_outer - r_inner) * weights
-    px = center[0] + rad[:, None] * cos_th[None, :]
-    py = center[1] + rad[:, None] * sin_th[None, :]
-    w = (rad * wr)[:, None] * (2 * np.pi / n_angular)
-    return px, py, w
+    offsets = (rad[:, None] * cos_th[None, :], rad[:, None] * sin_th[None, :],
+               (rad * wr)[:, None] * (2 * np.pi / n_angular))
+    for arr in offsets:
+        arr.flags.writeable = False
+    return offsets
 
 
 def lq_norm_on_disk(fieldlike, center, r, qexp):

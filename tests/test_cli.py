@@ -139,6 +139,67 @@ def test_corrupt_spectrum_cache_is_recomputed(tmp_path, damage):
     assert run("spectrum", cfg).constants["spectrum_cache"] == "hit"
 
 
+def _localized_config(out_dir):
+    # k0 = 1 lets a 160 grid resolve the rescaled patch of pair 2; eps0 admits
+    # the potential (k0 tau)^2 = 0.16 this gives
+    return small_config(out_dir, metric={"grid_n": 160}, eigen={"count": 4},
+                        growth={"k0": 1.0},
+                        localize={"planar_grid_n": 64, "eps0": 0.2},
+                        tiling={"core_grid_n": 65, "k_max": 2},
+                        crofton={"curve": "eigenfunction", "samples": 2000})
+
+
+def _used_cache_file(out_dir):
+    """The cache file of the pair localize.index (2) names, and index.json."""
+    index_path = next(out_dir.glob("spectrum_cache/*/index.json"))
+    entries = json.loads(index_path.read_text())
+    return index_path.parent / [e["file"] for e in entries
+                                if e["lambda"] > 1e-6][1], index_path
+
+
+def _outputs(root):
+    return {k: v for k, v in _tree_bytes(root).items()
+            if not k.startswith("spectrum_cache")
+            and k not in ("spectrum.json", "record_spectrum.json")}
+
+
+@pytest.mark.parametrize("command", ["localize", "tile", "rapid", "crofton"])
+def test_localized_commands_read_only_their_cached_pair(tmp_path, monkeypatch,
+                                                       command):
+    import ngl.surface
+    fresh, hit = tmp_path / "fresh", tmp_path / "hit"
+    run(command, _localized_config(fresh))       # solves and fills the cache
+    cfg = _localized_config(hit)
+    run("spectrum", cfg)
+    used, index_path = _used_cache_file(hit)
+    for path in hit.glob("spectrum_cache/*/*.gfd"):
+        if path != used:
+            _truncate(path)
+    index_stat = index_path.stat()
+    reads = []
+    read_gfd = ngl.surface.read_gfd
+    monkeypatch.setattr(ngl.surface, "read_gfd",
+                        lambda path: reads.append(path) or read_gfd(path))
+    run(command, cfg)
+    assert reads == [str(used)]
+    assert _outputs(hit) == _outputs(fresh)
+    # the cache was neither rewritten nor mended
+    assert index_path.stat().st_mtime_ns == index_stat.st_mtime_ns
+    assert all(len(p.read_bytes()) < len((fresh / p.relative_to(hit)).read_bytes())
+               for p in hit.glob("spectrum_cache/*/*.gfd") if p != used)
+
+
+@pytest.mark.parametrize("damage", [_truncate, _wrong_grid, _garbage_header])
+def test_damaged_used_pair_is_recomputed(tmp_path, damage):
+    fresh, damaged = tmp_path / "fresh", tmp_path / "damaged"
+    for out in (fresh, damaged):
+        run("localize", _localized_config(out))
+    used, _ = _used_cache_file(damaged)
+    damage(used)
+    run("localize", _localized_config(damaged))
+    assert _tree_bytes(damaged) == _tree_bytes(fresh)
+
+
 def test_crofton_command_json(tmp_path):
     cfg = small_config(tmp_path / "out",
                        crofton={"kernel": "circle", "curve": "segment",
@@ -289,6 +350,8 @@ def test_all_command_aggregates(tmp_path):
     ('{"carleman": {"t_values": []}}', "carleman.t_values must not be empty"),
     ('{"carleman": {"delta": 0.0}}', "carleman.delta must be positive"),
     ('{"carleman": {"delta": -1e-3}}', "carleman.delta must be positive"),
+    ('{"carleman": {"n_centers": 0}}', "carleman.n_centers must be at least 1"),
+    ('{"carleman": {"n_centers": -1}}', "carleman.n_centers must be at least 1"),
     ('{"crofton": {"samples": 1}}', "crofton.samples must be at least 2"),
     ('{"crofton": {"samples": 0}}', "crofton.samples must be at least 2"),
     ('{"crofton": {"seed": -1}}', "crofton.seed must lie in [0, 2^64)"),

@@ -178,6 +178,61 @@ def test_sup_monotone_in_region():
         assert s1 <= s2 + 1e-12
 
 
+def reference_callable_sup(fn, center, r):
+    """The callable disk scan with one call per ring, folded by Python's
+    max (which skips a NaN after the center)."""
+    from ngl.surface import _CALLABLE_RADII, _ring_points
+    radii = np.linspace(0.0, r, _CALLABLE_RADII)
+    best = float(np.abs(np.asarray(fn(center[0], center[1]))).max())
+    step = max(r / _CALLABLE_RADII, 1e-12)
+    for rad in radii[1:]:
+        rx, ry = _ring_points(center, rad, step, min_angles=96)
+        best = max(best, float(np.max(np.abs(fn(rx, ry)))))
+    return best
+
+
+def rapid_field(degree):
+    def field(x, y):
+        z = 60.0 * (np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float))
+        return np.real(z ** degree)
+    return field
+
+
+@pytest.fixture(scope="module")
+def localized_spline():
+    """The localized planar field of the flat spectrum's pair 2 at p = (0, 0)."""
+    from ngl.eigen import analytic_spectrum
+    from ngl.schrodinger import localize
+    metric = make_metric("flat", 320)
+    pair = analytic_spectrum(320, 3).nonconstant()[1]
+    return localize(pair, metric, (0.0, 0.0), planar_grid_n=64).evaluate
+
+
+@pytest.mark.parametrize("field", ["spline", 38, 42])
+@pytest.mark.parametrize("r", [3.0, 2.5, 0.25])
+def test_callable_sup_equals_per_ring_scan(localized_spline, field, r):
+    fn = localized_spline if field == "spline" else rapid_field(field)
+    calls = []
+
+    def counted(x, y):
+        calls.append(np.size(x))
+        return fn(x, y)
+
+    got = sup_on_disk(counted, (0.0, 0.0), r)
+    assert got == reference_callable_sup(fn, (0.0, 0.0), r)
+    assert len(calls) == 1 and calls[0] > 95 * 96
+
+
+def test_callable_sup_propagates_nan_anywhere():
+    # (0.5, 0) is the angle-0 point of the boundary ring
+    off_center = lambda x, y: np.where((x == 0.5) & (y == 0.0), np.nan, 1.0)
+    assert reference_callable_sup(off_center, (0.0, 0.0), 0.5) == 1.0
+    assert np.isnan(sup_on_disk(off_center, (0.0, 0.0), 0.5))
+    at_center = lambda x, y: np.where((x == 0.0) & (y == 0.0), np.nan, 1.0)
+    assert np.isnan(reference_callable_sup(at_center, (0.0, 0.0), 0.5))
+    assert np.isnan(sup_on_disk(at_center, (0.0, 0.0), 0.5))
+
+
 _OVERSAMPLE = 4
 
 
@@ -372,6 +427,41 @@ def test_polar_quadrature_tables_cached_read_only():
     for arr in tables:
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def reference_polar(center, r_inner, r_outer, n_radial, n_angular):
+    """polar_quadrature's rule with fresh nodes, offsets and weights."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_radial)
+    rad = 0.5 * (r_outer - r_inner) * nodes + 0.5 * (r_outer + r_inner)
+    wr = 0.5 * (r_outer - r_inner) * weights
+    th = np.arange(n_angular) * (2 * np.pi / n_angular)
+    return (center[0] + rad[:, None] * np.cos(th)[None, :],
+            center[1] + rad[:, None] * np.sin(th)[None, :],
+            (rad * wr)[:, None] * (2 * np.pi / n_angular))
+
+
+@pytest.mark.parametrize("nodes", [(24, 512), (48, 512), (64, 512)])
+@pytest.mark.parametrize("r_inner, r_outer", [
+    (0, 0.37), (1, 2.5), (np.float64(7e-5), np.float64(9e-5))])
+def test_polar_quadrature_equals_uncached_rule(nodes, r_inner, r_outer):
+    for center in [(0.0, 0.0), (-0.013, 0.004), (0.3, 0.7)]:
+        for _ in range(2):   # the second call is served from the cache
+            got = polar_quadrature(center, r_inner, r_outer, *nodes)
+            want = reference_polar(center, r_inner, r_outer, *nodes)
+            for g, h in zip(got, want):
+                assert g.shape == h.shape and np.array_equal(g, h)
+
+
+def test_polar_offsets_cache_is_read_only_and_bounded():
+    from ngl.surface import _polar_offsets
+    for k in range(3 * _polar_offsets.cache_info().maxsize):
+        px, py, w = polar_quadrature((0.1, 0.2), 0.0, 0.01 * (k + 1), 24, 512)
+        with pytest.raises(ValueError):
+            w[0, 0] = 0.0
+        for arr in _polar_offsets(0.0, 0.01 * (k + 1), 24, 512):
+            assert not arr.flags.writeable
+    info = _polar_offsets.cache_info()
+    assert info.maxsize <= 8 and info.currsize <= info.maxsize
 
 
 def test_callable_lq_matches_reference_rule():
