@@ -16,8 +16,8 @@ import numpy as np
 from .errors import EmptyRegionError, InfiniteGrowthError, ResolutionError
 from .eigen import EigenPair, Spectrum
 from .nodal import extract_nodal_set, nodal_length
-from .surface import (TORUS, ConformalMetric, GridField, _fast_march,
-                      _sup_disks_flat, lq_norm_on_disk, sup_on_disk)
+from .surface import (TORUS, ConformalMetric, GridField, _sup_disks_flat,
+                      _swept_distances, lq_norm_on_disk, sup_on_disk)
 
 _BETA_FLOOR = 1e-9  # interpolation noise floor on nested sups
 
@@ -51,8 +51,8 @@ def growth_exponent(field, center, r, alpha, metric: ConformalMetric | None = No
                 and field.grid_n == metric.grid_n):
             raise TypeError("geodesic-disk sup needs a torus grid field on "
                             "the metric's grid")
-        [(outer, inner)] = _geodesic_disk_sups([field.values], metric, center,
-                                               [r], alpha)
+        [[[outer], [inner]]] = _geodesic_disk_sups([field.values], metric,
+                                                   center, [r], alpha)
     else:
         scale = 1.0 if metric is None else 1.0 / np.sqrt(metric.q_plus)
         outer = sup_on_disk(field, center, r * scale)
@@ -88,20 +88,15 @@ def _refine(a):
             + a01 * (1 - _FX) * _FY + a11 * _FX * _FY)
 
 
-def _local_metric_sups(values, dist, ic, jc, half, radii):
+def _local_metric_sups(values, dist, radii):
     """Sups of |values| over {dist <= rad}, rad in radii, on the 4x refined
-    lattice over the cells within ``half`` of (ic, jc): both fields are
-    refined once, on that window only."""
-    n = values.shape[0]
-    span = np.arange(2 * half + 2) - half
-    block = np.ix_((ic + span) % n, (jc + span) % n)
-    d = dist[block]
-    d[~np.isfinite(d)] = 1e18
-    dd = _refine(d)
+    lattice over the cells of a window block: both blocks hold the nodes at
+    offsets -half .. half + 1 from the center's cell, and are refined once."""
+    dd = _refine(np.where(np.isfinite(dist), dist, 1e18))
     # the lattice ends at offset +half: no phases past the last row / column
     dd[1:, :, -1, :] = np.inf
     dd[:, 1:, :, -1] = np.inf
-    absval = np.abs(_refine(values[block]))
+    absval = np.abs(_refine(values))
     sups = []
     for rad in radii:
         keep = dd <= rad
@@ -112,34 +107,26 @@ def _local_metric_sups(values, dist, ic, jc, half, radii):
     return sups
 
 
-def _geodesic_disk_sups(fields, metric, p, radii, alpha):
+def _geodesic_disk_sups(fields, metric, points, radii, alpha):
     """Sups of |fields[k]| over the geodesic disks of radii radii[k] and
-    alpha radii[k] at p, as (outer, inner) pairs.
+    alpha radii[k] at each point: entry [k, 0, c] is the outer sup at
+    points[c], and [k, 1, c] the inner one.
 
-    Each disk needs a fast march stopped past its radius and windowed to the
-    Euclidean hull of the disk (a geodesic r-disk lies within
-    r / sqrt(q_minus) of p).  One march to the largest radius returns the
-    smaller radii's marches as snapshots; a radius whose snapshot the march
-    cannot certify is marched again on its own.
+    Each disk needs distances stopped at 1.05 times its radius in the
+    window of its Euclidean hull (a geodesic r-disk lies within
+    r / sqrt(q_minus) of p): ``_swept_distances`` gives every radius from
+    one sweep per batch of points.
     """
-    n = metric.grid_n
-    halves = [int(np.ceil(r / np.sqrt(metric.q_minus) / metric.spacing)) + 3
-              for r in radii]
-    requests = [(1.05 * r, half + 1) for r, half in zip(radii, halves)]
-    dists = [None] * len(radii)
-    pending = sorted(range(len(radii)), key=lambda k: radii[k])
-    while pending:
-        *rest, top = pending
-        stop, window = requests[top]
-        dists[top], snaps = _fast_march(metric, p, stop_radius=stop, window=window,
-                                        snapshots=[requests[k] for k in rest])
-        for k, snap in zip(rest, snaps):
-            dists[k] = snap
-        pending = [k for k in rest if dists[k] is None]
-    ic = int(np.floor(p[0] * n))
-    jc = int(np.floor(p[1] * n))
-    return [_local_metric_sups(values, dist, ic, jc, half, (r, alpha * r))
-            for values, dist, half, r in zip(fields, dists, halves, radii)]
+    disks = [(int(np.ceil(r / np.sqrt(metric.q_minus) / metric.spacing)) + 3,
+              1.05 * r) for r in radii]
+    points = np.reshape(points, (-1, 2))
+    sups = np.empty((len(fields), 2, len(points)))
+    for lo, k, dist, rows, cols in _swept_distances(metric, points, disks):
+        for b in range(len(dist)):
+            sups[k, :, lo + b] = _local_metric_sups(
+                fields[k][rows[b, 1:, None], cols[b, None, 1:]],
+                dist[b, 1:, 1:], (radii[k], alpha * radii[k]))
+    return sups
 
 
 def disk_grid_need(lam, metric, k0):
@@ -170,7 +157,8 @@ def growth_fields(pairs: list[EigenPair], metric: ConformalMetric, k0=0.5,
     points (i / m, j / m), i major, and ``betas[k, c]`` is the exponent of
     ``pairs[k]`` at ``centers[c]``.  Every disk radius must span 10 grid
     cells, otherwise the sup ratio is interpolation noise and the call is
-    rejected.  On a curved metric each center is marched once for all pairs.
+    rejected.  On a curved metric one distance sweep per batch of centers
+    serves every pair.
     """
     # largest lambda first, so that the grid_n a failure quotes resolves all
     for pair in sorted(pairs, key=lambda pair: -pair.lam):
@@ -179,9 +167,9 @@ def growth_fields(pairs: list[EigenPair], metric: ConformalMetric, k0=0.5,
     grid = np.arange(m) / m
     centers = np.stack([np.repeat(grid, m), np.tile(grid, m)], axis=1)
     radii = [k0 / np.sqrt(pair.lam) for pair in pairs]
-    outer = np.empty((len(pairs), m * m))
-    inner = np.empty_like(outer)
     if metric.is_flat:
+        outer = np.empty((len(pairs), m * m))
+        inner = np.empty_like(outer)
         for k, (pair, r_metric) in enumerate(zip(pairs, radii)):
             r = r_metric / np.sqrt(metric.q_plus)  # Euclidean radius of the metric disk
             n = pair.field.grid_n
@@ -190,10 +178,9 @@ def growth_fields(pairs: list[EigenPair], metric: ConformalMetric, k0=0.5,
             inner[k] = _sup_disks_flat(pair.field.values, centers_idx,
                                        metric.alpha0 * r * n)
     else:
-        fields = [pair.field.values for pair in pairs]
-        for c, p in enumerate(centers):
-            sups = _geodesic_disk_sups(fields, metric, p, radii, metric.alpha0)
-            outer[:, c], inner[:, c] = np.reshape(sups, (len(pairs), 2)).T
+        sups = _geodesic_disk_sups([pair.field.values for pair in pairs],
+                                   metric, centers, radii, metric.alpha0)
+        outer, inner = sups[:, 0], sups[:, 1]
     return centers, _log_ratio(outer, inner)
 
 

@@ -8,23 +8,23 @@ evaluation over Euclidean disks.  A torus grid field's sup over Euclidean
 disks has one kernel, ``_sup_disks_flat``, for one center or many: the
 lattice points in the disk plus a dense bilinear ring on the circle.  Each
 cell's interpolant is bilinear, hence harmonic, so the maximum principle puts
-its sup at one or the other.  The geodesic distance solver (fast marching)
-lives here too; geodesic-disk sups are taken in ``growth``.
+its sup at one or the other.  The geodesic distance solver lives here too:
+Gauss-Seidel fast sweeping of the first-order upwind update, on the windows
+of a stack of centers at once; geodesic-disk sups are taken in ``growth``.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptFileError, EmptyRegionError
+from .errors import (ConvergenceError, CorruptFileError, EmptyRegionError,
+                     ResolutionError)
 
 TORUS = "torus"
 PLANAR = "planar"
@@ -243,7 +243,7 @@ def make_metric(profile="flat", grid_n=256, /, **params) -> ConformalMetric:
 
 
 # --------------------------------------------------------------------------
-# flat-torus distance and geodesic distance (first-order fast marching)
+# flat-torus distance and geodesic distance (first-order fast sweeping)
 
 
 def flat_torus_distance(p, x, y):
@@ -255,152 +255,103 @@ def flat_torus_distance(p, x, y):
     return np.hypot(dx, dy)
 
 
-_SEED_REACH = 3   # cells around the source seeded with the straight-line length
+_SEED_REACH = 3         # cells around the source given straight-line lengths
+_SWEEP_PASSES = 16      # Gauss-Seidel passes before a sweep is declared stuck
+_SWEEP_NODES = 1 << 19  # nodes per swept stack of points: bounds its memory
 
 
-def _fast_march(metric: ConformalMetric, p, stop_radius=None, window=None,
-                snapshots=None):
-    """March outward from p solving |grad d| = sqrt(q) with 4-neighbor upwind.
+def _upwind(a, b, w):
+    """First-order upwind solve of |grad d| = w from the smaller neighbor
+    value along each axis, a and b (elementwise; +inf where both are)."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    with np.errstate(invalid="ignore"):   # inf - inf, and sqrt where unused
+        gap = hi - lo
+        both = 0.5 * (lo + hi + np.sqrt(2.0 * w * w - gap * gap))
+    return np.where(gap >= w, lo + w, both)
 
-    Returns the full n x n distance array (entries not reached before
-    ``stop_radius`` are +inf).  ``window`` restricts marching to indices
-    within that half-width (in cells) of p, for wavelength-local queries.
 
-    ``snapshots`` lists ``(stop, window)`` requests, each at most
-    ``stop_radius`` and ``window``; the call then returns ``(dist, snaps)``.
-    The march pops nodes in increasing distance and expands none past its
-    stop, so a march stopped at ``stop`` is this one frozen at its first pop
-    beyond ``stop``.  ``snaps[k]`` is the distance array at that pop: exactly
-    what the call with ``stop_radius=stop, window=window`` returns, provided
-    every node expanded up to then lies strictly inside the smaller window
-    (so neither march touched a node outside it).  Where that does not hold,
-    ``snaps[k]`` is None.
+def _swept_distances(metric: ConformalMetric, points, disks):
+    """Geodesic distances |grad d| = sqrt(q) from each point, as a fast
+    march stopped at ``stop`` in the window of Chebyshev ``half + 1`` around
+    the point's cell leaves them, per (half, stop) in ``disks``: yields
+    ``(lo, k, d, rows, cols)``, d[b] the distances from points[lo + b] on
+    the (2 half + 3)^2 grid nodes (rows[b], cols[b]) centered on its cell.
+    Nodes within ``stop``, their 4-neighbors and the 7 x 7 seeds (at their
+    straight-line length) keep their distance; all others are +inf.
+
+    One Gauss-Seidel fast sweep (Zhao, Math. Comp. 74 (2005)) of the upwind
+    update per batch serves every disk, on a stack in the largest window
+    with a +inf ring.  A pass sweeps the four orders (i, j ascending or
+    descending) diagonal by diagonal: a diagonal's nodes are not neighbors,
+    so updating one at once (a strided slice of the flat stack) is the
+    sequential order.  Passes repeat until one Jacobi update of the whole
+    stack changes no value.  A window that would meet itself around the
+    torus is rejected.
     """
-    n = metric.grid_n
-    h = metric.spacing
-    px, py = float(p[0]) % 1.0, float(p[1]) % 1.0
-    ic = int(np.floor(px * n))
-    jc = int(np.floor(py * n))
-
-    def full(w):
-        return w is None or 2 * int(w) + 1 >= n
-
-    # The march runs on a local square of side `side` held in flat Python
-    # lists: the whole torus (neighbors wrap), or the window (widened to the
-    # seeds) plus a border of +inf cells that is never written.
-    wrap = full(window)
-    if wrap:
-        side, lo_i, lo_j, half = n, 0, 0, n
-    else:
-        half = int(window)
-        reach = max(half, _SEED_REACH)
-        side = 2 * reach + 3
-        lo_i, lo_j = ic - reach - 1, jc - reach - 1
-    rows = (lo_i + np.arange(side)) % n
-    cols = (lo_j + np.arange(side)) % n
-    # Chebyshev offset from the center cell, as the torus-centered offset
-    off_i = (rows - ic + n // 2) % n - n // 2
-    off_j = (cols - jc + n // 2) % n - n // 2
-    cheb = np.maximum(np.abs(off_i)[:, None], np.abs(off_j)[None, :])
-    # 0: open, 1: accepted, 2: outside the window (never updated)
-    status = np.where(cheb <= half, 0, 2).ravel().tolist()
-    cheb = cheb.ravel().tolist()
-    # (d, i, j) heap order as (d, i * n + j), with the local index riding along
-    keys = (rows[:, None] * n + cols[None, :]).ravel().tolist()
+    if not disks:
+        return
+    n, h = metric.grid_n, metric.spacing
+    reach = max(half for half, _ in disks) + 1
+    if 2 * reach + 1 >= n:
+        raise ResolutionError(f"a geodesic disk's {2 * reach + 1}-cell window "
+                              f"wraps the {n}-cell torus; decrease growth.k0 "
+                              f"or the growth.k0_sweep entry")
+    pts = np.asarray(points, dtype=float).reshape(-1, 2) % 1.0
+    cells = np.floor(pts * n).astype(np.int64)
     sq = np.sqrt(metric.q)
-    weights = (sq[np.ix_(rows, cols)] * h).ravel().tolist()
-    loc = np.arange(side * side).reshape(side, side)
-    down = np.roll(loc, -1, axis=0).ravel().tolist()    # (i + 1, j)
-    up = np.roll(loc, 1, axis=0).ravel().tolist()       # (i - 1, j)
-    right = np.roll(loc, -1, axis=1).ravel().tolist()   # (i, j + 1)
-    left = np.roll(loc, 1, axis=1).ravel().tolist()     # (i, j - 1)
-    dist = [math.inf] * (side * side)
+    side = 2 * reach + 3
+    span = np.arange(side) - reach - 1
+    seeds = slice(reach + 1 - _SEED_REACH, reach + 2 + _SEED_REACH)
 
-    # Exact local seeding: the metric is smooth, so within a couple of cells
-    # of the source the distance is the straight-line length element.
-    sq_p = float(np.sqrt(metric.q_at(px, py)))
-    span = np.arange(-_SEED_REACH, _SEED_REACH + 1)
-    si = (ic + span) % n
-    sj = (jc + span) % n
-    d_flat = flat_torus_distance((px, py), (si * h)[:, None], (sj * h)[None, :])
-    d0 = 0.5 * (sq_p + sq[np.ix_(si, sj)]) * d_flat
-    seeds = (((span - lo_i + ic) % n)[:, None] * side
-             + ((span - lo_j + jc) % n)[None, :]).ravel().tolist()
-    heap = []
-    for k, d in zip(seeds, d0.ravel().tolist()):
-        dist[k] = d
-        heap.append((d, keys[k], k))
-    heapq.heapify(heap)
+    # flat indices of the interior; the diagonals of its four sweep orders,
+    # each with the slices of its (i -+ 1, j) and (i, j -+ 1) neighbors
+    idx = np.arange(side * side).reshape(side, side)[1:-1, 1:-1]
+    offsets = range(3 - side, side - 2)
+    anti = [(d[0], d[-1] + 1, side - 1)     # i + j ascending
+            for d in (np.fliplr(idx).diagonal(o) for o in offsets[::-1])]
+    main = [(d[0], d[-1] + 1, side + 1)     # i - j descending
+            for d in (idx.diagonal(o) for o in offsets)]
+    order = [[slice(a + off, b + off, step) for off in (0, -side, side, -1, 1)]
+             for a, b, step in anti + main + anti[::-1] + main[::-1]]
 
-    stop = math.inf if stop_radius is None else float(stop_radius)
-    requests = [(float(s), w) for s, w in snapshots or ()]
-    if any(s > stop or (not wrap and (full(w) or int(w) > half))
-           for s, w in requests):
-        raise ValueError("a snapshot may not exceed the march's stop radius "
-                         "or window")
-    # requests in increasing stop; taken[k] = (dist, reached) at its freeze
-    order = sorted(range(len(requests)), key=lambda k: requests[k][0])
-    taken = [None] * len(requests)
-    pending = 0
-    next_stop = requests[order[0]][0] if order else math.inf
-    reached = 0         # largest Chebyshev offset of an expanded node
+    batch = max(1, _SWEEP_NODES // side ** 2)
+    for lo in range(0, len(pts), batch):
+        px, py = pts[lo:lo + batch, :1, None], pts[lo:lo + batch, 1:, None]
+        rows, cols = (cells[lo:lo + batch].T[:, :, None] + span) % n
+        w = sq[rows[:, :, None], cols[:, None, :]] * h
+        dist = np.full(w.shape, np.inf)
+        si, sj = rows[:, seeds, None], cols[:, None, seeds]
+        d_flat = flat_torus_distance((px, py), si * h, sj * h)
+        sq_p = np.sqrt(metric.q_at(px, py))
+        dist[:, seeds, seeds] = 0.5 * (sq_p + sq[si, sj]) * d_flat
 
-    sqrt = math.sqrt
-    heappop, heappush = heapq.heappop, heapq.heappush
-    while heap:
-        d, _, k = heappop(heap)
-        if status[k] == 1:
-            continue
-        while d > next_stop:
-            taken[order[pending]] = (dist[:], reached)
-            pending += 1
-            next_stop = (requests[order[pending]][0]
-                         if pending < len(order) else math.inf)
-        status[k] = 1
-        if d > stop:
-            continue
-        if cheb[k] > reached:
-            reached = cheb[k]
-        for nb in (down[k], up[k], right[k], left[k]):
-            if status[nb]:
-                continue
-            a = dist[down[nb]]
-            x = dist[up[nb]]
-            if x < a:
-                a = x
-            b = dist[right[nb]]
-            x = dist[left[nb]]
-            if x < b:
-                b = x
-            # first-order upwind solve of |grad d| = w from a and b
-            w = weights[nb]
-            if a > b:
-                a, b = b, a
-            if b - a >= w:
-                cand = a + w
-            else:
-                cand = 0.5 * (a + b + sqrt(2.0 * w * w - (b - a) ** 2))
-            if cand < dist[nb]:
-                dist[nb] = cand
-                heappush(heap, (cand, keys[nb], nb))
+        flat, flat_w = dist.reshape(len(w), -1), w.reshape(len(w), -1)
+        for _ in range(_SWEEP_PASSES):
+            for node, up, down, left, right in order:
+                cand = _upwind(np.minimum(flat[:, up], flat[:, down]),
+                               np.minimum(flat[:, left], flat[:, right]),
+                               flat_w[:, node])
+                np.fmin(flat[:, node], cand, out=flat[:, node])
+            cand = _upwind(np.minimum(dist[:, :-2, 1:-1], dist[:, 2:, 1:-1]),
+                           np.minimum(dist[:, 1:-1, :-2], dist[:, 1:-1, 2:]),
+                           w[:, 1:-1, 1:-1])
+            if not np.any(cand < dist[:, 1:-1, 1:-1]):
+                break
+        else:
+            raise ConvergenceError(f"geodesic distance sweep still changing "
+                                   f"after {_SWEEP_PASSES} passes")
 
-    def to_grid(values):
-        out = np.full((n, n), np.inf)
-        inner = slice(0, side) if wrap else slice(1, side - 1)
-        out[np.ix_(rows[inner], cols[inner])] = (
-            np.array(values, dtype=float).reshape(side, side)[inner, inner])
-        return out
-
-    result = to_grid(dist)
-    if snapshots is None:
-        return result
-    snaps = []
-    for (_, w), frozen in zip(requests, taken):
-        values, seen = frozen or (dist, reached)
-        # the same window (or the whole torus) needs no check
-        same = full(w) or (not wrap and int(w) == half)
-        snaps.append(to_grid(values) if same or seen < int(w) else None)
-    return result, snaps
+        for k, (half, stop) in enumerate(disks):
+            window = slice(reach - half, reach + half + 3)
+            d = dist[:, window, window]
+            near = np.pad(d <= stop, ((0, 0), (1, 1), (1, 1)))
+            keep = (near[:, 1:-1, 1:-1] | near[:, :-2, 1:-1]
+                    | near[:, 2:, 1:-1] | near[:, 1:-1, :-2]
+                    | near[:, 1:-1, 2:])
+            core = slice(half + 1 - _SEED_REACH, half + 2 + _SEED_REACH)
+            keep[:, core, core] = True
+            yield (lo, k, np.where(keep, d, np.inf), rows[:, window],
+                   cols[:, window])
 
 
 # --------------------------------------------------------------------------
@@ -525,7 +476,8 @@ def sup_on_disk(fieldlike, center, r):
     interpolant's sup lies.  Objects exposing an ``evaluate`` callable (and
     bare callables) are scanned on dense polar rasters that include the
     boundary exactly, in one call; a NaN at any scanned point makes the sup
-    NaN.  Geodesic disks go through ``growth.growth_exponent`` with a metric.
+    NaN.  Geodesic disks go through ``growth.growth_exponent`` with a metric,
+    on distances from ``_swept_distances``.
     """
     ev = _as_evaluator(fieldlike)
     if ev is not None:

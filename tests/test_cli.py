@@ -295,16 +295,43 @@ def test_thm1_k0_sweep(tmp_path):
 
 
 def test_thm1_unresolved_sweep_entry_exits_3_with_one_line(tmp_path, capsys):
+    # on the flat metric and on a curved one, whose geodesic disks take
+    # the distance sweep with no radius at all
+    for profile in ("flat", "wave"):
+        path = tmp_path / f"{profile}.json"
+        path.write_text(json.dumps({"metric": {"profile": profile,
+                                               "grid_n": 160},
+                                    "eigen": {"count": 4},
+                                    "growth": {"sample_grid_m": 4,
+                                               "k0_sweep": [0.05]}}))
+        code = main(["thm1", "--config", str(path),
+                     "--out", str(tmp_path / profile)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == ("numerical failure: growth.k0_sweep entry 0.05 "
+                       "resolves no eigenfunction; increase metric.grid_n\n")
+
+
+@pytest.mark.parametrize("command, n, growth", [
+    ("growth", 64, {"k0": 4.0}),
+    ("thm1", 96, {"k0": 1.0, "k0_sweep": [4.0]}),
+])
+def test_geodesic_window_wrapping_the_torus_exits_3_with_one_line(
+        tmp_path, capsys, command, n, growth):
+    # a geodesic disk's window (Chebyshev half-width plus one on either
+    # side of its cell) wider than the torus, at growth.k0 or, after the
+    # first thm1 table, at a growth.k0_sweep entry
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"metric": {"grid_n": 160},
+    path.write_text(json.dumps({"metric": {"profile": "wave", "grid_n": n},
                                 "eigen": {"count": 4},
-                                "growth": {"sample_grid_m": 4,
-                                           "k0_sweep": [0.05]}}))
-    code = main(["thm1", "--config", str(path), "--out", str(tmp_path / "o")])
+                                "growth": {"sample_grid_m": 4, **growth}}))
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 3
-    assert err == ("numerical failure: growth.k0_sweep entry 0.05 resolves no "
-                   "eigenfunction; increase metric.grid_n\n")
+    assert err.startswith("numerical failure: a geodesic disk's ")
+    assert err.endswith(f"-cell window wraps the {n}-cell torus; decrease "
+                        f"growth.k0 or the growth.k0_sweep entry\n")
+    assert err.count("\n") == 1
 
 
 def test_all_command_aggregates(tmp_path):

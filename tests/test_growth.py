@@ -1,5 +1,3 @@
-import heapq
-
 import numpy as np
 import pytest
 
@@ -9,11 +7,10 @@ import ngl.growth as growth_module
 from ngl.growth import (average_local_growth, donnelly_fefferman_constant,
                         growth_exponent, growth_fields, lq_growth_exponent,
                         quartile_trend_ratio, verify_length_growth_bound)
-from ngl.surface import (_bilinear_periodic, _disk_offsets, _fast_march,
-                         _ring_points, _sup_disks_flat, flat_torus_distance,
-                         make_metric)
+from ngl.surface import (_bilinear_periodic, _disk_offsets, _ring_points,
+                         _swept_distances, _sup_disks_flat, make_metric)
 
-from conftest import geodesic_distance, torus_field
+from conftest import geodesic_distance, oracle_fast_march, torus_field
 
 
 def radial_power(n):
@@ -215,6 +212,19 @@ def test_geodesic_growth_matches_full_grid_oracle(wave_metric_256,
             assert beta == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
+def test_geodesic_window_may_not_wrap_the_torus():
+    # on a 65 grid a half-width of 31 cells gives a window of 2 (31 + 1) + 1
+    # = 65 cells, the whole torus, which would meet itself; 30 cells fit
+    metric = make_metric("wave", 65)
+    field = torus_field(lambda x, y: np.sin(2 * np.pi * x) + 2.0, 65)
+    cell = np.sqrt(metric.q_minus) / 65     # radius per cell of half-width
+    with pytest.raises(ResolutionError,
+                       match="65-cell window wraps the 65-cell torus"):
+        growth_exponent(field, (0.5, 0.5), 27.5 * cell, 0.5, metric=metric)
+    assert growth_exponent(field, (0.5, 0.5), 26.5 * cell, 0.5,
+                           metric=metric) > 0.0
+
+
 def test_geodesic_disk_without_lattice_point(wave_metric_256,
                                              wave_spectrum_256):
     # the center of a refined cell, farther than r from all its corners
@@ -225,69 +235,6 @@ def test_geodesic_disk_without_lattice_point(wave_metric_256,
 
 
 # --------------------------------------------------------------- shared march
-
-
-def oracle_fast_march(metric, p, stop_radius=None, window=None):
-    """Reference march: one heap fast march on the whole n x n grid with
-    numpy scalar indexing and modulo neighbors."""
-    def eikonal_update(a, b, w):
-        if a > b:
-            a, b = b, a
-        if b - a >= w:
-            return a + w
-        return 0.5 * (a + b + np.sqrt(2.0 * w * w - (b - a) ** 2))
-
-    n = metric.grid_n
-    h = metric.spacing
-    sq = np.sqrt(metric.q)
-    dist = np.full((n, n), np.inf)
-    accepted = np.zeros((n, n), dtype=bool)
-    px, py = float(p[0]) % 1.0, float(p[1]) % 1.0
-    ic = int(np.floor(px * n))
-    jc = int(np.floor(py * n))
-    heap = []
-    sq_p = float(np.sqrt(metric.q_at(px, py)))
-    for di in range(-3, 4):
-        for dj in range(-3, 4):
-            i = (ic + di) % n
-            j = (jc + dj) % n
-            d_flat = flat_torus_distance((px, py), i * h, j * h)
-            d0 = 0.5 * (sq_p + sq[i, j]) * float(d_flat)
-            if d0 < dist[i, j]:
-                dist[i, j] = d0
-                heapq.heappush(heap, (d0, i, j))
-
-    def in_window(i, j):
-        if window is None:
-            return True
-        di = (i - ic) % n
-        if di > n // 2:
-            di -= n
-        dj = (j - jc) % n
-        if dj > n // 2:
-            dj -= n
-        return abs(di) <= int(window) and abs(dj) <= int(window)
-
-    stop = np.inf if stop_radius is None else float(stop_radius)
-    while heap:
-        d, i, j = heapq.heappop(heap)
-        if accepted[i, j]:
-            continue
-        accepted[i, j] = True
-        if d > stop:
-            continue
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            ii = (i + di) % n
-            jj = (j + dj) % n
-            if accepted[ii, jj] or not in_window(ii, jj):
-                continue
-            a = min(dist[(ii + 1) % n, jj], dist[(ii - 1) % n, jj])
-            b = min(dist[ii, (jj + 1) % n], dist[ii, (jj - 1) % n])
-            cand = eikonal_update(a, b, sq[ii, jj] * h)
-            if cand < dist[ii, jj]:
-                dist[ii, jj] = cand
-                heapq.heappush(heap, (cand, ii, jj))
-    return dist
 
 
 def oracle_local_metric_sup(values, dist, r, ic, jc, half, n):
@@ -344,11 +291,13 @@ def test_local_metric_sups_equal_full_grid_scan(n, ic, jc, half):
     # point, up to the window's edge, a candidate; half = 12 > n / 2 wraps
     rng = np.random.default_rng(n)
     values = rng.standard_normal((n, n))
+    span = np.arange(2 * half + 2) - half
+    block = np.ix_((ic + span) % n, (jc + span) % n)
     for _ in range(5):
         dist = rng.random((n, n))
         dist[rng.random((n, n)) < 0.2] = np.inf
         radii = (0.9, 0.5, 0.05)
-        got = growth_module._local_metric_sups(values, dist, ic, jc, half, radii)
+        got = growth_module._local_metric_sups(values[block], dist[block], radii)
         assert got == [oracle_local_metric_sup(values, dist, rad, ic, jc, half, n)
                        for rad in radii]
 
@@ -383,18 +332,28 @@ def stripe_spectrum_160():
     return metric, solve_spectrum(metric, 4, seed=0)
 
 
-@pytest.mark.parametrize("case", ["wave", "stripe"])
+@pytest.fixture(scope="module")
+def wave_spectrum_224():
+    metric = make_metric("wave", 224)
+    return metric, solve_spectrum(metric, 4, seed=0)
+
+
+@pytest.mark.parametrize("case", ["wave", "stripe", "large"])
 def test_shared_march_growth_equals_per_pair_oracle(case, wave_metric_256,
                                                     wave_spectrum_256,
-                                                    stripe_spectrum_160):
+                                                    stripe_spectrum_160,
+                                                    wave_spectrum_224):
     # m = 3 and m = 4 both put centers on the seam x = 0; wave 256 has the
-    # degenerate pair lambda_2 = lambda_3, which shares one window
+    # degenerate pair lambda_2 = lambda_3, which shares one window; k0 = 2
+    # on wave 224 gives disks of about 84 cells
     if case == "wave":
         metric, spectrum, k0, m = wave_metric_256, wave_spectrum_256, 0.5, 3
         lams = [pair.lam for pair in spectrum.pairs]
         assert lams[2] == pytest.approx(lams[3], rel=1e-12)
-    else:
+    elif case == "stripe":
         (metric, spectrum), k0, m = stripe_spectrum_160, 0.8, 4
+    else:
+        (metric, spectrum), k0, m = wave_spectrum_224, 2.0, 2
     pairs = spectrum.nonconstant()
     centers, betas = growth_fields(pairs, metric, k0=k0, sample_grid_m=m)
     assert centers.tolist() == [[i / m, j / m] for i in range(m)
@@ -405,71 +364,38 @@ def test_shared_march_growth_equals_per_pair_oracle(case, wave_metric_256,
     assert first[0].tolist() == betas[0].tolist()
 
 
-def test_shared_march_fallback_marches_each_radius(monkeypatch, wave_metric_256,
-                                                   wave_spectrum_256):
-    # snapshot windows of 4 cells are far too small for these disks, so every
-    # snapshot fails its check and each radius is marched on its own
-    calls = []
-
-    def tiny_windows(metric, p, stop_radius=None, window=None, snapshots=None):
-        calls.append(len(snapshots))
-        dist, snaps = _fast_march(metric, p, stop_radius, window,
-                                  [(stop, 4) for stop, _ in snapshots])
-        assert all(snap is None for snap in snaps)
-        return dist, snaps
-
-    monkeypatch.setattr(growth_module, "_fast_march", tiny_windows)
-    pairs = wave_spectrum_256.nonconstant()
-    _, betas = growth_fields(pairs, wave_metric_256, k0=0.5, sample_grid_m=2)
-    assert calls == [2, 1, 0] * 4
-    for pair, row in zip(pairs, betas):
-        assert row.tolist() == oracle_growth_field_curved(
-            pair, wave_metric_256, 0.5, 2)
-
-
-@pytest.mark.parametrize("profile, n", [("wave", 96), ("stripe", 64)])
+@pytest.mark.parametrize("profile, n", [("wave", 96), ("stripe", 64),
+                                        ("flat", 64)])
 def test_geodesic_distance_equals_oracle_march(profile, n):
+    # one sweep in the window of the largest radius, masked to each radius's
+    # window and stop, is the march stopped and windowed there: the same
+    # reached nodes, equal to 4 ulp within the stop.  Nodes reached but not
+    # expanded saw fewer neighbors in the march, so agree to 1e-6 only; the
+    # 0.02 stop lies inside the 7 x 7 seeds, which the march leaves at
+    # their straight-line length where it does not expand them.
     metric = make_metric(profile, n)
-    for p in ((0.0, 0.0), (0.999, 0.37), (0.3, 0.7)):
-        np.testing.assert_array_equal(geodesic_distance(metric, p).values,
-                                      oracle_fast_march(metric, p))
-
-
-@pytest.mark.parametrize("profile, n", [("wave", 96), ("stripe", 128)])
-def test_march_snapshots_equal_separate_marches(profile, n):
-    metric = make_metric(profile, n)
-    # windows: below the seed reach, 2 w + 1 = n - 1 (the window's border
-    # wraps onto one row), and the whole torus
-    requests = [(0.02, 2), (0.05, 8), (0.06, 8), (0.1, 16), (0.2, n // 2 - 1),
-                (0.3, None)]
+    radii = (0.02, 0.05, 0.1, 0.2)
+    halves = [int(np.ceil(r / np.sqrt(metric.q_minus) / metric.spacing)) + 3
+              for r in radii]
+    disks = [(half, 1.05 * r) for r, half in zip(radii, halves)]
     for p in ((0.0, 0.5), (0.995, 0.004), (0.41, 0.77)):
-        for top in range(len(requests)):
-            stop, window = requests[top]
-            smaller = [(s, w) for s, w in requests[:top]
-                       if w is not None or window is None]
-            dist, snaps = _fast_march(metric, p, stop, window, smaller)
-            np.testing.assert_array_equal(
-                dist, oracle_fast_march(metric, p, stop, window))
-            for (s, w), snap in zip(smaller, snaps):
-                if snap is not None:
-                    np.testing.assert_array_equal(
-                        snap, oracle_fast_march(metric, p, s, w))
-            # the same window, or the whole torus, needs no check
-            for (s, w), snap in zip(smaller, snaps):
-                if w == window or w is None:
-                    assert snap is not None
-    # a window too small for the march below its stop: no snapshot
-    _, [snap] = _fast_march(metric, (0.3, 0.3), 0.2, 30, [(0.1, 3)])
-    assert snap is None
-
-
-def test_march_snapshot_requests_are_checked(wave_metric_96):
-    with pytest.raises(ValueError):
-        _fast_march(wave_metric_96, (0.5, 0.5), 0.1, 10, [(0.2, 5)])
-    with pytest.raises(ValueError):
-        _fast_march(wave_metric_96, (0.5, 0.5), 0.1, 10, [(0.05, 11)])
-    with pytest.raises(ValueError):
-        _fast_march(wave_metric_96, (0.5, 0.5), 0.1, 10, [(0.05, None)])
+        swept = list(_swept_distances(metric, [p], disks))
+        assert [(lo, k) for lo, k, *_ in swept] == [(0, k) for k in range(4)]
+        ic = int(np.floor(p[0] * n))
+        jc = int(np.floor(p[1] * n))
+        for r, half, (_, _, [got], [rows], [cols]) in zip(radii, halves, swept):
+            span = np.arange(-half - 1, half + 2)
+            np.testing.assert_array_equal(rows, (ic + span) % n)
+            np.testing.assert_array_equal(cols, (jc + span) % n)
+            want = oracle_fast_march(metric, p, 1.05 * r, half + 1)[
+                np.ix_(rows, cols)]
+            np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+            inside = want <= 1.05 * r
+            np.testing.assert_array_max_ulp(got[inside], want[inside], maxulp=4)
+            beyond = np.isfinite(want) & ~inside
+            if r > 0.02:
+                np.testing.assert_allclose(got[beyond], want[beyond],
+                                           rtol=1e-6, atol=0.0)
 
 
 # --------------------------------------------------------------- sup kernel

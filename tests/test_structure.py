@@ -29,13 +29,21 @@ def test_one_spline_construction():
     assert hits("_from_tck") == []
 
 
-def test_one_fast_march_call_site():
-    # every geodesic-disk sup goes through the one windowed call in growth;
-    # the whole-torus distance field is a test oracle (tests/conftest.py)
+def test_one_distance_sweep_call_site():
+    # every geodesic-disk sup goes through the one swept stack in growth;
+    # the heap march is the test oracle only (tests/conftest.py)
     hits = [(path.name, line.strip()) for path in sorted(SRC.glob("*.py"))
             for line in path.read_text(encoding="utf-8").splitlines()
-            if "_fast_march(" in line and not line.lstrip().startswith("def ")]
+            if "_swept_distances(" in line and not line.lstrip().startswith("def ")]
     assert [name for name, _ in hits] == ["growth.py"], hits
+    imports = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imports.append((path.name, node.module))
+    assert not [hit for hit in imports if hit[1] == "heapq"], imports
 
 
 def test_one_sparse_factorization_and_eigensolve():
