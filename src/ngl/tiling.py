@@ -84,6 +84,22 @@ def default_delta0(beta_star_value) -> Fraction:
     raise ConstraintError("no admissible delta0 below the radius constraints")
 
 
+def _level0_side(delta0) -> Fraction:
+    """delta0 as an exact fraction: a float reads as P_SIDE / k for the
+    integer k nearest P_SIDE / delta0 when the two agree to 1e-12 relative
+    (P's side 1/30 is not dyadic, so no float equals it divided by an
+    integer); anything else, a Fraction included, is taken exactly.  Beyond
+    k = 5e11 neighbouring fractions lie within 1e-12 of each other, so a
+    float names no k there and is taken exactly too."""
+    if isinstance(delta0, float) and delta0 > 0:
+        ratio = float(P_SIDE) / delta0
+        if 0.5 < ratio < 5e11:
+            k = round(ratio)
+            if abs(float(P_SIDE / k) - delta0) <= 1e-12 * delta0:
+                return P_SIDE / k
+    return Fraction(delta0)
+
+
 def _square_is_rapid(pf, square: Square, delta0, m_threshold, a):
     s = square.side(delta0)
     ox, oy = square.origin(delta0)
@@ -103,7 +119,8 @@ def run_tiling(pf: PlanarField, delta0=None, m_threshold=10.0, a=0.1,
     """Tile P level by level into rapid and slow squares.
 
     Level 0 is the row-major lattice of side ``delta0``, which must divide
-    the side of P exactly; by default it is the largest admissible dyadic
+    the side of P exactly (a float within 1e-12 of P_SIDE / k counts, see
+    :func:`_level0_side`); by default it is the largest admissible dyadic
     fraction of it.  Each level bisects every rapid square of the level
     before into its 4 children and reclassifies them at the halved disk
     radius; slow squares stay untouched.  The loop ends when no square is
@@ -115,7 +132,7 @@ def run_tiling(pf: PlanarField, delta0=None, m_threshold=10.0, a=0.1,
     if delta0 is None:
         delta0 = default_delta0(beta_star_value)
     else:
-        delta0 = Fraction(delta0)
+        delta0 = _level0_side(delta0)
         check_beta_related(float(delta0), beta_star_value)
     per_axis = P_SIDE / delta0
     if per_axis.denominator != 1:

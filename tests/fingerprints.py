@@ -10,7 +10,10 @@ bit-identical outputs is checked against digests recorded before it:
   config off the seam (which also evaluates the spline of the metric);
 * every ``is_rapid`` decision (and its two readout integrals) that tiling
   and rapid-disk counting take on the rapid family Re((60 z)^d),
-  d in {38, 40, 42}, with the rapid/slow square counts of each level;
+  d in {38, 40, 42}, with the rapid/slow square counts of each level and
+  the number of points they pass to the field's evaluator (a change that
+  reads the field at more points fails the test as surely as one that
+  changes a decision);
 * every file that ``harmonic`` and ``carleman`` write at a small config,
   and the radial weight ``build_psi0(0.1)`` (``log_psi0`` and ``dlog_psi0``),
   which pin the bits of the circle-sup kernel and of the radial ODE solve;
@@ -167,6 +170,15 @@ def rapid_family_digests(degree):
     fam = RAPID_FAMILY
     pf = planar_field_from_function(rapid_field(degree),
                                     planar_grid_n=fam["planar_grid_n"])
+    points = 0
+    evaluate = pf.evaluate
+
+    def counting(x, y):
+        nonlocal points
+        points += np.broadcast(x, y).size
+        return evaluate(x, y)
+
+    pf.evaluate = counting
     tiling.classify_rapid = schrodinger.classify_rapid = recording
     try:
         state = tiling.run_tiling(pf, m_threshold=fam["m_threshold"],
@@ -179,8 +191,9 @@ def rapid_family_digests(degree):
     levels = [[len(state.rapid_by_level.get(k, [])),
                len(state.slow_by_level.get(k, []))]
               for k in range(state.level + 1)]
-    return {"decisions": len(decisions), "rapid": int(is_rapid.sum()),
-            "levels": levels, "is_rapid": _sha256(is_rapid.tobytes()),
+    return {"decisions": len(decisions), "points": points,
+            "rapid": int(is_rapid.sum()), "levels": levels,
+            "is_rapid": _sha256(is_rapid.tobytes()),
             "integrals": _sha256(integrals.tobytes())}
 
 

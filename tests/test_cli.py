@@ -495,6 +495,28 @@ def test_config_faults_exit_2_with_one_line(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "out" / "spectrum_cache").exists()
 
 
+def test_float_delta0_reads_as_an_exact_fraction_of_p(tmp_path, capsys):
+    """At the localized benchmark config the default level-0 side is P's
+    side / 4 = 1/120; the float 1/120 must tile the same squares, and a float
+    that is no integer fraction of P's side still exits 2."""
+    base = {"localize": {"planar_grid_n": 512}, "tiling": {"core_grid_n": 513}}
+    tiles = []
+    for tag, delta0 in (("default", None), ("float", 1 / 120)):
+        cfg = load_config(overrides=deep_merge(base, {
+            "tiling": {"delta0": delta0},
+            "output": {"dir": str(tmp_path / tag)}}), command="tile")
+        run("tile", cfg)
+        tiles.append((tmp_path / tag / "tiling.csv").read_bytes())
+    assert tiles[0] == tiles[1]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(deep_merge(base, {
+        "tiling": {"delta0": 0.01}, "output": {"dir": str(tmp_path / "bad")}})))
+    assert main(["tile", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "delta0 must divide the side of P exactly" in err
+
+
 @pytest.mark.parametrize("command", ["nodal", "growth"])
 def test_run_rejects_index_outside_the_spectrum(tmp_path, command):
     # run() takes a config that was validated for no command in particular

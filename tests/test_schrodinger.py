@@ -1,13 +1,16 @@
+import types
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from ngl.errors import ConstraintError, InfiniteGrowthError, ResolutionError
-from ngl.eigen import analytic_eigenpair
+from ngl.eigen import EigenPair, analytic_eigenpair
 from ngl.schrodinger import (DiskAnnuli, beta_star, check_beta_related, classify_rapid, core_field,
                              count_rapid_disks, growth_chain_report, localize,
                              planar_field_from_function,
                              separated_probe_centers)
-from ngl.surface import make_metric, sup_on_disk
+from ngl.surface import GridField, make_metric, sup_on_disk
 
 
 def constant_field(value=1.0, **kw):
@@ -174,6 +177,175 @@ def test_classify_rapid_annulus_must_fit():
     pf = constant_field()
     with pytest.raises(ConstraintError):
         classify_rapid(pf, DiskAnnuli(center=(2.5, 0.0), delta=1.0, a=0.1), 1.0)
+
+
+# ------------------------------------------ readout ladder vs the full rule
+
+FULL_RULE_POINTS = 2 * 24 * 512   # both readout annuli at 24 x 512 nodes
+
+
+def counted_field(fn):
+    """A field exposing ``evaluate`` that counts the points it is asked for."""
+    probe = types.SimpleNamespace(points=0)
+
+    def evaluate(x, y):
+        probe.points += np.broadcast(x, y).size
+        return fn(x, y)
+
+    probe.evaluate = evaluate
+    return probe
+
+
+def node_jitter(degree, zero, center, delta, a):
+    """Relative change of F^2, for a zero of order ``degree``, when the nodes
+    move by the rounding of ``center + offset``: 2 d u / r, with u the
+    spacing of floats at the center and r the distance from the zero to the
+    center, or the inner readout radius if that is larger.  At a zero of
+    order 16 at |c| = 0.0094, with readout radii near 2.5e-7, that is 2e-10
+    per node, and the rules of 128 and 512 angles differed by 2e-12 on it:
+    readouts that carry no twelfth digit cannot be matched to 1e-12 by any
+    rule, so the polynomial draws keep this below 1e-12."""
+    u = np.spacing(max(abs(center[0]), abs(center[1])))
+    r = max(np.hypot(zero[0] - center[0], zero[1] - center[1]),
+            (1 - 3 * a) * delta)
+    return 2 * degree * u / r
+
+
+def assert_ladder_matches_full_rule(fn, center, delta, a, m):
+    """classify_rapid against _annulus_f2_integral on both readouts: the same
+    decision, integrals within 1e-12 relative, bit-equal when the ladder fell
+    back to the full rule; m = "ratio" sets M exactly at I''/I'.  Returns
+    the result and the number of points the ladder evaluated."""
+    from ngl.schrodinger import _annulus_f2_integral
+    annuli = DiskAnnuli(center=center, delta=delta, a=a)
+    want = [_annulus_f2_integral(fn, center, *annuli.inner_readout),
+            _annulus_f2_integral(fn, center, *annuli.outer_readout)]
+    if m == "ratio":
+        m = want[1] / want[0] if want[0] > 0 else 1.0
+    field = counted_field(fn)
+    res = classify_rapid(field, annuli, m)
+    got = [res.int_inner_readout, res.int_outer_readout]
+    assert res.is_rapid == bool(m * want[0] <= want[1])
+    assert field.points <= FULL_RULE_POINTS
+    if field.points == FULL_RULE_POINTS:
+        assert got == want
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * abs(w), (g, w)
+    return res, field.points
+
+
+def polynomial_field(kind, degree, zero, low_degree, weight):
+    """Re((60 (z - zero))^degree) + weight Re((60 z)^low_degree), or the
+    non-harmonic (60 (x - zero_x))^i (60 (y - zero_y))^(degree - i)."""
+    zx, zy = zero
+
+    def harmonic(x, y):
+        z = 60.0 * (np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float))
+        return np.real((z - 60.0 * (zx + 1j * zy)) ** degree
+                       + weight * z ** low_degree)
+
+    def product(x, y):
+        x = 60.0 * (np.asarray(x, dtype=float) - zx)
+        y = 60.0 * (np.asarray(y, dtype=float) - zy)
+        return x ** low_degree * y ** (degree - low_degree)
+
+    return harmonic if kind == "harmonic" else product
+
+
+_CORE = st.floats(-1 / 60, 1 / 60)
+_THRESHOLD = st.sampled_from(["ratio", 10.0, 1.0, 0.0])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["harmonic", "product"]),
+       degree=st.integers(0, 60), low=st.integers(0, 60),
+       weight=st.sampled_from([0.0, 1e-3, 1.0]),
+       zero=st.tuples(_CORE, _CORE), at_zero=st.booleans(),
+       center=st.tuples(_CORE, _CORE), log_delta=st.floats(-6.0, -1.8),
+       a=st.sampled_from([0.1, 0.25]), m=_THRESHOLD)
+def test_ladder_matches_full_rule_on_polynomials(kind, degree, low, weight,
+                                                 zero, at_zero, center,
+                                                 log_delta, a, m):
+    fn = polynomial_field(kind, degree, zero, min(low, degree), weight)
+    center = zero if at_zero else center
+    assume(node_jitter(degree, zero, center, 10.0 ** log_delta, a) <= 1e-12)
+    assert_ladder_matches_full_rule(fn, center, 10.0 ** log_delta, a, m)
+
+
+@pytest.mark.parametrize("degree", [8, 16, 24, 32, 48, 60])
+def test_ladder_is_not_fooled_by_rotational_symmetry(degree):
+    """At the zero of Re z^d, F^2 = r^2d (1 + cos 2d theta) / 2: every rung
+    of N angles with N | 2d aliases cos 2d theta to 1 and doubles both
+    readouts, so such rungs agree on a wrong value (16 and 32 when 16 | d,
+    and 64 too when 32 | d)."""
+    fn = polynomial_field("harmonic", degree, (0.0, 0.0), 0, 0.0)
+    for m in ("ratio", 10.0):
+        assert_ladder_matches_full_rule(fn, (0.0, 0.0), 1e-3, 0.1, m)
+
+
+@pytest.mark.parametrize("degree", [70, 100])
+def test_ladder_climbs_past_an_aliasing_rung(degree):
+    """Off its zero, Re((60 (z - z0))^d) squared has every angular frequency
+    up to 2 d > 128 about the probe, so rung 128 misses part of it and the
+    ladder has to climb past it."""
+    fn = polynomial_field("harmonic", degree, (0.002, -0.001), 0, 0.0)
+    _, points = assert_ladder_matches_full_rule(fn, (0.003, 0.0), 2e-3, 0.1,
+                                                10.0)
+    assert points > FULL_RULE_POINTS // 4
+
+
+@pytest.fixture(scope="module")
+def localized_two_modes():
+    """A localized flat eigenfunction with two modes of one eigenvalue, and
+    the planar x of the spline knot line nearest the core."""
+    grid_n = 512
+    modes = [analytic_eigenpair(1, 1, phase=0.3, grid_n=grid_n),
+             analytic_eigenpair(1, -1, phase=1.1, grid_n=grid_n)]
+    values = modes[0].field.values + 0.7 * modes[1].field.values
+    pair = EigenPair(lam=modes[0].lam, residual=0.0,
+                     field=GridField(values / np.abs(values).max()))
+    p = (0.1234, 0.4321)
+    pf = localize(pair, make_metric("flat", grid_n), p, k0=0.5,
+                  planar_grid_n=64)
+    knot_x = (round(p[0] * grid_n) / grid_n - p[0]) / pf.meta["scale"]
+    return pf, knot_x
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(offset=st.floats(-1.0, 1.0), cy=_CORE, log_delta=st.floats(-5.0, -1.8),
+       a=st.sampled_from([0.1, 0.25]), m=_THRESHOLD)
+def test_ladder_matches_full_rule_on_the_spline(localized_two_modes, offset,
+                                                cy, log_delta, a, m):
+    """Annuli whose centers lie within their outer radius of a knot line of
+    the eigenfunction's spline, so most of them cross it."""
+    pf, knot_x = localized_two_modes
+    delta = 10.0 ** log_delta
+    center = (knot_x + offset * (1 - a) * delta, cy)
+    assert_ladder_matches_full_rule(pf.evaluate, center, delta, a, m)
+
+
+def test_ladder_matches_full_rule_on_the_rapid_family(monkeypatch):
+    """Every probe that tiling classifies on Re((60 z)^42), the subnormal
+    and zero readouts near its zero included; those fall back to the full
+    rule."""
+    import ngl.tiling as tiling
+    fn = polynomial_field("harmonic", 42, (0.0, 0.0), 0, 0.0)
+    pf = planar_field_from_function(fn, planar_grid_n=128)
+    probes = []
+
+    def checking(field, annuli, m):
+        res, points = assert_ladder_matches_full_rule(
+            field.evaluate, annuli.center, annuli.delta, annuli.a, m)
+        probes.append((points == FULL_RULE_POINTS,
+                       min(res.int_inner_readout, res.int_outer_readout)))
+        return res
+
+    monkeypatch.setattr(tiling, "classify_rapid", checking)
+    tiling.run_tiling(pf, m_threshold=10.0, k_max=4)
+    tiny = [fell_back for fell_back, low in probes if low < 1e-290]
+    assert len(probes) > 1000 and tiny and all(tiny)
+    assert sum(fell_back for fell_back, _ in probes) < len(probes) / 4
 
 
 # --------------------------------------------------------------- rapid counts

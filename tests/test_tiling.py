@@ -6,7 +6,7 @@ import pytest
 from ngl.errors import ConstraintError
 from ngl.nodal import NodalSet, clip_lengths, extract_nodal_set, singular_points
 from ngl.schrodinger import CORE_RADIUS, core_field, planar_field_from_function
-from ngl.tiling import (P_SIDE, Square, coverage_check, default_delta0,
+from ngl.tiling import (P_SIDE, Square, _level0_side, coverage_check, default_delta0,
                         level_counts, run_tiling, slow_square_budgets,
                         tiling_to_csv, total_bound_report)
 
@@ -101,6 +101,23 @@ def test_init_delta0_constraint_violations():
         run_tiling(pf, delta0=Fraction(1, 30), m_threshold=10.0)
     with pytest.raises(ConstraintError):
         run_tiling(pf, delta0=Fraction(1, 100), m_threshold=10.0)  # not dyadic
+    with pytest.raises(ConstraintError):
+        run_tiling(pf, delta0=0.01, m_threshold=10.0)   # P's side / 3.33
+
+
+def test_float_delta0_is_an_exact_fraction_of_p():
+    # no float equals (1/30) / k, so a float within 1e-12 of it means it
+    pf = constant_field()
+    for k in (4, 7, 12):
+        st = run_tiling(pf, delta0=float(P_SIDE / k), m_threshold=10.0, k_max=0)
+        assert st.delta0 == P_SIDE / k
+        assert len(st.slow_by_level[0]) == k * k
+    assert run_tiling(pf, delta0=Fraction(1, 120), m_threshold=10.0,
+                      k_max=0).delta0 == Fraction(1, 120)
+    # below about 6.7e-14 every float is within 1e-12 of some (1/30) / k;
+    # such a float names no k and is kept exact (then rejected)
+    for tiny in (1e-300, 5e-324):
+        assert _level0_side(tiny) == Fraction(tiny)
 
 
 def test_structural_slow_count_bound():
