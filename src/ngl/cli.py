@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from functools import cached_property
 
 from .errors import (ConfigError, ConstraintError, CorruptFileError, NglError,
                      ResolutionError)
@@ -159,6 +160,11 @@ _RULES = (
      "schrodinger.m_threshold must be positive"),
     ("tiling.delta0", lambda v: v is None or v > 0,
      "tiling.delta0 must be null or a positive number"),
+    # level 0 classifies (P's side / delta0)^2 squares at 9 probes each, and
+    # a probe on the localized spline field takes about 1.7 ms (2-core
+    # x86-64): 64 squares a side, about a minute, is the most it may ask
+    ("tiling.delta0", lambda v: v is None or 64 * v >= (1 - 1e-12) / 30,
+     "tiling.delta0 must be at least 1/30 / 64 (64 level-0 squares a side)"),
     ("tiling.k_max", lambda v: v >= 0, "tiling.k_max must be at least 0"),
     ("tiling.core_grid_n", lambda v: v >= 16,
      "tiling.core_grid_n must be at least 16"),
@@ -237,17 +243,20 @@ class ResultRecord:
     artifacts must be byte-identical across reruns.
     """
 
-    def __init__(self, command, config_hash):
+    def __init__(self, command, config_hash, out_dir):
         import time
         self.command = command
         self.config_hash = config_hash
+        self.out_dir = out_dir
         self.rows = []
         self.constants = {}
         self.artifacts = []
         self.timestamp = time.time()
 
-    def add_artifact(self, path, out_dir):
-        self.artifacts.append(os.path.relpath(path, out_dir))
+    def artifact(self, name):
+        """The path of the output file ``name``, which the record lists."""
+        self.artifacts.append(name)
+        return os.path.join(self.out_dir, name)
 
     def to_json(self):
         return {
@@ -269,7 +278,7 @@ def _write_json(obj, path):
 
 
 # --------------------------------------------------------------------------
-# shared pipeline pieces
+# the stages the commands share
 
 
 def _build_metric(cfg, grid_n=None):
@@ -282,227 +291,229 @@ def _build_metric(cfg, grid_n=None):
         raise ConfigError(str(exc)) from exc
 
 
-def _cache_dir(cfg, out_dir):
-    key = canonical_hash({"metric": cfg["metric"], "eigen": cfg["eigen"]})
-    return os.path.join(out_dir, "spectrum_cache", key[:16])
+class Run:
+    """The stages of one command, or of the ten commands of ``all``, each
+    built at most once, on first use: the ``metric``, the ``spectrum``
+    (solved, or read from the cache), its nonconstant ``pairs`` and their
+    ``nodal_sets``, the ``pair`` that ``localize.index`` names (``index`` is
+    its position in ``pairs``), ``growth(k0, selected)`` and the
+    ``localized`` field of ``pair``."""
 
+    def __init__(self, cfg, out_dir):
+        self.cfg = cfg
+        key = canonical_hash({"metric": cfg["metric"], "eigen": cfg["eigen"]})
+        self.cache_dir = os.path.join(out_dir, "spectrum_cache", key[:16])
+        self.cache_status = None   # hit, miss or recomputed, once loaded
+        self._growth = {}
 
-def _cached_pairs(cache_dir, metric, count, index):
-    """The cached pairs 0 .. count (index None) or [the index-th nonconstant
-    one], picked from index.json by ``EigenPair.is_constant``'s rule; None
-    when index.json is missing, unreadable or short, or a file read is bad."""
-    from .eigen import EigenPair, _LAMBDA_ZERO_TOL
-    from .surface import TORUS, read_gfd
-    try:
-        with open(os.path.join(cache_dir, "index.json"), "r",
-                  encoding="ascii") as f:
-            entries = json.load(f)[:count + 1]
-        if len(entries) < count + 1:
+    @cached_property
+    def metric(self):
+        return _build_metric(self.cfg)
+
+    def _cached_pairs(self, index):
+        """The cached pairs 0 .. eigen.count (index None) or [the index-th
+        nonconstant one], picked from index.json by ``EigenPair.is_constant``'s
+        rule; None when index.json is missing, unreadable or short, or a file
+        read is bad."""
+        from .eigen import EigenPair, _LAMBDA_ZERO_TOL
+        from .surface import TORUS, read_gfd
+        count = self.cfg["eigen"]["count"]
+        try:
+            with open(os.path.join(self.cache_dir, "index.json"), "r",
+                      encoding="ascii") as f:
+                entries = json.load(f)[:count + 1]
+            if len(entries) < count + 1:
+                return None
+            if index is not None:
+                entries = [e for e in entries
+                           if not float(e["lambda"]) <= _LAMBDA_ZERO_TOL]
+                if not 1 <= index <= len(entries):
+                    return None
+                entries = [entries[index - 1]]
+            pairs = []
+            for entry in entries:
+                field = read_gfd(os.path.join(self.cache_dir, entry["file"]))
+                if field.grid_n != self.metric.grid_n or field.domain != TORUS:
+                    return None
+                pairs.append(EigenPair(lam=float(entry["lambda"]), field=field,
+                                       residual=float(entry["residual"])))
+        except (OSError, ValueError, KeyError, TypeError, CorruptFileError):
             return None
-        if index is not None:
-            entries = [e for e in entries
-                       if not float(e["lambda"]) <= _LAMBDA_ZERO_TOL]
-            if not 1 <= index <= len(entries):
-                return None
-            entries = [entries[index - 1]]
-        pairs = []
-        for entry in entries:
-            field = read_gfd(os.path.join(cache_dir, entry["file"]))
-            if field.grid_n != metric.grid_n or field.domain != TORUS:
-                return None
-            pairs.append(EigenPair(lam=float(entry["lambda"]), field=field,
-                                   residual=float(entry["residual"])))
-    except (OSError, ValueError, KeyError, TypeError, CorruptFileError):
-        return None
-    return pairs
+        return pairs
 
+    @cached_property
+    def spectrum(self):
+        """The configured spectrum, from the cache when it holds it; anything
+        unreadable, short or of the wrong shape there is recomputed."""
+        from .eigen import Spectrum, analytic_spectrum, solve_spectrum
+        from .surface import write_gfd
+        metric, eigen = self.metric, self.cfg["eigen"]
+        index_path = os.path.join(self.cache_dir, "index.json")
+        self.cache_status = "miss"
+        if os.path.exists(index_path):
+            pairs = self._cached_pairs(None)
+            if pairs is not None:
+                self.cache_status = "hit"
+                return Spectrum(pairs=pairs, metric=metric)
+            self.cache_status = "recomputed"
+        if metric.is_flat and metric.q_plus == 1.0:   # the closed form
+            spectrum = analytic_spectrum(metric.grid_n, eigen["count"])
+            spectrum.metric = metric
+        else:
+            spectrum = solve_spectrum(metric, eigen["count"] + 1,
+                                      tol=eigen["tol"], seed=eigen["seed"],
+                                      maxiter=eigen["maxiter"])
+        os.makedirs(self.cache_dir, exist_ok=True)
+        index = []
+        for k, pair in enumerate(spectrum.pairs[:eigen["count"] + 1]):
+            name = f"eig_{k:03d}.gfd"
+            write_gfd(pair.field, os.path.join(self.cache_dir, name))
+            index.append({"lambda": pair.lam, "residual": pair.residual,
+                          "file": name})
+        _write_json(index, index_path)
+        return spectrum
 
-def _get_spectrum(cfg, out_dir, record=None):
-    """Solve (or load from cache) the configured spectrum."""
-    from .eigen import Spectrum, analytic_spectrum, solve_spectrum
-    from .surface import write_gfd
+    @cached_property
+    def pairs(self):
+        return self.spectrum.nonconstant()
 
-    metric = _build_metric(cfg)
-    cache_dir = _cache_dir(cfg, out_dir)
-    index_path = os.path.join(cache_dir, "index.json")
-    count = cfg["eigen"]["count"]
-    status = "miss"
-    if os.path.exists(index_path):
-        # anything unreadable, short or of the wrong shape is recomputed
-        pairs = _cached_pairs(cache_dir, metric, count, None)
-        if pairs is not None:
-            if record is not None:
-                record.constants["spectrum_cache"] = "hit"
-            return metric, Spectrum(pairs=pairs, metric=metric)
-        status = "recomputed"
-    if metric.is_flat and metric.q_plus == 1.0:   # the closed form solves it
-        spectrum = analytic_spectrum(metric.grid_n, count)
-        spectrum.metric = metric
-    else:
-        spectrum = solve_spectrum(metric, count + 1, tol=cfg["eigen"]["tol"],
-                                  seed=cfg["eigen"]["seed"],
-                                  maxiter=cfg["eigen"]["maxiter"])
-    os.makedirs(cache_dir, exist_ok=True)
-    index = []
-    for k, pair in enumerate(spectrum.pairs[:count + 1]):
-        name = f"eig_{k:03d}.gfd"
-        write_gfd(pair.field, os.path.join(cache_dir, name))
-        index.append({"lambda": pair.lam, "residual": pair.residual,
-                      "file": name})
-    _write_json(index, index_path)
-    if record is not None:
-        record.constants["spectrum_cache"] = status
-    return metric, spectrum
+    @cached_property
+    def index(self):
+        """Position in ``pairs`` of the pair ``localize.index`` names; run()
+        may take a config that was validated for no command in particular."""
+        index, count = self.cfg["localize"]["index"], len(self.pairs)
+        if not 1 <= index <= count:
+            raise ConfigError(f"localize.index must lie in [1, {count}]")
+        return index - 1
 
+    @cached_property
+    def pair(self):
+        """The pair ``localize.index`` names: from ``pairs`` once the spectrum
+        is loaded, otherwise from index.json and that pair's one cache file
+        (the whole spectrum only when that read fails)."""
+        if "spectrum" not in vars(self):
+            cached = self._cached_pairs(self.cfg["localize"]["index"])
+            if cached is not None:
+                return cached[0]
+        return self.pairs[self.index]
 
-def _indexed_pair(cfg, spectrum):
-    """The nonconstant eigenpair that ``localize.index`` names."""
-    idx = cfg["localize"]["index"]
-    nonconst = spectrum.nonconstant()
-    if not (1 <= idx <= len(nonconst)):
-        raise ConfigError(f"localize.index must lie in [1, {len(nonconst)}]")
-    return nonconst[idx - 1]
+    @cached_property
+    def nodal_sets(self):
+        from .nodal import extract_nodal_set
+        return [extract_nodal_set(pair.field) for pair in self.pairs]
 
+    def growth(self, k0, selected):
+        """``growth_fields`` at k0 of the pairs at the positions
+        ``selected``: (centers, betas), betas in the order of ``selected``."""
+        key = (k0, tuple(selected))
+        if key not in self._growth:
+            from .growth import growth_fields
+            self._growth[key] = growth_fields(
+                [self.pairs[k] for k in key[1]], self.metric, k0=k0,
+                sample_grid_m=self.cfg["growth"]["sample_grid_m"])
+        return self._growth[key]
 
-def _get_indexed_pair(cfg, out_dir):
-    """(metric, the pair ``localize.index`` names): on a cache hit read from
-    index.json and that pair's one file, otherwise from ``_get_spectrum``."""
-    metric = _build_metric(cfg)
-    pairs = _cached_pairs(_cache_dir(cfg, out_dir), metric,
-                          cfg["eigen"]["count"], cfg["localize"]["index"])
-    if pairs is not None:
-        return metric, pairs[0]
-    metric, spectrum = _get_spectrum(cfg, out_dir)
-    return metric, _indexed_pair(cfg, spectrum)
-
-
-def _localized_field(cfg, out_dir):
-    from .schrodinger import localize
-    metric, pair = _get_indexed_pair(cfg, out_dir)
-    return pair, localize(pair, metric, tuple(cfg["localize"]["p"]),
-                          k0=cfg["growth"]["k0"], eps0=cfg["localize"]["eps0"],
-                          planar_grid_n=cfg["localize"]["planar_grid_n"])
+    @cached_property
+    def localized(self):
+        from .schrodinger import localize
+        loc = self.cfg["localize"]
+        return localize(self.pair, self.metric, tuple(loc["p"]),
+                        k0=self.cfg["growth"]["k0"], eps0=loc["eps0"],
+                        planar_grid_n=loc["planar_grid_n"])
 
 
 # --------------------------------------------------------------------------
 # commands
 
 
-def cmd_spectrum(cfg, out_dir, record):
-    metric, spectrum = _get_spectrum(cfg, out_dir, record)
-    for pair in spectrum:
+def cmd_spectrum(run, record):
+    for pair in run.spectrum:
         record.rows.append({"lambda": pair.lam, "residual": pair.residual})
-    path = os.path.join(out_dir, "spectrum.json")
-    _write_json(record.rows, path)
-    record.add_artifact(path, out_dir)
+    record.constants["spectrum_cache"] = run.cache_status
+    _write_json(record.rows, record.artifact("spectrum.json"))
 
 
-def cmd_nodal(cfg, out_dir, record):
-    from .nodal import (extract_nodal_set, nodal_length, singular_points,
-                        segments_to_csv, singular_points_to_csv)
+def cmd_nodal(run, record):
+    from .nodal import (nodal_length, singular_points, segments_to_csv,
+                        singular_points_to_csv)
     from .svg import nodal_svg
-    metric, spectrum = _get_spectrum(cfg, out_dir)
-    idx = cfg["localize"]["index"]
-    _indexed_pair(cfg, spectrum)   # a run() that skipped validate_config
-    for k, pair in enumerate(spectrum.nonconstant()):
-        ns = extract_nodal_set(pair.field)
-        e_len, m_len = nodal_length(ns, metric)
+    index = run.index
+    for k, (pair, ns) in enumerate(zip(run.pairs, run.nodal_sets)):
+        e_len, m_len = nodal_length(ns, run.metric)
         record.rows.append({"lambda": pair.lam, "euclidean_length": e_len,
                             "metric_length": m_len, "segments": len(ns)})
-        if k + 1 == idx:
+        if k == index:
             pts = singular_points(pair.field)
-            seg_path = os.path.join(out_dir, "nodal_segments.csv")
-            segments_to_csv(ns, seg_path)
-            record.add_artifact(seg_path, out_dir)
-            pts_path = os.path.join(out_dir, "singular_points.csv")
-            singular_points_to_csv(pts, pts_path)
-            record.add_artifact(pts_path, out_dir)
-            svg_path = os.path.join(out_dir, "nodal.svg")
-            nodal_svg(ns, svg_path, singular=pts)
-            record.add_artifact(svg_path, out_dir)
-    path = os.path.join(out_dir, "nodal_lengths.json")
-    _write_json(record.rows, path)
-    record.add_artifact(path, out_dir)
+            segments_to_csv(ns, record.artifact("nodal_segments.csv"))
+            singular_points_to_csv(pts, record.artifact("singular_points.csv"))
+            nodal_svg(ns, record.artifact("nodal.svg"), singular=pts)
+    _write_json(record.rows, record.artifact("nodal_lengths.json"))
 
 
-def cmd_growth(cfg, out_dir, record):
-    from .growth import (average_local_growth, growth_fields,
-                         growth_samples_to_csv)
-    metric, spectrum = _get_spectrum(cfg, out_dir)
-    k0 = cfg["growth"]["k0"]
-    m = cfg["growth"]["sample_grid_m"]
-    idx = cfg["localize"]["index"]
-    _indexed_pair(cfg, spectrum)   # a run() that skipped validate_config
-    pairs = spectrum.nonconstant()
-    centers, betas = growth_fields(pairs, metric, k0=k0, sample_grid_m=m)
-    for pair, row in zip(pairs, betas):
-        avg = average_local_growth(row, centers, metric)
+def cmd_growth(run, record):
+    from .growth import average_local_growth, growth_samples_to_csv
+    index = run.index   # checked before the growth pass
+    centers, betas = run.growth(run.cfg["growth"]["k0"], range(len(run.pairs)))
+    for pair, row in zip(run.pairs, betas):
+        avg = average_local_growth(row, centers, run.metric)
         record.rows.append({"lambda": pair.lam, "A": avg,
                             "beta_max": float(row.max())})
-    path = os.path.join(out_dir, "growth_field.csv")
-    growth_samples_to_csv(centers, betas[idx - 1], path)
-    record.add_artifact(path, out_dir)
-    path = os.path.join(out_dir, "growth.json")
-    _write_json(record.rows, path)
-    record.add_artifact(path, out_dir)
+    growth_samples_to_csv(centers, betas[index],
+                          record.artifact("growth_field.csv"))
+    _write_json(record.rows, record.artifact("growth.json"))
 
 
-def cmd_thm1(cfg, out_dir, record):
-    from .growth import (donnelly_fefferman_constant, quartile_trend_ratio,
-                         report_to_csv, verify_length_growth_bound)
+def cmd_thm1(run, record):
+    from .growth import (LengthGrowthReport, disk_grid_need,
+                         donnelly_fefferman_constant, length_growth_row,
+                         quartile_trend_ratio, report_to_csv)
     from .svg import scatter_svg
-    metric, spectrum = _get_spectrum(cfg, out_dir)
-    k0_values = [cfg["growth"]["k0"]] + list(cfg["growth"]["k0_sweep"])
-    for i, k0 in enumerate(k0_values):
-        rep = verify_length_growth_bound(metric, spectrum, k0=k0,
-                                         sample_grid_m=cfg["growth"]["sample_grid_m"],
-                                         skip_unresolved=(i > 0))
-        if not rep.rows:
+    metric, growth = run.metric, run.cfg["growth"]
+    for i, k0 in enumerate([growth["k0"]] + list(growth["k0_sweep"])):
+        # a k0_sweep entry keeps the pairs whose wavelength disks it resolves
+        selected = [k for k, pair in enumerate(run.pairs) if i == 0
+                    or metric.grid_n >= disk_grid_need(pair.lam, metric, k0)]
+        if not selected:
             raise ResolutionError(f"growth.k0_sweep entry {k0:g} resolves no "
                                   f"eigenfunction; increase metric.grid_n")
+        centers, betas = run.growth(k0, selected)
+        rep = LengthGrowthReport(
+            rows=[length_growth_row(metric, run.pairs[k], run.nodal_sets[k],
+                                    centers, row)
+                  for k, row in zip(selected, betas)],
+            k0=k0, sample_grid_m=growth["sample_grid_m"])
         suffix = "" if i == 0 else f"_k0_{k0:g}".replace(".", "p")
-        csv_path = os.path.join(out_dir, f"thm1_table{suffix}.csv")
-        report_to_csv(rep, csv_path)
-        record.add_artifact(csv_path, out_dir)
+        report_to_csv(rep, record.artifact(f"thm1_table{suffix}.csv"))
         summary = rep.summary()
         summary["k0"] = k0
         summary["df_constant"] = donnelly_fefferman_constant(rep)
         summary["quartile_trend"] = quartile_trend_ratio(rep)
         record.rows.append(summary)
         if i == 0:
-            svg_path = os.path.join(out_dir, "growth_vs_lambda.svg")
             scatter_svg([r.lam for r in rep.rows],
-                        [r.average_growth for r in rep.rows], svg_path)
-            record.add_artifact(svg_path, out_dir)
-    path = os.path.join(out_dir, "thm1_summary.json")
-    _write_json(record.rows, path)
-    record.add_artifact(path, out_dir)
+                        [r.average_growth for r in rep.rows],
+                        record.artifact("growth_vs_lambda.svg"))
+    _write_json(record.rows, record.artifact("thm1_summary.json"))
 
 
-def cmd_localize(cfg, out_dir, record):
+def cmd_localize(run, record):
     from .surface import write_gfd
-    pair, pf = _localized_field(cfg, out_dir)
-    f_path = os.path.join(out_dir, "localized_field.gfd")
-    write_gfd(pf.field, f_path)
-    record.add_artifact(f_path, out_dir)
-    q_path = os.path.join(out_dir, "localized_potential.gfd")
-    write_gfd(pf.potential, q_path)
-    record.add_artifact(q_path, out_dir)
-    record.rows.append({"lambda": pair.lam, "residual": pf.residual,
+    pf = run.localized
+    write_gfd(pf.field, record.artifact("localized_field.gfd"))
+    write_gfd(pf.potential, record.artifact("localized_potential.gfd"))
+    record.rows.append({"lambda": run.pair.lam, "residual": pf.residual,
                         "potential_sup": pf.meta["potential_sup"],
                         "scale": pf.meta["scale"]})
-    path = os.path.join(out_dir, "localize.json")
-    _write_json(record.rows, path)
-    record.add_artifact(path, out_dir)
+    _write_json(record.rows, record.artifact("localize.json"))
 
 
-def cmd_tile(cfg, out_dir, record):
-    from .nodal import extract_nodal_set, singular_points
+def cmd_tile(run, record):
+    from .nodal import extract_nodal_set
     from .schrodinger import core_field
     from .svg import tiling_svg
-    from .tiling import (coverage_check, level_counts, run_tiling,
-                         slow_square_budgets, tiling_to_csv, total_bound_report)
-    _, pf = _localized_field(cfg, out_dir)
+    from .tiling import (level_counts, run_tiling, slow_square_budgets,
+                         tiling_to_csv, total_bound_report)
+    cfg, pf = run.cfg, run.localized
     state = run_tiling(pf, delta0=cfg["tiling"]["delta0"],
                        m_threshold=cfg["schrodinger"]["m_threshold"],
                        a=cfg["schrodinger"]["a"], k_max=cfg["tiling"]["k_max"])
@@ -510,54 +521,41 @@ def cmd_tile(cfg, out_dir, record):
     ns = extract_nodal_set(core)
     rep = total_bound_report(state, ns)
     budgets = slow_square_budgets(state, ns)
-    coverage = coverage_check(state, singular_points(core))
-    csv_path = os.path.join(out_dir, "tiling.csv")
-    tiling_to_csv(state, csv_path)
-    record.add_artifact(csv_path, out_dir)
-    svg_path = os.path.join(out_dir, "tiling.svg")
-    tiling_svg(state, svg_path, nodal_set=ns)
-    record.add_artifact(svg_path, out_dir)
+    tiling_to_csv(state, record.artifact("tiling.csv"))
+    tiling_svg(state, record.artifact("tiling.svg"), nodal_set=ns)
     record.rows = level_counts(state)
     record.constants.update({
         "beta_star": state.beta_star,
         "h1_core_disk": rep.h1_core_disk,
         "total_ratio": rep.ratio,
         "reconstruction_rel_err": rep.reconstruction_rel_err,
-        "uncovered_area": float(coverage.uncovered_area),
+        "uncovered_area": float(state.rapid_area()),
         "max_slow_budget_ratio": max((b["ratio"] for b in budgets),
                                      default=0.0),
         "capped": state.capped,
     })
-    path = os.path.join(out_dir, "tiling_report.json")
-    _write_json({"levels": record.rows, "constants": record.constants}, path)
-    record.add_artifact(path, out_dir)
+    _write_json({"levels": record.rows, "constants": record.constants},
+                record.artifact("tiling_report.json"))
 
 
-def cmd_rapid(cfg, out_dir, record):
+def cmd_rapid(run, record):
     from .schrodinger import count_rapid_disks, rapid_rows_to_csv
     from .svg import disk_config_svg
-    _, pf = _localized_field(cfg, out_dir)
-    rep = count_rapid_disks(pf, cfg["schrodinger"]["delta"],
-                            cfg["schrodinger"]["m_threshold"],
-                            a=cfg["schrodinger"]["a"])
-    csv_path = os.path.join(out_dir, "rapid_disks.csv")
-    rapid_rows_to_csv(rep, csv_path)
-    record.add_artifact(csv_path, out_dir)
-    svg_path = os.path.join(out_dir, "disk_config.svg")
-    disk_config_svg(rep.rows, svg_path, cfg["schrodinger"]["delta"])
-    record.add_artifact(svg_path, out_dir)
+    sc = run.cfg["schrodinger"]
+    rep = count_rapid_disks(run.localized, sc["delta"], sc["m_threshold"],
+                            a=sc["a"])
+    rapid_rows_to_csv(rep, record.artifact("rapid_disks.csv"))
+    disk_config_svg(rep.rows, record.artifact("disk_config.svg"), sc["delta"])
     record.constants.update({"n_rapid": rep.n_rapid, "n_probes": rep.n_probes,
                              "beta_star": rep.beta_star, "ratio": rep.ratio})
-    path = os.path.join(out_dir, "rapid_report.json")
-    _write_json(record.constants, path)
-    record.add_artifact(path, out_dir)
+    _write_json(record.constants, record.artifact("rapid_report.json"))
 
 
-def cmd_crofton(cfg, out_dir, record):
+def cmd_crofton(run, record):
     from .crofton import (circle_count_length, crofton_consistency,
                           disk_average_length, synthetic_circle,
                           synthetic_segment)
-    c = cfg["crofton"]
+    c = run.cfg["crofton"]
     curve_kind = c["curve"]
     if curve_kind == "segment":
         curve = synthetic_segment()
@@ -565,7 +563,7 @@ def cmd_crofton(cfg, out_dir, record):
         curve = synthetic_circle()
     else:   # eigenfunction
         from .nodal import extract_nodal_set
-        curve = extract_nodal_set(_get_indexed_pair(cfg, out_dir)[1].field)
+        curve = extract_nodal_set(run.pair.field)
     fn = disk_average_length if c["kernel"] == "disk" else circle_count_length
     est = fn(curve, c["r"], c["samples"], seed=c["seed"])
     out = {"value": est.value, "stderr": est.stderr, "samples": est.samples}
@@ -574,16 +572,14 @@ def cmd_crofton(cfg, out_dir, record):
         record.constants["consistency"] = crofton_consistency(
             curve, r=c["r"], samples=c["samples"], seed=c["seed"],
             disk=est if c["kernel"] == "disk" else None)
-    path = os.path.join(out_dir, "crofton.json")
-    _write_json(record.constants, path)
-    record.add_artifact(path, out_dir)
+    _write_json(record.constants, record.artifact("crofton.json"))
 
 
-def cmd_harmonic(cfg, out_dir, record):
+def cmd_harmonic(run, record):
     import numpy as np
     from .harmonic import (CircleTrace, growth_vs_signs_check,
                            robertson_constant, trace_from_function)
-    hc = cfg["harmonic"]
+    hc = run.cfg["harmonic"]
     rng = np.random.Generator(np.random.Philox(key=hc["seed"]))
     all_hold = True
     worst = None
@@ -610,17 +606,15 @@ def cmd_harmonic(cfg, out_dir, record):
         "robertson": [{"p": p, "value": robertson_constant(p).value}
                       for p in range(0, 8)],
     })
-    path = os.path.join(out_dir, "harmonic_report.json")
-    _write_json(record.constants, path)
-    record.add_artifact(path, out_dir)
+    _write_json(record.constants, record.artifact("harmonic_report.json"))
 
 
-def cmd_carleman(cfg, out_dir, record):
+def cmd_carleman(run, record):
     import numpy as np
     from .carleman import (build_psi0, build_weight, c1_test_family,
                            carleman_c1_check, check_subharmonic_inequality,
                            random_test_field)
-    cc = cfg["carleman"]
+    cc = run.cfg["carleman"]
     a = cc["a"]
     radial = build_psi0(a)
     centers = [(0.01 * math.cos(t), 0.01 * math.sin(t))
@@ -656,9 +650,7 @@ def cmd_carleman(cfg, out_dir, record):
                     "empirical_constant": c10})
     record.rows = reports
     record.constants["ode_residual"] = radial.ode_residual
-    path = os.path.join(out_dir, "carleman_report.json")
-    _write_json(reports, path)
-    record.add_artifact(path, out_dir)
+    _write_json(reports, record.artifact("carleman_report.json"))
 
 
 _COMMAND_FNS = {
@@ -682,18 +674,22 @@ def run(command, cfg, out_dir=None) -> ResultRecord:
     if out_dir is None:
         out_dir = cfg["output"]["dir"]
     os.makedirs(out_dir, exist_ok=True)
-    record = ResultRecord(command, canonical_hash(cfg))
+    stages = Run(cfg, out_dir)
+    record = ResultRecord(command, canonical_hash(cfg), out_dir)
     if command == "all":
+        # the ten commands share one run; the patch check right after the
+        # spectrum fails before any growth pass
+        stages.spectrum
+        stages.localized
         for sub in COMMANDS[:-1]:
-            sub_record = ResultRecord(sub, record.config_hash)
-            _COMMAND_FNS[sub](cfg, out_dir, sub_record)
+            sub_record = ResultRecord(sub, record.config_hash, out_dir)
+            _COMMAND_FNS[sub](stages, sub_record)
             record.rows.append({sub: sub_record.to_json()})
-        record_path = os.path.join(out_dir, "record.json")
-        _write_json(record.to_json(), record_path)
-        return record
-    _COMMAND_FNS[command](cfg, out_dir, record)
-    record_path = os.path.join(out_dir, f"record_{command}.json")
-    _write_json(record.to_json(), record_path)
+        name = "record.json"
+    else:
+        _COMMAND_FNS[command](stages, record)
+        name = f"record_{command}.json"
+    _write_json(record.to_json(), os.path.join(out_dir, name))
     return record
 
 

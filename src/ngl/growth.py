@@ -226,34 +226,30 @@ class LengthGrowthReport:
         }
 
 
-def verify_length_growth_bound(metric: ConformalMetric, spectrum: Spectrum,
-                               k0=0.5, sample_grid_m=64,
-                               skip_unresolved=False) -> LengthGrowthReport:
-    """Per-eigenfunction table for the two-sided bound between nodal length
-    and sqrt(lambda) times the average local growth.
+def length_growth_row(metric: ConformalMetric, pair: EigenPair, nodal_set,
+                      centers, betas) -> LengthGrowthRow:
+    """One eigenfunction's row of the two-sided bound, from its nodal set and
+    its growth exponents ``betas`` at ``centers``."""
+    avg = average_local_growth(betas, centers, metric)
+    h1_e, h1_m = nodal_length(nodal_set, metric)
+    sq = np.sqrt(pair.lam)
+    return LengthGrowthRow(
+        lam=pair.lam, average_growth=avg, h1_euclid=h1_e, h1_metric=h1_m,
+        lower_ratio=h1_m / (sq * avg) if avg > 0 else np.inf,
+        upper_ratio=h1_m / (sq * (avg + 1.0)), beta_max=float(betas.max()))
 
-    Constant eigenfunctions are excluded.  With ``skip_unresolved`` the rows
-    whose wavelength disks fall below grid resolution are dropped instead of
-    raising (used by the k0 sweep).
-    """
+
+def verify_length_growth_bound(metric: ConformalMetric, spectrum: Spectrum,
+                               k0=0.5, sample_grid_m=64) -> LengthGrowthReport:
+    """Per-eigenfunction table for the two-sided bound between nodal length
+    and sqrt(lambda) times the average local growth; constant
+    eigenfunctions are excluded."""
     pairs = spectrum.nonconstant()
-    if skip_unresolved:
-        pairs = [pair for pair in pairs
-                 if metric.grid_n >= disk_grid_need(pair.lam, metric, k0)]
     centers, betas = growth_fields(pairs, metric, k0=k0,
                                    sample_grid_m=sample_grid_m)
-    rows = []
-    for pair, row in zip(pairs, betas):
-        avg = average_local_growth(row, centers, metric)
-        beta_max = float(row.max())
-        ns = extract_nodal_set(pair.field)
-        h1_e, h1_m = nodal_length(ns, metric)
-        sq = np.sqrt(pair.lam)
-        rows.append(LengthGrowthRow(
-            lam=pair.lam, average_growth=avg, h1_euclid=h1_e, h1_metric=h1_m,
-            lower_ratio=h1_m / (sq * avg) if avg > 0 else np.inf,
-            upper_ratio=h1_m / (sq * (avg + 1.0)),
-            beta_max=beta_max))
+    rows = [length_growth_row(metric, pair, extract_nodal_set(pair.field),
+                              centers, row)
+            for pair, row in zip(pairs, betas)]
     return LengthGrowthReport(rows=rows, k0=k0, sample_grid_m=sample_grid_m)
 
 

@@ -23,9 +23,14 @@ bit-identical outputs is checked against digests recorded before it:
 * every file that ``growth``, ``thm1``, ``spectrum`` and ``nodal`` write at
   a small ``wave`` config (geodesic-disk sups; a degenerate pair shares its
   radius, and the one ``k0_sweep`` entry resolves only the lowest mode, so
-  ``skip_unresolved`` drops rows and a second radius set is marched; the
+  the sweep drops rows and a second radius set is marched; the
   solved spectrum and its nodal sets) and at a small flat config (the flat
-  sup-disk scans; the closed-form spectrum and its nodal sets).
+  sup-disk scans; the closed-form spectrum and its nodal sets);
+* every file that ``all`` writes at a small ``wave`` config, the spectrum
+  cache included, so that the stages its commands share (one spectrum, its
+  nodal sets, its growth fields and the localized field) leave every output
+  as the commands would write it one by one (``localize.index`` 1, because
+  pair 2 of that spectrum is a member of a cut-off eigenspace).
 
 The digests hold for one BLAS thread (outputs are byte-identical only in
 single-threaded mode), so this script pins the thread variables before numpy
@@ -103,6 +108,18 @@ GROWTH_CONFIGS = {
              "growth": {"sample_grid_m": 4}},
 }
 
+ALL_CONFIG = {
+    "metric": {"profile": "wave", "grid_n": 224},
+    "eigen": {"count": 2},
+    "growth": {"k0": 1.0, "sample_grid_m": 4, "k0_sweep": [1.5]},
+    "localize": {"p": [0.3, 0.7], "eps0": 0.2, "planar_grid_n": 256,
+                 "index": 1},
+    "tiling": {"core_grid_n": 257, "k_max": 4},
+    "crofton": {"curve": "eigenfunction", "samples": 2000},
+    "harmonic": {"n_traces": 3},
+    "carleman": {"pairs": 2, "t_values": [1.0]},
+}
+
 RAPID_DEGREES = (38, 40, 42)
 RAPID_FAMILY = {"planar_grid_n": 256, "m_threshold": 10.0, "k_max": 4,
                 "delta": 1e-4}
@@ -118,9 +135,9 @@ def versions():
             "blas": f"{blas['name']} {blas['version']}"}
 
 
-def cli_digests(commands, config):
-    """sha256 of every file the commands write at the config (the spectrum
-    cache the localized commands fill is left out: it is not their output)."""
+def cli_digests(commands, config, cache=False):
+    """sha256 of every file the commands write at the config; the spectrum
+    cache they fill is left out unless ``cache`` is set."""
     from ngl.cli import load_config, run
     digests = {}
     with tempfile.TemporaryDirectory() as out_dir:
@@ -128,7 +145,8 @@ def cli_digests(commands, config):
         for command in commands:
             run(command, load_config(overrides=overrides, command=command))
         for dirpath, dirnames, files in os.walk(out_dir):
-            dirnames[:] = [d for d in dirnames if d != "spectrum_cache"]
+            if not cache:
+                dirnames[:] = [d for d in dirnames if d != "spectrum_cache"]
             for fname in files:
                 path = os.path.join(dirpath, fname)
                 rel = os.path.relpath(path, out_dir).replace(os.sep, "/")
@@ -208,6 +226,7 @@ def compute():
                         for name, config in CROFTON_CONFIGS.items()},
             "growth": {name: cli_digests(GROWTH_COMMANDS, config)
                        for name, config in GROWTH_CONFIGS.items()},
+            "all": cli_digests(("all",), ALL_CONFIG, cache=True),
             "rapid_family": {f"d={d}": rapid_family_digests(d)
                              for d in RAPID_DEGREES}}
 

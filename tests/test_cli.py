@@ -352,6 +352,69 @@ def test_all_command_aggregates(tmp_path):
     assert (tmp_path / "out" / "disk_config.svg").exists()
 
 
+def test_all_builds_each_stage_once(tmp_path, monkeypatch):
+    """One `all` run grows each (k0, pair set) once, extracts each
+    nonconstant pair's nodal set once for nodal and thm1 together, localizes
+    once, and reads each spectrum cache file at most once."""
+    import ngl.growth
+    import ngl.nodal
+    import ngl.schrodinger
+    import ngl.surface
+    calls = {}
+
+    def count(module, name, key):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.setdefault(name, []).append(key(*args, **kwargs))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(ngl.growth, "growth_fields",
+          lambda pairs, metric, k0, sample_grid_m: (k0, len(pairs)))
+    count(ngl.nodal, "extract_nodal_set", id)
+    count(ngl.schrodinger, "localize", lambda pair, *args, **kwargs: pair.lam)
+    count(ngl.surface, "read_gfd", lambda path: path)
+    # k0_sweep 0.5 resolves the 4 pairs of mode (1, 0), not the 2 of (1, 1);
+    # 1.0 repeats growth.k0
+    cfg = load_config(overrides={
+        "metric": {"grid_n": 160}, "eigen": {"count": 6},
+        "growth": {"k0": 1.0, "sample_grid_m": 4, "k0_sweep": [0.5, 1.0]},
+        "localize": {"index": 1, "planar_grid_n": 64, "eps0": 0.2},
+        "tiling": {"core_grid_n": 65, "k_max": 2},
+        "crofton": {"samples": 1000}, "harmonic": {"n_traces": 3},
+        "carleman": {"pairs": 2, "t_values": [1.0]},
+        "output": {"dir": str(tmp_path)}}, command="all")
+    for rerun in (False, True):   # a cold cache, then a warm one
+        calls.clear()
+        run("all", cfg)
+        assert sorted(calls["growth_fields"]) == [(0.5, 4), (1.0, 6)]
+        # the six pairs' fields and the core field of tile
+        fields = calls["extract_nodal_set"]
+        assert len(fields) == len(set(fields)) == 7
+        assert len(calls["localize"]) == 1
+        reads = calls.get("read_gfd", [])
+        assert len(reads) == len(set(reads)) == (7 if rerun else 0)
+
+
+def test_all_fails_its_patch_check_before_growing(tmp_path, capsys):
+    # passes the pre-check's lower eigenvalue bound; the solved lambda_1
+    # needs grid_n 94 for its rescaled patch
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "metric": {"profile": "wave", "grid_n": 92}, "eigen": {"count": 2},
+        "growth": {"k0": 2.0, "sample_grid_m": 4},
+        "localize": {"index": 1, "eps0": 1.0, "planar_grid_n": 128},
+        "tiling": {"core_grid_n": 129}}))
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: one rescaled unit spans 9.84 samples (< 10); "
+        "increase grid_n to at least 94\n")
+    for name in ("growth.json", "thm1_table.csv", "record.json"):
+        assert not (out / name).exists(), name
+
+
 # --------------------------------------------------------------- config faults
 
 
@@ -475,6 +538,10 @@ def test_all_command_aggregates(tmp_path):
     pytest.param('{"tiling": {"k_max": -9223372036854775809}}',
                  "tiling.k_max must lie within the int64 range",
                  id="k_max-below-int64"),
+    # within 1e-12 of P's side / 10^5: 10^10 level-0 squares
+    pytest.param(("tile", '{"tiling": {"delta0": 3.3333333333333e-07}}'),
+                 "tiling.delta0 must be at least 1/30 / 64",
+                 id="delta0-10^10-squares"),
     # beyond the 4300 digits Python parses into an int
     pytest.param('{"growth": {"k0": ' + "9" * 4301 + '}}', "not valid JSON",
                  id="k0-4301-digits"),
@@ -515,6 +582,18 @@ def test_float_delta0_reads_as_an_exact_fraction_of_p(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "delta0 must divide the side of P exactly" in err
+
+
+def test_delta0_bound_admits_64_squares_a_side():
+    from fractions import Fraction
+    for k, ok in ((64, True), (65, False)):
+        cfg = deep_merge(DEFAULT_CONFIG,
+                         {"tiling": {"delta0": float(Fraction(1, 30) / k)}})
+        if ok:
+            validate_config(cfg, command="tile")
+        else:
+            with pytest.raises(ConfigError, match="64 level-0 squares a side"):
+                validate_config(cfg, command="tile")
 
 
 @pytest.mark.parametrize("command", ["nodal", "growth"])

@@ -1,6 +1,6 @@
 """The localized pipeline's, the inequality suites', the Crofton estimators',
-the growth tables', the spectra's and the nodal sets' outputs match the
-digests in fingerprints.json.
+the growth tables', the spectra's, the nodal sets' and one ``all`` run's
+outputs match the digests in fingerprints.json.
 
 See tests/fingerprints.py for what is hashed and how to rewrite the file.
 The digests are computed in a subprocess, because they hold for one BLAS
@@ -79,3 +79,13 @@ def test_rapid_family_decisions(computed, family):
     assert got == want, (f"rapid family {family}: decisions or levels differ "
                          f"from the recorded ones; if the change is "
                          f"intended, {UPDATE_HINT}")
+
+
+def test_all_command_outputs(computed):
+    # one `ngl all` run, the spectrum cache included: the stages its commands
+    # share leave every file as the commands write it one by one
+    got, want = computed["all"], STORED["all"]
+    assert got.keys() == want.keys()
+    changed = sorted(k for k in want if got[k] != want[k])
+    assert not changed, (f"all: {changed} differ from the recorded outputs; "
+                         f"if the change is intended, {UPDATE_HINT}")

@@ -236,3 +236,28 @@ def test_tiling_is_one_level_loop():
         assert gone not in defined, gone
     sites = _calls_of(tree, "_square_is_rapid")
     assert len(sites) == 1, [node.lineno for node in sites]
+
+
+def test_one_run_object_in_the_cli():
+    # the commands read their inputs from one lazy run object (cli.Run):
+    # the spectrum solve, the growth pass and the localization each have one
+    # call site, and a command names its files through ResultRecord.artifact
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    for name in ("solve_spectrum", "analytic_spectrum", "growth_fields",
+                 "localize"):
+        sites = _calls_of(tree, name)
+        assert len(sites) == 1, (name, [node.lineno for node in sites])
+    defined = set()
+    for path in sorted(SRC.glob("*.py")):
+        defined |= _names_defined(ast.parse(path.read_text(encoding="utf-8")))
+    for gone in ("_get_spectrum", "_get_indexed_pair", "_indexed_pair",
+                 "_localized_field", "add_artifact"):
+        assert gone not in defined, gone
+    growth = ast.parse((SRC / "growth.py").read_text(encoding="utf-8"))
+    [verify] = [node for node in ast.walk(growth)
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "verify_length_growth_bound"]
+    assert "skip_unresolved" not in [arg.arg for arg in verify.args.args]
+    for func in tree.body:
+        if isinstance(func, ast.FunctionDef) and func.name.startswith("cmd_"):
+            assert not _calls_of(func, "join"), func.name
