@@ -296,8 +296,8 @@ class Run:
     built at most once, on first use: the ``metric``, the ``spectrum``
     (solved, or read from the cache), its nonconstant ``pairs`` and their
     ``nodal_sets``, the ``pair`` that ``localize.index`` names (``index`` is
-    its position in ``pairs``), ``growth(k0, selected)`` and the
-    ``localized`` field of ``pair``."""
+    its position in ``pairs``) and its ``pair_nodal_set``,
+    ``growth(k0, selected)`` and the ``localized`` field of ``pair``."""
 
     def __init__(self, cfg, out_dir):
         self.cfg = cfg
@@ -401,6 +401,14 @@ class Run:
     def nodal_sets(self):
         from .nodal import extract_nodal_set
         return [extract_nodal_set(pair.field) for pair in self.pairs]
+
+    @cached_property
+    def pair_nodal_set(self):
+        """``pair``'s nodal set, taken from ``nodal_sets`` once they are built."""
+        if "nodal_sets" in vars(self):
+            return self.nodal_sets[self.index]
+        from .nodal import extract_nodal_set
+        return extract_nodal_set(self.pair.field)
 
     def growth(self, k0, selected):
         """``growth_fields`` at k0 of the pairs at the positions
@@ -562,8 +570,7 @@ def cmd_crofton(run, record):
     elif curve_kind == "circle":
         curve = synthetic_circle()
     else:   # eigenfunction
-        from .nodal import extract_nodal_set
-        curve = extract_nodal_set(run.pair.field)
+        curve = run.pair_nodal_set
     fn = disk_average_length if c["kernel"] == "disk" else circle_count_length
     est = fn(curve, c["r"], c["samples"], seed=c["seed"])
     out = {"value": est.value, "stderr": est.stderr, "samples": est.samples}

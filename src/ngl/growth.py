@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyRegionError, InfiniteGrowthError, ResolutionError
+from .errors import InfiniteGrowthError, ResolutionError
 from .eigen import EigenPair, Spectrum
 from .nodal import extract_nodal_set, nodal_length
-from .surface import (TORUS, ConformalMetric, GridField, _sup_disks_flat,
-                      _swept_distances, lq_norm_on_disk, sup_on_disk)
+from .surface import (TORUS, ConformalMetric, GridField, _geodesic_disk_sups,
+                      _sup_disks_flat, lq_norm_on_disk, sup_on_disk)
 
 _BETA_FLOOR = 1e-9  # interpolation noise floor on nested sups
 
@@ -72,61 +72,6 @@ def lq_growth_exponent(field, center, r, alpha, qexp):
 
 # --------------------------------------------------------------------------
 # wavelength-scale growth field
-
-
-# bilinear weights of the 4x refinement: phase u of a cell sits at u / 4
-_FX = (np.arange(4) / 4.0)[:, None, None, None]
-_FY = (np.arange(4) / 4.0)[None, :, None, None]
-
-
-def _refine(a):
-    """Bilinear 4x refinement of the cells of a block: entry [u, v, k, l] is
-    the interpolant at (k + u / 4, l + v / 4), in the nested-product order
-    of the original lattice scan."""
-    a00, a10, a01, a11 = a[:-1, :-1], a[1:, :-1], a[:-1, 1:], a[1:, 1:]
-    return (a00 * (1 - _FX) * (1 - _FY) + a10 * _FX * (1 - _FY)
-            + a01 * (1 - _FX) * _FY + a11 * _FX * _FY)
-
-
-def _local_metric_sups(values, dist, radii):
-    """Sups of |values| over {dist <= rad}, rad in radii, on the 4x refined
-    lattice over the cells of a window block: both blocks hold the nodes at
-    offsets -half .. half + 1 from the center's cell, and are refined once."""
-    dd = _refine(np.where(np.isfinite(dist), dist, 1e18))
-    # the lattice ends at offset +half: no phases past the last row / column
-    dd[1:, :, -1, :] = np.inf
-    dd[:, 1:, :, -1] = np.inf
-    absval = np.abs(_refine(values))
-    sups = []
-    for rad in radii:
-        keep = dd <= rad
-        if not keep.any():
-            raise EmptyRegionError(
-                f"geodesic disk of radius {rad:g} contains no refined lattice point")
-        sups.append(float(np.max(absval[keep])))
-    return sups
-
-
-def _geodesic_disk_sups(fields, metric, points, radii, alpha):
-    """Sups of |fields[k]| over the geodesic disks of radii radii[k] and
-    alpha radii[k] at each point: entry [k, 0, c] is the outer sup at
-    points[c], and [k, 1, c] the inner one.
-
-    Each disk needs distances stopped at 1.05 times its radius in the
-    window of its Euclidean hull (a geodesic r-disk lies within
-    r / sqrt(q_minus) of p): ``_swept_distances`` gives every radius from
-    one sweep per batch of points.
-    """
-    disks = [(int(np.ceil(r / np.sqrt(metric.q_minus) / metric.spacing)) + 3,
-              1.05 * r) for r in radii]
-    points = np.reshape(points, (-1, 2))
-    sups = np.empty((len(fields), 2, len(points)))
-    for lo, k, dist, rows, cols in _swept_distances(metric, points, disks):
-        for b in range(len(dist)):
-            sups[k, :, lo + b] = _local_metric_sups(
-                fields[k][rows[b, 1:, None], cols[b, None, 1:]],
-                dist[b, 1:, 1:], (radii[k], alpha * radii[k]))
-    return sups
 
 
 def disk_grid_need(lam, metric, k0):

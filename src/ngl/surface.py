@@ -4,13 +4,14 @@ The metric is g = q(x, y)(dx^2 + dy^2) on the unit torus [0,1)^2, realized by
 one global periodic chart.  Lengths scale by sqrt(q), areas by q.  Everything
 downstream (eigenfunctions, nodal sets, growth exponents) consumes the two
 primitives defined here: bilinear interpolation of grid samples and sup / L^q
-evaluation over Euclidean disks.  A torus grid field's sup over Euclidean
-disks has one kernel, ``_sup_disks_flat``, for one center or many: the
-lattice points in the disk plus a dense bilinear ring on the circle.  Each
-cell's interpolant is bilinear, hence harmonic, so the maximum principle puts
-its sup at one or the other.  The geodesic distance solver lives here too:
-Gauss-Seidel fast sweeping of the first-order upwind update, on the windows
-of a stack of centers at once; geodesic-disk sups are taken in ``growth``.
+evaluation over disks, with one bilinear blend (``_blend``) behind every
+interpolated value.  A torus grid field's sup over Euclidean disks has one
+kernel, ``_sup_disks_flat``, for one center or many: the lattice points in
+the disk plus a dense bilinear ring on the circle.  Each cell's interpolant
+is bilinear, hence harmonic, so the maximum principle puts its sup at one or
+the other.  The geodesic distance solver lives here too: Gauss-Seidel fast
+sweeping of the first-order upwind update, on the windows of a stack of
+centers at once; ``_geodesic_disk_sups`` takes geodesic-disk sups on them.
 """
 
 from __future__ import annotations
@@ -84,20 +85,31 @@ class GridField:
 
 def _bilinear_periodic(values, x, y):
     n = values.shape[0]
-    gx = np.asarray(x, dtype=float) * n
-    gy = np.asarray(y, dtype=float) * n
-    i0 = np.floor(gx).astype(np.int64)
-    j0 = np.floor(gy).astype(np.int64)
-    fx = gx - i0
-    fy = gy - j0
-    i0 %= n
-    j0 %= n
+    i0, fx = np.divmod(np.asarray(x, dtype=float) * n, 1.0)   # cell, fraction
+    j0, fy = np.divmod(np.asarray(y, dtype=float) * n, 1.0)
+    i0 = i0.astype(np.int64) % n
+    j0 = j0.astype(np.int64) % n
     i1 = (i0 + 1) % n
     j1 = (j0 + 1) % n
-    # nested lerp form: exact on constant fields
-    low = values[i0, j0] + fx * (values[i1, j0] - values[i0, j0])
-    high = values[i0, j1] + fx * (values[i1, j1] - values[i0, j1])
-    return low + fy * (high - low)
+    return _blend(values[i0, j0], values[i1, j0], values[i0, j1],
+                  values[i1, j1], fx, fy)
+
+
+def _blend(v00, v10, v01, v11, fx, fy):
+    """The bilinear interpolant at fractions (fx, fy) of the cell with corner
+    values v00 = f(i, j), v10 = f(i + 1, j), v01, v11, as nested lerps (exact
+    on constant fields): low = v00 + fx (v10 - v00), high = v01 + fx (v11 -
+    v01), low + fy (high - low).  Overwrites v10 and v11 with low and high."""
+    v10 -= v00
+    v10 *= fx
+    v10 += v00
+    v11 -= v01
+    v11 *= fx
+    v11 += v01
+    v11 -= v10
+    out = fy * v11
+    out += v10
+    return out
 
 
 def write_gfd(field: GridField, path) -> None:
@@ -354,6 +366,58 @@ def _swept_distances(metric: ConformalMetric, points, disks):
                    cols[:, window])
 
 
+_PHASES = np.arange(4) / 4.0   # cell fractions of the 4 x 4 refinement
+
+
+def _refine(a):
+    """Bilinear 4x refinement of the cells of a block: entry [u, v, k, l] is
+    the interpolant at (k + u / 4, l + v / 4); v10, v11 are copied per u."""
+    return _blend(a[:-1, :-1], np.repeat(a[None, None, 1:, :-1], 4, axis=0),
+                  a[:-1, 1:], np.repeat(a[None, None, 1:, 1:], 4, axis=0),
+                  _PHASES[:, None, None, None], _PHASES[:, None, None])
+
+
+def _local_metric_sups(values, dist, radii):
+    """Sups of |values| over {dist <= rad}, rad in radii, on the 4x refined
+    lattice over the cells of a window block: both blocks hold the nodes at
+    offsets -half .. half + 1 from the center's cell, and are refined once."""
+    dd = _refine(np.where(np.isfinite(dist), dist, 1e18))
+    # the lattice ends at offset +half: no phases past the last row / column
+    dd[1:, :, -1, :] = np.inf
+    dd[:, 1:, :, -1] = np.inf
+    absval = np.abs(_refine(values))
+    sups = []
+    for rad in radii:
+        keep = dd <= rad
+        if not keep.any():
+            raise EmptyRegionError(
+                f"geodesic disk of radius {rad:g} contains no refined lattice point")
+        sups.append(float(np.max(absval[keep])))
+    return sups
+
+
+def _geodesic_disk_sups(fields, metric, points, radii, alpha):
+    """Sups of |fields[k]| over the geodesic disks of radii radii[k] and
+    alpha radii[k] at each point: entry [k, 0, c] is the outer sup at
+    points[c], and [k, 1, c] the inner one.
+
+    Each disk needs distances stopped at 1.05 times its radius in the
+    window of its Euclidean hull (a geodesic r-disk lies within
+    r / sqrt(q_minus) of p): ``_swept_distances`` gives every radius from
+    one sweep per batch of points.
+    """
+    disks = [(int(np.ceil(r / np.sqrt(metric.q_minus) / metric.spacing)) + 3,
+              1.05 * r) for r in radii]
+    points = np.reshape(points, (-1, 2))
+    sups = np.empty((len(fields), 2, len(points)))
+    for lo, k, dist, rows, cols in _swept_distances(metric, points, disks):
+        for b in range(len(dist)):
+            sups[k, :, lo + b] = _local_metric_sups(
+                fields[k][rows[b, 1:, None], cols[b, None, 1:]],
+                dist[b, 1:, 1:], (radii[k], alpha * radii[k]))
+    return sups
+
+
 # --------------------------------------------------------------------------
 # sup and L^q over Euclidean disks
 
@@ -402,40 +466,24 @@ def _sup_disks_flat(values, centers_idx, radius_cells, frac=(0.0, 0.0)):
         raise EmptyRegionError(
             f"disk of radius {radius_cells:g} cells contains no grid sample")
     rx, ry = _ring_points(frac, radius_cells, 0.25, min_angles=256)
-    fi = np.floor(rx).astype(np.int64)
-    fj = np.floor(ry).astype(np.int64)
-    wx = rx - fi
-    wy = ry - fj
+    fi, wx = np.divmod(rx, 1.0)
+    fj, wy = np.divmod(ry, 1.0)
     pad = int(np.ceil(radius_cells)) + 2
     padded = np.pad(values, pad, mode="wrap").ravel()
     w = n + 2 * pad
     absvals = np.abs(padded)
     disk = di * w + dj
-    ring = fi * w + fj
+    ring = (fi * w + fj).astype(np.int64)
     # corners (i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1) of each ring cell
-    v00s, v10s, v01s, v11s = padded, padded[w:], padded[1:], padded[w + 1:]
+    corners = padded, padded[w:], padded[1:], padded[w + 1:]
     base = (centers_idx[:, 0] % n + pad) * w + (centers_idx[:, 1] % n + pad)
     out = np.empty(base.size)
     for lo in range(0, base.size, _SUP_BLOCK):
         b = base[lo:lo + _SUP_BLOCK, None]
         best = absvals.take(b + disk).max(axis=1)
         idx = b + ring
-        v00 = v00s.take(idx)
-        v01 = v01s.take(idx)
-        # low = v00 + wx (v10 - v00), high = v01 + wx (v11 - v01) and
-        # low + wy (high - low), in place but in the same operation order
-        low = v10s.take(idx)
-        low -= v00
-        low *= wx
-        low += v00
-        high = v11s.take(idx)
-        high -= v01
-        high *= wx
-        high += v01
-        high -= low
-        high *= wy
-        high += low
-        ring_sup = np.abs(high, out=high).max(axis=1)
+        vals = _blend(*(corner.take(idx) for corner in corners), wx, wy)
+        ring_sup = np.abs(vals, out=vals).max(axis=1)
         out[lo:lo + _SUP_BLOCK] = np.maximum(best, ring_sup)
     return out
 
@@ -476,17 +524,16 @@ def sup_on_disk(fieldlike, center, r):
     interpolant's sup lies.  Objects exposing an ``evaluate`` callable (and
     bare callables) are scanned on dense polar rasters that include the
     boundary exactly, in one call; a NaN at any scanned point makes the sup
-    NaN.  Geodesic disks go through ``growth.growth_exponent`` with a metric,
-    on distances from ``_swept_distances``.
+    NaN.  Geodesic disks go through ``_geodesic_disk_sups`` (reached by
+    ``growth.growth_exponent`` with a metric).
     """
     ev = _as_evaluator(fieldlike)
     if ev is not None:
         return _callable_sup_disk(ev, center, r)
     n = fieldlike.grid_n
-    g = np.asarray(center, dtype=float) * n
-    corner = np.floor(g)
+    corner, frac = np.divmod(np.asarray(center, dtype=float) * n, 1.0)
     sup = _sup_disks_flat(fieldlike.values, corner.astype(np.int64)[None, :],
-                          r * n, tuple(g - corner))
+                          r * n, tuple(frac))
     return float(sup[0])
 
 

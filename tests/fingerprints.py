@@ -41,8 +41,9 @@ commit whose outputs are known to be right:
 
     PYTHONPATH=src python tests/fingerprints.py --update
 
-and name every digest that changed, with its reason, in CHANGES.md.
-Without ``--update`` the script prints the digests it computes.
+It prints one line per digest it adds, removes or changes; name each of
+those, with its reason, in CHANGES.md.  Without ``--update`` the script
+prints the digests it computes.
 """
 
 from __future__ import annotations
@@ -231,13 +232,44 @@ def compute():
                              for d in RAPID_DEGREES}}
 
 
+def _leaves(tree, prefix=""):
+    """``a/b/c`` key path -> value of every leaf of nested dicts."""
+    found = {}
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            found.update(_leaves(value, f"{prefix}{key}/"))
+        else:
+            found[prefix + key] = value
+    return found
+
+
+def digest_changes(old, new):
+    """One line per leaf key that ``new`` adds to, removes from or changes
+    in ``old``, in key order."""
+    old, new = _leaves(old), _leaves(new)
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        if key not in old:
+            lines.append(f"added {key}")
+        elif key not in new:
+            lines.append(f"removed {key}")
+        elif old[key] != new[key]:
+            lines.append(f"changed {key}")
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--update", action="store_true",
                         help=f"rewrite {FINGERPRINT_FILE.name}")
     args = parser.parse_args(argv)
-    text = json.dumps(compute(), indent=1, sort_keys=True) + "\n"
+    digests = compute()
+    text = json.dumps(digests, indent=1, sort_keys=True) + "\n"
     if args.update:
+        old = (json.loads(FINGERPRINT_FILE.read_text(encoding="ascii"))
+               if FINGERPRINT_FILE.exists() else {})
+        for line in digest_changes(old, digests):
+            print(line)
         FINGERPRINT_FILE.write_text(text, encoding="ascii")
         print(f"wrote {FINGERPRINT_FILE}")
     else:

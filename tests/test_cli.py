@@ -354,8 +354,9 @@ def test_all_command_aggregates(tmp_path):
 
 def test_all_builds_each_stage_once(tmp_path, monkeypatch):
     """One `all` run grows each (k0, pair set) once, extracts each
-    nonconstant pair's nodal set once for nodal and thm1 together, localizes
-    once, and reads each spectrum cache file at most once."""
+    nonconstant pair's nodal set once for nodal, thm1 and eigenfunction-curve
+    crofton together, localizes once, and reads each spectrum cache file at
+    most once."""
     import ngl.growth
     import ngl.nodal
     import ngl.schrodinger
@@ -382,7 +383,8 @@ def test_all_builds_each_stage_once(tmp_path, monkeypatch):
         "growth": {"k0": 1.0, "sample_grid_m": 4, "k0_sweep": [0.5, 1.0]},
         "localize": {"index": 1, "planar_grid_n": 64, "eps0": 0.2},
         "tiling": {"core_grid_n": 65, "k_max": 2},
-        "crofton": {"samples": 1000}, "harmonic": {"n_traces": 3},
+        "crofton": {"curve": "eigenfunction", "samples": 1000},
+        "harmonic": {"n_traces": 3},
         "carleman": {"pairs": 2, "t_values": [1.0]},
         "output": {"dir": str(tmp_path)}}, command="all")
     for rerun in (False, True):   # a cold cache, then a warm one

@@ -89,3 +89,19 @@ def test_all_command_outputs(computed):
     changed = sorted(k for k in want if got[k] != want[k])
     assert not changed, (f"all: {changed} differ from the recorded outputs; "
                          f"if the change is intended, {UPDATE_HINT}")
+
+
+def test_update_names_each_changed_digest():
+    # `fingerprints.py --update` prints one line per leaf key it adds,
+    # removes or changes, so CHANGES.md can name the re-recorded digests
+    from fingerprints import digest_changes
+    old = {"growth": {"wave": {"growth.json": "a", "thm1_table.csv": "b"},
+                      "flat": {"growth.json": "c"}},
+           "rapid_family": {"d=38": {"levels": [[1, 2]]}}}
+    new = {"growth": {"wave": {"growth.json": "a2", "thm1_table.csv": "b"},
+                      "flat": {"growth.json": "c", "nodal.svg": "d"}},
+           "all": {"record.json": "e"}}
+    assert digest_changes(old, new) == [
+        "added all/record.json", "added growth/flat/nodal.svg",
+        "changed growth/wave/growth.json", "removed rapid_family/d=38/levels"]
+    assert digest_changes(new, new) == []

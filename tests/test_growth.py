@@ -3,12 +3,12 @@ import pytest
 
 from ngl.errors import EmptyRegionError, InfiniteGrowthError, ResolutionError
 from ngl.eigen import analytic_eigenpair, analytic_spectrum, solve_spectrum
-import ngl.growth as growth_module
 from ngl.growth import (average_local_growth, donnelly_fefferman_constant,
                         growth_exponent, growth_fields, lq_growth_exponent,
                         quartile_trend_ratio, verify_length_growth_bound)
-from ngl.surface import (_bilinear_periodic, _disk_offsets, _ring_points,
-                         _swept_distances, _sup_disks_flat, make_metric)
+from ngl.surface import (_bilinear_periodic, _disk_offsets, _local_metric_sups,
+                         _refine, _ring_points, _swept_distances,
+                         _sup_disks_flat, make_metric)
 
 from conftest import geodesic_distance, oracle_fast_march, torus_field
 
@@ -250,9 +250,10 @@ def oracle_local_metric_sup(values, dist, r, ic, jc, half, n):
     i1 = (i0 + 1) % n
     j1 = (j0 + 1) % n
 
-    def blend(a):
-        return (a[i0, j0] * (1 - fx) * (1 - fy) + a[i1, j0] * fx * (1 - fy)
-                + a[i0, j1] * (1 - fx) * fy + a[i1, j1] * fx * fy)
+    def blend(a):   # nested lerps: x within rows j0 and j1, then y
+        low = a[i0, j0] + fx * (a[i1, j0] - a[i0, j0])
+        high = a[i0, j1] + fx * (a[i1, j1] - a[i0, j1])
+        return low + fy * (high - low)
 
     keep = blend(d) <= r
     assert keep.any()
@@ -297,7 +298,7 @@ def test_local_metric_sups_equal_full_grid_scan(n, ic, jc, half):
         dist = rng.random((n, n))
         dist[rng.random((n, n)) < 0.2] = np.inf
         radii = (0.9, 0.5, 0.05)
-        got = growth_module._local_metric_sups(values[block], dist[block], radii)
+        got = _local_metric_sups(values[block], dist[block], radii)
         assert got == [oracle_local_metric_sup(values, dist, rad, ic, jc, half, n)
                        for rad in radii]
 
@@ -315,11 +316,14 @@ def test_refined_window_equals_modulo_blend():
     fy = gy - np.floor(gy)
     i1 = (i0 + 1) % n
     j1 = (j0 + 1) % n
-    want = (values[i0, j0] * (1 - fx) * (1 - fy) + values[i1, j0] * fx * (1 - fy)
-            + values[i0, j1] * (1 - fx) * fy + values[i1, j1] * fx * fy)
+    low = values[i0, j0] + fx * (values[i1, j0] - values[i0, j0])
+    high = values[i0, j1] + fx * (values[i1, j1] - values[i0, j1])
+    want = low + fy * (high - low)
     span = np.arange(2 * half + 2) - half
     block = values[np.ix_((ic + span) % n, (jc + span) % n)]
-    got = growth_module._refine(block)          # [u, v, k, l]
+    kept = block.copy()
+    got = _refine(block)          # [u, v, k, l]
+    np.testing.assert_array_equal(block, kept)   # the blend writes copies only
     k = 2 * half + 1
     got = got.transpose(2, 0, 3, 1).reshape(4 * k, 4 * k)[:want.shape[0],
                                                           :want.shape[1]]

@@ -30,12 +30,13 @@ def test_one_spline_construction():
 
 
 def test_one_distance_sweep_call_site():
-    # every geodesic-disk sup goes through the one swept stack in growth;
-    # the heap march is the test oracle only (tests/conftest.py)
+    # every geodesic-disk sup goes through the one swept stack, which
+    # surface._geodesic_disk_sups scans; the heap march is the test oracle
+    # only (tests/conftest.py)
     hits = [(path.name, line.strip()) for path in sorted(SRC.glob("*.py"))
             for line in path.read_text(encoding="utf-8").splitlines()
             if "_swept_distances(" in line and not line.lstrip().startswith("def ")]
-    assert [name for name, _ in hits] == ["growth.py"], hits
+    assert [name for name, _ in hits] == ["surface.py"], hits
     imports = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -44,6 +45,73 @@ def test_one_distance_sweep_call_site():
             elif isinstance(node, ast.ImportFrom):
                 imports.append((path.name, node.module))
     assert not [hit for hit in imports if hit[1] == "heapq"], imports
+
+
+def _is_op(node, op):
+    return isinstance(node, ast.BinOp) and isinstance(node.op, op)
+
+
+def _computes_bilinear_blend(func):
+    """Whether a function body writes a bilinear blend itself: three lerps
+    a + t (b - a), each as one expression or as an in-place chain
+    ``b -= a`` ... ``b += a``, or a weight product (1 - s)(1 - t)."""
+    lerps = 0
+    subtracted = set()
+    for node in sorted((node for node in ast.walk(func)
+                        if isinstance(node, (ast.BinOp, ast.AugAssign))),
+                       key=lambda node: (node.lineno, node.col_offset)):
+        if isinstance(node, ast.AugAssign):
+            value = ast.dump(node.value)
+            if isinstance(node.op, ast.Sub):
+                subtracted.add(value)
+            elif isinstance(node.op, ast.Add) and value in subtracted:
+                lerps += 1
+        elif _is_op(node, ast.Add):
+            for base, term in ((node.left, node.right), (node.right, node.left)):
+                if _is_op(term, ast.Mult):
+                    diffs = [f for f in (term.left, term.right)
+                             if _is_op(f, ast.Sub)]
+                    if any(ast.dump(d.right) == ast.dump(base) for d in diffs):
+                        lerps += 1
+        elif _is_op(node, ast.Mult) and _is_op(node.left, ast.Mult):
+            factors = (node.left.left, node.left.right, node.right)
+            if sum(_is_op(f, ast.Sub) and getattr(f.left, "value", 0) == 1
+                   for f in factors) >= 2:
+                return True
+    return lerps >= 3
+
+
+def test_one_bilinear_blend():
+    # periodic bilinear interpolation, the flat ring and the geodesic 4 x 4
+    # refinement all call surface._blend; growth takes geodesic-disk sups
+    # from surface._geodesic_disk_sups and knows nothing of the sweep's
+    # windows (no blend, no phase table, no window slices)
+    blends = []
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(func, ast.FunctionDef)
+                    and _computes_bilinear_blend(func)):
+                blends.append((path.name, func.name))
+    assert blends == [("surface.py", "_blend")], blends
+    surface = ast.parse((SRC / "surface.py").read_text(encoding="utf-8"))
+    for caller in ("_bilinear_periodic", "_sup_disks_flat", "_refine"):
+        [func] = [node for node in ast.walk(surface)
+                  if isinstance(node, ast.FunctionDef) and node.name == caller]
+        assert len(_calls_of(func, "_blend")) == 1, caller
+    growth = ast.parse((SRC / "growth.py").read_text(encoding="utf-8"))
+    for name in ("_refine", "_local_metric_sups", "_geodesic_disk_sups",
+                 "_blend"):
+        assert name not in _names_defined(growth), name
+    for node in growth.body:
+        if isinstance(node, ast.Assign):
+            assert not _calls_of(node, "arange"), ast.unparse(node)
+    assert not _calls_of(growth, "_swept_distances")
+    assert len(_calls_of(growth, "_geodesic_disk_sups")) == 2
+    for node in ast.walk(growth):
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple):
+            for part in node.slice.elts:
+                assert not (isinstance(part, ast.Slice)
+                            and (part.lower or part.upper)), ast.unparse(node)
 
 
 def test_one_sparse_factorization_and_eigensolve():

@@ -333,7 +333,7 @@ def test_sup_rejects_planar_grid_fields_and_other_regions():
 
 
 def test_sup_metric_disk_matches_euclidean_on_flat(sin_x_256):
-    from ngl.growth import _geodesic_disk_sups
+    from ngl.surface import _geodesic_disk_sups
     m = make_metric("flat", 256)
     [(outer, inner)] = _geodesic_disk_sups([sin_x_256.values], m, (0.25, 0.5),
                                            [0.1], 0.5)
