@@ -421,7 +421,9 @@ def random_test_field(rng, weight: CarlemanWeight | None = None,
                                            poly=poly))
                 break
         else:
-            raise RuntimeError("could not place a bump clear of the disks")
+            raise ConstraintError(
+                f"could not place a test bump clear of the disks of radius "
+                f"delta = {delta:g}; lower carleman.delta")
     return TestField(comps)
 
 

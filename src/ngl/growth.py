@@ -118,10 +118,16 @@ def growth_fields(pairs: list[EigenPair], metric: ConformalMetric, k0=0.5,
         for k, (pair, r_metric) in enumerate(zip(pairs, radii)):
             r = r_metric / np.sqrt(metric.q_plus)  # Euclidean radius of the metric disk
             n = pair.field.grid_n
-            centers_idx = np.round(centers * n).astype(np.int64) % n
-            outer[k] = _sup_disks_flat(pair.field.values, centers_idx, r * n)
-            inner[k] = _sup_disks_flat(pair.field.values, centers_idx,
-                                       metric.alpha0 * r * n)
+            # center i / m is grid index i n / m: its cell and fraction, exactly
+            cell, rem = np.divmod(np.arange(m) * n, m)
+            idx = np.stack([np.repeat(cell, m), np.tile(cell, m)], axis=1)
+            key = np.repeat(rem, m) * m + np.tile(rem, m)  # both fractions, in 1 / m
+            for f in np.unique(key):
+                group = key == f
+                frac = (f // m / m, f % m / m)
+                for sups, radius in ((outer, r), (inner, metric.alpha0 * r)):
+                    sups[k, group] = _sup_disks_flat(
+                        pair.field.values, idx[group], radius * n, frac)
     else:
         sups = _geodesic_disk_sups([pair.field.values for pair in pairs],
                                    metric, centers, radii, metric.alpha0)

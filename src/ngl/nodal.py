@@ -4,6 +4,10 @@ the length and crossings of a curve inside / on probe disks.
 Extraction is cell-local marching squares with linear edge interpolation.
 Exact zeros at grid nodes count as positive, which makes the 16-case table
 total; ambiguous saddle cells are split by the interpolated center sign.
+Singular-point clusters are the connected components of the 8-neighbour
+graph of flagged samples (across the seams on the torus).  The probe
+kernels pair probes with segments by one k-d tree query over the segment
+midpoints, periodic on the torus.
 """
 
 from __future__ import annotations
@@ -11,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .surface import ConformalMetric, GridField, TORUS, polyline_metric_length
 
@@ -152,12 +157,26 @@ def singular_points(field: GridField, tol_f=1e-3) -> list[tuple[float, float]]:
         flags &= field.mask
     if not flags.any():
         return []
-    labels, n_lab = ndimage.label(flags, structure=np.ones((3, 3), dtype=int))
-    if field.domain == TORUS and n_lab > 1:
-        labels = _merge_wrap_labels(labels)
+    # clusters: connected components of the graph whose edges join
+    # 8-neighbour flagged samples, across the seams on the torus
+    flat = np.flatnonzero(flags)
+    node = np.full(flags.shape, -1)
+    node.flat[flat] = np.arange(flat.size)
+    rows, cols = np.indices(flags.shape)
+    ends = []
+    for di, dj in ((0, 1), (1, 0), (1, 1), (1, -1)):
+        neighbour = np.roll(node, (-di, -dj), axis=(0, 1))
+        edge = (node >= 0) & (neighbour >= 0)
+        if field.domain != TORUS:   # drop the edges that wrap across the border
+            edge &= ((rows + di < flags.shape[0]) & (cols + dj >= 0)
+                     & (cols + dj < flags.shape[1]))
+        ends.append((node[edge], neighbour[edge]))
+    a, b = np.concatenate(ends, axis=1)
+    graph = coo_matrix((np.ones(a.size), (a, b)), shape=(flat.size, flat.size))
+    n_clusters, labels = connected_components(graph, directed=False)
     points = []
-    for lab in sorted(set(labels[flags])):
-        ii, jj = np.nonzero(labels == lab)
+    for lab in range(n_clusters):
+        ii, jj = np.divmod(flat[labels == lab], flags.shape[1])
         if field.domain == TORUS:
             points.append((_circular_mean(ii, n) * h, _circular_mean(jj, n) * h))
         else:
@@ -173,126 +192,39 @@ def _circular_mean(idx, n):
     return (ref + d.mean()) % n
 
 
-def _merge_wrap_labels(labels):
-    n = labels.shape[0]
-    parent = list(range(labels.max() + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for k in range(n):
-        for da, db in (((0, k), (n - 1, k)), ((k, 0), (k, n - 1))):
-            la = labels[da]
-            lb = labels[db]
-            if la and lb:
-                union(la, lb)
-        # diagonal wrap adjacency
-        for da, db in (((0, k), (n - 1, (k + 1) % n)),
-                       ((0, (k + 1) % n), (n - 1, k)),
-                       ((k, 0), ((k + 1) % n, n - 1)),
-                       (((k + 1) % n, 0), (k, n - 1))):
-            la = labels[da]
-            lb = labels[db]
-            if la and lb:
-                union(la, lb)
-    out = labels.copy()
-    for lab in range(1, labels.max() + 1):
-        out[labels == lab] = find(lab)
-    return out
-
-
-# relative margin of a cell side over the reach it must cover
-_BIN_SLACK = 1e-6
-# Fewest cells per side worth binning: at 3 a torus neighborhood is every
-# cell, and at 4 binning and the all-pairs kernel take about the same time.
-_MIN_BINS = 4
-
-
-def _bins(curve: NodalSet, r):
-    """Uniform cells over the segment midpoints, each side at least r plus
-    half the longest segment, so every segment that reaches a disk of
-    radius r has its midpoint in one of the 3 x 3 cells around the disk's
-    center (periodically on the torus).
-
-    Returns (origin, sides, (nx, ny)), or None when fewer than ``_MIN_BINS``
-    cells per side fit: then the probes are paired with every segment.  No
-    side has more cells than the square root of the segment count, beyond
-    which smaller cells only add empty ones.
-    """
-    seg = curve.segments
-    half = 0.5 * float(np.max(np.hypot(seg[:, 2] - seg[:, 0],
-                                        seg[:, 3] - seg[:, 1])))
-    reach = (r + half) * (1 + _BIN_SLACK)
-    cap = int(np.sqrt(len(seg)))
-    if curve.domain == TORUS:
-        n = min(int(1.0 / reach), cap)
-        if n < _MIN_BINS:
-            return None
-        return (0.0, 0.0), (1.0 / n, 1.0 / n), (n, n)
-    mid = 0.5 * (seg[:, :2] + seg[:, 2:])
-    lo = mid.min(axis=0)
-    extent = mid.max(axis=0) - lo
-    nx, ny = (min(int(e / reach), cap) for e in extent)
-    if min(nx, ny) < _MIN_BINS:
-        return None
-    return tuple(lo), (extent[0] / nx, extent[1] / ny), (nx, ny)
-
-
-def _cell_coords(x, y, origin, sides, shape, periodic):
-    """Integer cell coordinates of points; off-grid ones stay off-grid."""
-    cells = []
-    for v, o, side, n in zip((x, y), origin, sides, shape):
-        k = np.floor((v - o) / side)
-        cells.append(k.astype(np.int64) % n if periodic
-                     else np.clip(k, -2, n + 1).astype(np.int64))
-    return cells
+# Curves with fewer segments pair every probe with every segment: below
+# this size building the two trees costs more than the extra pairs.
+_MIN_TREE_SEGMENTS = 8
 
 
 def _probe_segment_pairs(curve: NodalSet, px, py, r):
-    """(probe, segment) index pairs to evaluate: every pair within reach of
-    each other, as broadcastable index grids when all pairs are taken, or
-    as flat arrays of the pairs in 3 x 3 cell neighborhoods."""
-    probes = np.arange(px.shape[0])
-    segments = np.arange(len(curve))
-    bins = _bins(curve, r) if len(curve) else None
-    if bins is None:
-        return probes[:, None], segments[None, :]
-    origin, sides, (nx, ny) = bins
-    periodic = curve.domain == TORUS
+    """(probe, segment) index pairs to evaluate, as flat arrays: every pair
+    within reach of each other, and possibly more.
+
+    A segment reaches the disk of radius r only if its midpoint lies within
+    r plus half the longest segment of the probe (periodically on the
+    torus), so one k-d tree query over the midpoints finds them.
+    """
+    n_probes, n_segments = px.shape[0], len(curve)
+    if n_segments < _MIN_TREE_SEGMENTS:
+        return (np.repeat(np.arange(n_probes), n_segments),
+                np.tile(np.arange(n_segments), n_probes))
+    from scipy.spatial import cKDTree
+
     seg = curve.segments
-    sx, sy = _cell_coords(0.5 * (seg[:, 0] + seg[:, 2]),
-                          0.5 * (seg[:, 1] + seg[:, 3]),
-                          origin, sides, (nx, ny), periodic)
-    # CSR layout of the segments by cell; one extra empty cell for off-grid
-    seg_cell = np.minimum(sx, nx - 1) * ny + np.minimum(sy, ny - 1)
-    order = np.argsort(seg_cell, kind="stable")
-    per_cell = np.bincount(seg_cell, minlength=nx * ny + 1)
-    first = np.cumsum(per_cell) - per_cell
-    cx, cy = _cell_coords(px, py, origin, sides, (nx, ny), periodic)
-    step_x, step_y = np.divmod(np.arange(9), 3)
-    kx = cx[:, None] + (step_x - 1)
-    ky = cy[:, None] + (step_y - 1)
-    if periodic:
-        cells = (kx % nx) * ny + ky % ny
-    else:
-        on_grid = (kx >= 0) & (kx < nx) & (ky >= 0) & (ky < ny)
-        cells = np.where(on_grid, kx * ny + ky, nx * ny)
-    count = per_cell[cells].ravel()
-    start = first[cells].ravel()
-    total = int(count.sum())
-    # expand each (probe, cell) run into its segments
-    run_start = np.cumsum(count) - count
-    pos = np.arange(total) - np.repeat(run_start - start, count)
-    return (np.repeat(probes, count.reshape(cells.shape).sum(axis=1)),
-            order[pos])
+    half = 0.5 * float(np.max(np.hypot(seg[:, 2] - seg[:, 0],
+                                        seg[:, 3] - seg[:, 1])))
+    probes = np.stack([px, py], axis=1)
+    mids = 0.5 * (seg[:, :2] + seg[:, 2:])
+    box = None
+    if curve.domain == TORUS:
+        box = 1.0
+        probes, mids = (np.where(w >= 1.0, 0.0, w)  # x % 1 can round to 1
+                        for w in (probes % 1.0, mids % 1.0))
+    probe_tree, mid_tree = (cKDTree(p, boxsize=box) for p in (probes, mids))
+    pairs = probe_tree.sparse_distance_matrix(
+        mid_tree, (r + half) * (1 + 1e-6), output_type="ndarray")
+    return pairs["i"], pairs["j"]
 
 
 def _segment_probe_roots(curve: NodalSet, px, py, r):
@@ -319,12 +251,10 @@ def _segment_probe_roots(curve: NodalSet, px, py, r):
     c = fx * fx + fy * fy - r * r
     disc = b * b - 4 * a * c
     pos = disc > 0
-    shape = disc.shape
-    aa = np.broadcast_to(a, shape)[pos]
+    aa = a[pos]
     bb = b[pos]
     sq = np.sqrt(disc[pos])
-    return (np.broadcast_to(probe, shape)[pos],
-            np.broadcast_to(segment, shape)[pos],
+    return (probe[pos], segment[pos],
             (-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa),
             np.sqrt(np.maximum(aa, 1e-300)))
 

@@ -334,12 +334,6 @@ def check_beta_related(delta, beta_star_value):
             f"delta * beta* = {delta * beta_star_value:g} must be below 1/2")
 
 
-def _annulus_f2_integral(pf_eval, center, r_inner, r_outer):
-    px, py, w = polar_quadrature(center, r_inner, r_outer, *_ANNULUS_NODES)
-    vals = np.asarray(pf_eval(px, py))
-    return float(np.sum(vals * vals * w))
-
-
 @functools.lru_cache(maxsize=1)
 def _ladder_rungs(inner, outer):
     """The nodes of the two readout annuli, split into the rungs of the
@@ -390,7 +384,8 @@ def classify_rapid(pf: PlanarField, annuli: DiskAnnuli, m_threshold) -> RapidRes
     never accepted: a field symmetric under rotation by 2 pi / 32 about the
     probe (Re z^32 at its zero) gives rungs 16, 32 and 64 the same aliased
     value, twice the true one.  Otherwise the result is rung 512, the full
-    rule of ``_annulus_f2_integral`` on the same values, bit for bit.
+    rule: F^2 summed against the weights of ``polar_quadrature(center,
+    *readout, *_ANNULUS_NODES)``, bit for bit.
     """
     cx, cy = annuli.center
     if np.hypot(cx, cy) + annuli.delta > PATCH_RADIUS:

@@ -547,6 +547,11 @@ def test_all_fails_its_patch_check_before_growing(tmp_path, capsys):
     # beyond the 4300 digits Python parses into an int
     pytest.param('{"growth": {"k0": ' + "9" * 4301 + '}}', "not valid JSON",
                  id="k0-4301-digits"),
+    # valid keys, but disks too wide for any test bump to clear them
+    pytest.param(("carleman", '{"carleman": {"n_centers": 1, "delta": 2.0, '
+                              '"pairs": 2, "t_values": [1.0]}}'),
+                 "could not place a test bump clear of the disks",
+                 id="carleman-delta-2"),
 ])
 def test_config_faults_exit_2_with_one_line(tmp_path, capsys, monkeypatch,
                                             content, message):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from ngl.crofton import (circle_count_length,
                          synthetic_circle, synthetic_segment,
                          validate_circle_kinematic_constant)
 from ngl.eigen import analytic_eigenpair
-from ngl.nodal import (NodalSet, _bins, clip_lengths, crossing_counts,
-                       extract_nodal_set, nodal_length)
+from ngl.nodal import (NodalSet, _probe_segment_pairs, clip_lengths,
+                       crossing_counts, extract_nodal_set, nodal_length)
 from ngl.surface import PLANAR, GridField
 
 
@@ -237,42 +239,58 @@ def kernels_match_reference(curve, px, py, r):
                                reference_crossing_counts(curve, px, py, r)))
 
 
-def test_binned_kernels_equal_reference_across_the_seam():
+def pair_path(curve, px, py, r):
+    """"tree" when the pair search queries k-d trees, else "every pair"."""
+    import scipy.spatial
+    with mock.patch.object(scipy.spatial, "cKDTree",
+                           wraps=scipy.spatial.cKDTree) as tree:
+        _probe_segment_pairs(curve, px, py, r)
+    return "tree" if tree.called else "every pair"
+
+
+def test_tree_kernels_equal_reference_across_the_seam():
     rng = np.random.default_rng(5)
     for curve in (seam_curve(),
                   extract_nodal_set(analytic_eigenpair(3, 2, grid_n=96).field)):
         r = 0.05
-        assert _bins(curve, r) is not None
         # uniform probes, probes within r of a seam, and probes off [0, 1)
         near = rng.uniform(-r, r, 1500) % 1.0
         px = np.concatenate([rng.random(1500), near, rng.random(500),
                              rng.uniform(-0.1, 1.1, 500)])
         py = np.concatenate([rng.random(1500), rng.random(1500), near[:500],
                              rng.uniform(-0.1, 1.1, 500)])
+        assert pair_path(curve, px, py, r) == "tree"
         assert clip_lengths(curve, px, py, r).max() > 0
         assert kernels_match_reference(curve, px, py, r)
 
 
-def test_binned_kernels_equal_reference_on_planar_circle():
-    curve = synthetic_circle(0.3)
+def test_tree_kernels_equal_reference_on_planar_curves():
     rng = np.random.default_rng(6)
     px, py = rng.uniform(-0.45, 0.45, (2, 3000))
-    assert _bins(curve, 0.05) is not None
-    assert kernels_match_reference(curve, px, py, 0.05)
+    circle = synthetic_circle(0.3)
+    assert pair_path(circle, px, py, 0.05) == "tree"
+    assert kernels_match_reference(circle, px, py, 0.05)
+    # a thin curve: the unit segment in 64 pieces, of zero height
+    ends = np.arange(65) / 64
+    thin = NodalSet(np.stack([ends[:-1], 0 * ends[:-1], ends[1:], 0 * ends[1:]],
+                             axis=1), domain="planar")
+    assert pair_path(thin, px + 0.5, py, 0.1) == "tree"
+    assert kernels_match_reference(thin, px + 0.5, py, 0.1)
 
 
-def test_dense_fallbacks_equal_reference():
+def test_large_reach_and_every_pair_equal_reference():
     from ngl.schrodinger import CORE_RADIUS
     core = core_curve()
-    assert len(core) > 0 and _bins(core, CORE_RADIUS) is None
     zero = np.zeros(1)
+    assert len(core) > 0 and pair_path(core, zero, zero, CORE_RADIUS) == "tree"
     assert kernels_match_reference(core, zero, zero, CORE_RADIUS)
     torus = extract_nodal_set(analytic_eigenpair(3, 2, grid_n=96).field)
     px, py = np.random.default_rng(7).random((2, 700))
-    assert _bins(torus, 1 / 3) is None
+    assert pair_path(torus, px, py, 1 / 3) == "tree"
     assert kernels_match_reference(torus, px, py, 1 / 3)
-    assert _bins(synthetic_segment(), 0.1) is None
+    assert pair_path(synthetic_segment(), px, py, 0.1) == "every pair"
     assert kernels_match_reference(synthetic_segment(), px, py, 0.1)
     empty = NodalSet(np.empty((0, 4)), domain="torus")
+    assert pair_path(empty, px, py, 0.05) == "every pair"
     assert kernels_match_reference(empty, px, py, 0.05)
     assert crossing_counts(empty, px, py, 0.05).dtype == np.int64

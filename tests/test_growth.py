@@ -159,6 +159,19 @@ def test_flat_growth_exponent_equals_growth_field_sample(mode):
                                metric=metric) == beta
 
 
+@pytest.mark.parametrize("grid_n, m", [(300, 64), (330, 8)])
+def test_flat_growth_field_reads_each_disk_at_its_center(grid_n, m):
+    # off the lattice (grid_n % m != 0) each center i / m sits a fraction of
+    # a cell past a node; the table's exponent is the one at that center
+    metric = make_metric("flat", grid_n)
+    pair = analytic_eigenpair(2, 1, phase=0.3, grid_n=grid_n)
+    centers, betas = growth_fields([pair], metric, k0=0.5, sample_grid_m=m)
+    r = 0.5 / np.sqrt(pair.lam)
+    want = [growth_exponent(pair.field, p, r, metric.alpha0, metric=metric)
+            for p in centers]
+    assert betas[0].tolist() == want
+
+
 def test_growth_field_curved_metric_smoke():
     metric = make_metric("wave", 320)
     pair_flat = analytic_eigenpair(1, 0, phase=-np.pi / 2, grid_n=320)

@@ -6,11 +6,11 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from ngl.errors import ConstraintError, InfiniteGrowthError, ResolutionError
 from ngl.eigen import EigenPair, analytic_eigenpair
-from ngl.schrodinger import (DiskAnnuli, beta_star, check_beta_related, classify_rapid, core_field,
+from ngl.schrodinger import (_ANNULUS_NODES, DiskAnnuli, beta_star, check_beta_related, classify_rapid, core_field,
                              count_rapid_disks, growth_chain_report, localize,
                              planar_field_from_function,
                              separated_probe_centers)
-from ngl.surface import GridField, make_metric, sup_on_disk
+from ngl.surface import GridField, make_metric, polar_quadrature, sup_on_disk
 
 
 def constant_field(value=1.0, **kw):
@@ -211,15 +211,22 @@ def node_jitter(degree, zero, center, delta, a):
     return 2 * degree * u / r
 
 
+def full_rule_f2_integral(fn, center, r_inner, r_outer):
+    """The full readout rule, as classify_rapid falls back to it: F^2
+    summed against the weights of the 24 x 512 polar rule."""
+    px, py, w = polar_quadrature(center, r_inner, r_outer, *_ANNULUS_NODES)
+    vals = np.asarray(fn(px, py))
+    return float(np.sum(vals * vals * w))
+
+
 def assert_ladder_matches_full_rule(fn, center, delta, a, m):
-    """classify_rapid against _annulus_f2_integral on both readouts: the same
+    """classify_rapid against full_rule_f2_integral on both readouts: the same
     decision, integrals within 1e-12 relative, bit-equal when the ladder fell
     back to the full rule; m = "ratio" sets M exactly at I''/I'.  Returns
     the result and the number of points the ladder evaluated."""
-    from ngl.schrodinger import _annulus_f2_integral
     annuli = DiskAnnuli(center=center, delta=delta, a=a)
-    want = [_annulus_f2_integral(fn, center, *annuli.inner_readout),
-            _annulus_f2_integral(fn, center, *annuli.outer_readout)]
+    want = [full_rule_f2_integral(fn, center, *annuli.inner_readout),
+            full_rule_f2_integral(fn, center, *annuli.outer_readout)]
     if m == "ratio":
         m = want[1] / want[0] if want[0] > 0 else 1.0
     field = counted_field(fn)
@@ -457,14 +464,13 @@ def reference_annulus_f2(fn, center, r_inner, r_outer, n_radial=24, n_angular=51
 
 
 def test_annulus_mass_matches_reference_rule():
-    from ngl.schrodinger import _annulus_f2_integral
     rng = np.random.default_rng(11)
     fn = lambda x, y: np.real((40 * (x + 1j * y) + 0.2) ** 9) + np.exp(x)
     for _ in range(300):
         center = tuple(rng.uniform(-0.015, 0.015, 2))
         r0 = rng.uniform(1e-5, 1e-3)
         r1 = r0 + rng.uniform(1e-5, 1e-3)
-        got = _annulus_f2_integral(fn, center, r0, r1)
+        got = full_rule_f2_integral(fn, center, r0, r1)
         assert got == pytest.approx(reference_annulus_f2(fn, center, r0, r1),
                                     rel=1e-14, abs=0.0)
 

@@ -1,8 +1,11 @@
 """Structural checks on the package source."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ngl"
 
@@ -329,3 +332,45 @@ def test_one_run_object_in_the_cli():
     for func in tree.body:
         if isinstance(func, ast.FunctionDef) and func.name.startswith("cmd_"):
             assert not _calls_of(func, "join"), func.name
+
+
+def test_nodal_neighbour_search_from_scipy():
+    # probe-segment pairs come from one k-d tree query, and singular-point
+    # clusters from one connected-components call; neither a hand-built
+    # spatial hash nor a union-find over the torus seams is left
+    defined, sites, ndimage = set(), [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined |= _names_defined(tree)
+        defined |= {target.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Assign) for target in node.targets
+                    if isinstance(target, ast.Name)}
+        sites += [(path.name, name) for name in ("cKDTree", "connected_components")
+                  for _ in _calls_of(tree, name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                ndimage += [alias.name for alias in node.names
+                            if alias.name.startswith("scipy.ndimage")]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+                ndimage += [name for name in [node.module] + names
+                            if name.startswith("scipy.ndimage")]
+    for gone in ("_bins", "_cell_coords", "_MIN_BINS", "_merge_wrap_labels"):
+        assert gone not in defined, gone
+    assert ndimage == []
+    assert sorted(sites) == [("nodal.py", "cKDTree"),
+                             ("nodal.py", "connected_components")], sites
+
+
+def test_growth_and_nodal_load_neither_ndimage_nor_spatial():
+    # scipy.spatial is imported by the probe kernels when they run, and
+    # scipy.ndimage not at all
+    env = dict(os.environ)
+    src = str(SRC.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    script = ("import sys, ngl.growth, ngl.nodal; print(sorted(name for name in "
+              "('scipy.ndimage', 'scipy.spatial') if name in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
