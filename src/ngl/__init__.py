@@ -32,8 +32,8 @@ _EXPORTS = {
     "schrodinger": ("DiskAnnuli", "PlanarField", "beta_star", "classify_rapid",
                     "core_field", "count_rapid_disks", "growth_chain_report",
                     "localize", "planar_field_from_function"),
-    "tiling": ("Square", "TilingState", "coverage_check", "level_counts",
-               "run_tiling", "slow_square_budgets", "total_bound_report"),
+    "tiling": ("Square", "TilingState", "level_counts", "run_tiling",
+               "slow_square_budgets", "total_bound_report"),
     "crofton": ("CroftonEstimate", "circle_count_length", "crofton_consistency",
                 "disk_average_length", "synthetic_circle", "synthetic_segment",
                 "validate_circle_kinematic_constant"),

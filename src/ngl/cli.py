@@ -154,6 +154,10 @@ _RULES = (
      "localize.planar_grid_n must be at least 16"),
     ("schrodinger.delta", lambda v: 0 < v < 1.0 / 60.0,
      "schrodinger.delta must lie in (0, 1/60)"),
+    # rapid places about 2.5e-4 / delta separated probes, each about 1.1 ms
+    # (2-core x86-64): 25,000 probes at 1e-8, about half a minute, is the most
+    ("schrodinger.delta", lambda v: v >= 1e-8,
+     "schrodinger.delta must be at least 1e-8"),
     ("schrodinger.a", lambda v: 0 < v < 1.0 / 3.0,
      "schrodinger.a must lie in (0, 1/3)"),
     ("schrodinger.m_threshold", lambda v: v > 0,
@@ -187,6 +191,10 @@ _RULES = (
     ("carleman.t_values", lambda v: len(v) > 0,
      "carleman.t_values must not be empty"),
     ("carleman.delta", lambda v: v > 0, "carleman.delta must be positive"),
+    # the weight's gradient term divides by delta^2: below 1e-12 the c1
+    # check overflows to infinity (1e-30) or divides by zero (1e-300)
+    ("carleman.delta", lambda v: v >= 1e-12,
+     "carleman.delta must be at least 1e-12"),
     ("output.dir", lambda v: v != "", "output.dir must not be empty"),
 )
 
@@ -200,8 +208,9 @@ def validate_config(cfg, command=None):
             raise ConfigError(message)
     grid_n = cfg["metric"]["grid_n"]
     count = cfg["eigen"]["count"]
-    if count < 1 or count > grid_n * grid_n // 4:
-        raise ConfigError("eigen.count must lie in [1, grid_n^2/4]")
+    # the spectrum solves count + 1 pairs, at most grid_n^2 / 4 of them
+    if count < 1 or count + 1 > grid_n * grid_n // 4:
+        raise ConfigError("eigen.count must lie in [1, grid_n^2/4 - 1]")
     # every profile attains its extremes q- and q+ on the 16-point grid
     probe = _build_metric(cfg, grid_n=16)
     k0 = cfg["growth"]["k0"]

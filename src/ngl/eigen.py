@@ -144,6 +144,8 @@ def solve_spectrum(metric: ConformalMetric, count, tol=1e-8, seed=0,
             res = _residuals(lap, mass, exc.eigenvalues, exc.eigenvectors)
             best = min(res)
         raise ConvergenceError("eigensolver did not converge", residual=best) from exc
+    except spla.ArpackError as exc:   # e.g. a starting vector ARPACK zeroes
+        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
 
     order = np.argsort(lams)
     lams = lams[order]

@@ -51,8 +51,9 @@ def growth_exponent(field, center, r, alpha, metric: ConformalMetric | None = No
                 and field.grid_n == metric.grid_n):
             raise TypeError("geodesic-disk sup needs a torus grid field on "
                             "the metric's grid")
-        [[[outer], [inner]]] = _geodesic_disk_sups([field.values], metric,
-                                                   center, [r], alpha)
+        [[[outer], [inner]]] = _geodesic_disk_sups(
+            [field.values], metric, center, [r], _window_halves(metric, [r]),
+            alpha)
     else:
         scale = 1.0 if metric is None else 1.0 / np.sqrt(metric.q_plus)
         outer = sup_on_disk(field, center, r * scale)
@@ -93,6 +94,22 @@ def _check_resolution(eigenpair, metric, k0):
             f"least {int(np.ceil(need))}")
 
 
+def _window_halves(metric, radii):
+    """Chebyshev half-widths, in cells, of the windows that hold the metric
+    disks of radii ``radii`` with 3 cells to spare: a metric r-disk lies
+    within r / sqrt(q_minus) of its center.  A window spans its half-width
+    plus one on either side of the center's cell; one that would meet
+    itself around the torus is rejected, on flat and curved metrics alike."""
+    halves = np.ceil(np.asarray(radii) / np.sqrt(metric.q_minus)
+                     / metric.spacing) + 3
+    width = 2 * halves.max(initial=0) + 3
+    if width >= metric.grid_n:
+        raise ResolutionError(f"a geodesic disk's {width:.0f}-cell window "
+                              f"wraps the {metric.grid_n}-cell torus; decrease "
+                              f"growth.k0 or the growth.k0_sweep entry")
+    return halves.astype(int).tolist()
+
+
 def growth_fields(pairs: list[EigenPair], metric: ConformalMetric, k0=0.5,
                   sample_grid_m=64) -> tuple[np.ndarray, np.ndarray]:
     """Growth exponents of each eigenpair at wavelength radius
@@ -102,8 +119,8 @@ def growth_fields(pairs: list[EigenPair], metric: ConformalMetric, k0=0.5,
     points (i / m, j / m), i major, and ``betas[k, c]`` is the exponent of
     ``pairs[k]`` at ``centers[c]``.  Every disk radius must span 10 grid
     cells, otherwise the sup ratio is interpolation noise and the call is
-    rejected.  On a curved metric one distance sweep per batch of centers
-    serves every pair.
+    rejected, and so is a disk whose window wraps the torus.  On a curved
+    metric one distance sweep per batch of centers serves every pair.
     """
     # largest lambda first, so that the grid_n a failure quotes resolves all
     for pair in sorted(pairs, key=lambda pair: -pair.lam):
@@ -112,6 +129,7 @@ def growth_fields(pairs: list[EigenPair], metric: ConformalMetric, k0=0.5,
     grid = np.arange(m) / m
     centers = np.stack([np.repeat(grid, m), np.tile(grid, m)], axis=1)
     radii = [k0 / np.sqrt(pair.lam) for pair in pairs]
+    halves = _window_halves(metric, radii)
     if metric.is_flat:
         outer = np.empty((len(pairs), m * m))
         inner = np.empty_like(outer)
@@ -130,7 +148,8 @@ def growth_fields(pairs: list[EigenPair], metric: ConformalMetric, k0=0.5,
                         pair.field.values, idx[group], radius * n, frac)
     else:
         sups = _geodesic_disk_sups([pair.field.values for pair in pairs],
-                                   metric, centers, radii, metric.alpha0)
+                                   metric, centers, radii, halves,
+                                   metric.alpha0)
         outer, inner = sups[:, 0], sups[:, 1]
     return centers, _log_ratio(outer, inner)
 

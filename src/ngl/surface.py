@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceError, CorruptFileError, EmptyRegionError,
-                     ResolutionError)
+from .errors import ConvergenceError, CorruptFileError, EmptyRegionError
 
 TORUS = "torus"
 PLANAR = "planar"
@@ -282,32 +281,27 @@ def _upwind(a, b, w):
     return np.where(gap >= w, lo + w, both)
 
 
-def _swept_distances(metric: ConformalMetric, points, disks):
-    """Geodesic distances |grad d| = sqrt(q) from each point, as a fast
-    march stopped at ``stop`` in the window of Chebyshev ``half + 1`` around
-    the point's cell leaves them, per (half, stop) in ``disks``: yields
-    ``(lo, k, d, rows, cols)``, d[b] the distances from points[lo + b] on
-    the (2 half + 3)^2 grid nodes (rows[b], cols[b]) centered on its cell.
-    Nodes within ``stop``, their 4-neighbors and the 7 x 7 seeds (at their
-    straight-line length) keep their distance; all others are +inf.
+def _swept_distances(metric: ConformalMetric, points, halves):
+    """Geodesic distances |grad d| = sqrt(q) from each point, on the window
+    of Chebyshev ``half + 1`` around the point's cell per half in
+    ``halves``: yields ``(lo, k, d, rows, cols)``, d[b] the distances from
+    points[lo + b] on the (2 half + 3)^2 grid nodes (rows[b], cols[b])
+    centered on its cell.  The caller keeps every window off itself around
+    the torus (2 half + 3 < n).
 
     One Gauss-Seidel fast sweep (Zhao, Math. Comp. 74 (2005)) of the upwind
-    update per batch serves every disk, on a stack in the largest window
-    with a +inf ring.  A pass sweeps the four orders (i, j ascending or
-    descending) diagonal by diagonal: a diagonal's nodes are not neighbors,
-    so updating one at once (a strided slice of the flat stack) is the
-    sequential order.  Passes repeat until one Jacobi update of the whole
-    stack changes no value.  A window that would meet itself around the
-    torus is rejected.
+    update per batch serves every window, on a stack in the largest window
+    with a +inf ring, from the 7 x 7 seeds at their straight-line length;
+    it converges to the upwind solution a fast march gives.  A pass sweeps
+    the four orders (i, j ascending or descending) diagonal by diagonal: a
+    diagonal's nodes are not neighbors, so updating one at once (a strided
+    slice of the flat stack) is the sequential order.  Passes repeat until
+    one Jacobi update of the whole stack changes no value.
     """
-    if not disks:
+    if not halves:
         return
     n, h = metric.grid_n, metric.spacing
-    reach = max(half for half, _ in disks) + 1
-    if 2 * reach + 1 >= n:
-        raise ResolutionError(f"a geodesic disk's {2 * reach + 1}-cell window "
-                              f"wraps the {n}-cell torus; decrease growth.k0 "
-                              f"or the growth.k0_sweep entry")
+    reach = max(halves) + 1
     pts = np.asarray(points, dtype=float).reshape(-1, 2) % 1.0
     cells = np.floor(pts * n).astype(np.int64)
     sq = np.sqrt(metric.q)
@@ -353,16 +347,9 @@ def _swept_distances(metric: ConformalMetric, points, disks):
             raise ConvergenceError(f"geodesic distance sweep still changing "
                                    f"after {_SWEEP_PASSES} passes")
 
-        for k, (half, stop) in enumerate(disks):
+        for k, half in enumerate(halves):
             window = slice(reach - half, reach + half + 3)
-            d = dist[:, window, window]
-            near = np.pad(d <= stop, ((0, 0), (1, 1), (1, 1)))
-            keep = (near[:, 1:-1, 1:-1] | near[:, :-2, 1:-1]
-                    | near[:, 2:, 1:-1] | near[:, 1:-1, :-2]
-                    | near[:, 1:-1, 2:])
-            core = slice(half + 1 - _SEED_REACH, half + 2 + _SEED_REACH)
-            keep[:, core, core] = True
-            yield (lo, k, np.where(keep, d, np.inf), rows[:, window],
+            yield (lo, k, dist[:, window, window], rows[:, window],
                    cols[:, window])
 
 
@@ -381,10 +368,7 @@ def _local_metric_sups(values, dist, radii):
     """Sups of |values| over {dist <= rad}, rad in radii, on the 4x refined
     lattice over the cells of a window block: both blocks hold the nodes at
     offsets -half .. half + 1 from the center's cell, and are refined once."""
-    dd = _refine(np.where(np.isfinite(dist), dist, 1e18))
-    # the lattice ends at offset +half: no phases past the last row / column
-    dd[1:, :, -1, :] = np.inf
-    dd[:, 1:, :, -1] = np.inf
+    dd = _refine(dist)
     absval = np.abs(_refine(values))
     sups = []
     for rad in radii:
@@ -396,21 +380,14 @@ def _local_metric_sups(values, dist, radii):
     return sups
 
 
-def _geodesic_disk_sups(fields, metric, points, radii, alpha):
+def _geodesic_disk_sups(fields, metric, points, radii, halves, alpha):
     """Sups of |fields[k]| over the geodesic disks of radii radii[k] and
     alpha radii[k] at each point: entry [k, 0, c] is the outer sup at
-    points[c], and [k, 1, c] the inner one.
-
-    Each disk needs distances stopped at 1.05 times its radius in the
-    window of its Euclidean hull (a geodesic r-disk lies within
-    r / sqrt(q_minus) of p): ``_swept_distances`` gives every radius from
-    one sweep per batch of points.
-    """
-    disks = [(int(np.ceil(r / np.sqrt(metric.q_minus) / metric.spacing)) + 3,
-              1.05 * r) for r in radii]
+    points[c], and [k, 1, c] the inner one, read off one sweep's distances
+    on the windows of half-widths halves[k] (``growth._window_halves``)."""
     points = np.reshape(points, (-1, 2))
     sups = np.empty((len(fields), 2, len(points)))
-    for lo, k, dist, rows, cols in _swept_distances(metric, points, disks):
+    for lo, k, dist, rows, cols in _swept_distances(metric, points, halves):
         for b in range(len(dist)):
             sups[k, :, lo + b] = _local_metric_sups(
                 fields[k][rows[b, 1:, None], cols[b, None, 1:]],

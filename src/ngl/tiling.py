@@ -268,37 +268,6 @@ def total_bound_report(state: TilingState, nodal_set: NodalSet) -> TotalBoundRep
         capped=state.capped)
 
 
-@dataclass
-class CoverageReport:
-    uncovered_area: Fraction
-    terminated: bool
-    rapid_rows: list   # per remaining rapid square: center and distance to
-                       # the nearest detected singular point
-
-
-def coverage_check(state: TilingState, singular_pts=None) -> CoverageReport:
-    """Area of P not covered by slow squares; zero iff the tiling terminated.
-
-    When capped, each remaining rapid square is located relative to the
-    detected singular points (rapid squares should concentrate near them).
-    """
-    uncovered = state.rapid_area()
-    rows = []
-    pts = np.asarray(singular_pts, dtype=float) if singular_pts else None
-    for sq in state.rapid:
-        ox, oy = sq.origin(state.delta0)
-        s = sq.side(state.delta0)
-        cx = float(ox + s / 2)
-        cy = float(oy + s / 2)
-        row = {"level": sq.level, "center": (cx, cy), "side": float(s)}
-        if pts is not None and len(pts):
-            d = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
-            row["nearest_singular_distance"] = float(d.min())
-        rows.append(row)
-    return CoverageReport(uncovered_area=uncovered,
-                          terminated=not state.capped, rapid_rows=rows)
-
-
 def tiling_to_csv(state: TilingState, path) -> None:
     with open(path, "w", encoding="ascii") as f:
         f.write("level,x,y,side,kind\n")

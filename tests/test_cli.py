@@ -315,23 +315,41 @@ def test_thm1_unresolved_sweep_entry_exits_3_with_one_line(tmp_path, capsys):
 @pytest.mark.parametrize("command, n, growth", [
     ("growth", 64, {"k0": 4.0}),
     ("thm1", 96, {"k0": 1.0, "k0_sweep": [4.0]}),
+    ("growth", 64, {"k0": 1e300}),
 ])
 def test_geodesic_window_wrapping_the_torus_exits_3_with_one_line(
         tmp_path, capsys, command, n, growth):
-    # a geodesic disk's window (Chebyshev half-width plus one on either
-    # side of its cell) wider than the torus, at growth.k0 or, after the
-    # first thm1 table, at a growth.k0_sweep entry
+    # a disk's window (Chebyshev half-width plus one on either side of its
+    # cell) wider than the torus, at growth.k0 or, after the first thm1
+    # table, at a growth.k0_sweep entry; flat disks obey the same rule
+    for profile in ("wave", "flat"):
+        path = tmp_path / f"{profile}.json"
+        path.write_text(json.dumps({"metric": {"profile": profile,
+                                               "grid_n": n},
+                                    "eigen": {"count": 4},
+                                    "growth": {"sample_grid_m": 4, **growth}}))
+        code = main([command, "--config", str(path),
+                     "--out", str(tmp_path / profile)])
+        err = capsys.readouterr().err
+        assert code == 3, profile
+        assert err.startswith("numerical failure: a geodesic disk's ")
+        assert err.endswith(f"-cell window wraps the {n}-cell torus; decrease "
+                            f"growth.k0 or the growth.k0_sweep entry\n")
+        assert err.count("\n") == 1
+
+
+def test_arpack_failure_exits_3_with_one_line(tmp_path, capsys):
+    # a conformal factor of 1e-300 makes ARPACK zero its starting vector
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"metric": {"profile": "wave", "grid_n": n},
-                                "eigen": {"count": 4},
-                                "growth": {"sample_grid_m": 4, **growth}}))
-    code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    path.write_text(json.dumps({"metric": {"profile": "flat", "grid_n": 32,
+                                           "params": {"value": 1e-300}},
+                                "eigen": {"count": 2}}))
+    code = main(["spectrum", "--config", str(path),
+                 "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith("numerical failure: a geodesic disk's ")
-    assert err.endswith(f"-cell window wraps the {n}-cell torus; decrease "
-                        f"growth.k0 or the growth.k0_sweep entry\n")
-    assert err.count("\n") == 1
+    assert err == ("numerical failure: eigensolver failed: ARPACK error -9: "
+                   "Starting vector is zero.\n")
 
 
 def test_all_command_aggregates(tmp_path):
@@ -442,6 +460,15 @@ def test_all_fails_its_patch_check_before_growing(tmp_path, capsys):
     ('{"carleman": {"t_values": []}}', "carleman.t_values must not be empty"),
     ('{"carleman": {"delta": 0.0}}', "carleman.delta must be positive"),
     ('{"carleman": {"delta": -1e-3}}', "carleman.delta must be positive"),
+    ('{"carleman": {"delta": 1e-30}}', "carleman.delta must be at least 1e-12"),
+    ('{"carleman": {"delta": 1e-300}}', "carleman.delta must be at least 1e-12"),
+    ('{"schrodinger": {"delta": 1e-12}}',
+     "schrodinger.delta must be at least 1e-8"),
+    # the spectrum solves eigen.count + 1 pairs, at most grid_n^2 / 4
+    ('{"metric": {"profile": "wave", "grid_n": 16}, "eigen": {"count": 64}}',
+     "eigen.count must lie in [1, grid_n^2/4 - 1]"),
+    ('{"metric": {"profile": "stripe", "grid_n": 16}, "eigen": {"count": 64}}',
+     "eigen.count must lie in [1, grid_n^2/4 - 1]"),
     ('{"carleman": {"n_centers": 0}}', "carleman.n_centers must be at least 1"),
     ('{"carleman": {"n_centers": -1}}', "carleman.n_centers must be at least 1"),
     ('{"crofton": {"samples": 1}}', "crofton.samples must be at least 2"),

@@ -3,8 +3,9 @@ import pytest
 
 from ngl.errors import EmptyRegionError, InfiniteGrowthError, ResolutionError
 from ngl.eigen import analytic_eigenpair, analytic_spectrum, solve_spectrum
-from ngl.growth import (average_local_growth, donnelly_fefferman_constant,
-                        growth_exponent, growth_fields, lq_growth_exponent,
+from ngl.growth import (_window_halves, average_local_growth,
+                        donnelly_fefferman_constant, growth_exponent,
+                        growth_fields, lq_growth_exponent,
                         quartile_trend_ratio, verify_length_growth_bound)
 from ngl.surface import (_bilinear_periodic, _disk_offsets, _local_metric_sups,
                          _refine, _ring_points, _swept_distances,
@@ -251,9 +252,10 @@ def test_geodesic_disk_without_lattice_point(wave_metric_256,
 
 
 def oracle_local_metric_sup(values, dist, r, ic, jc, half, n):
-    """Reference scan: full-grid distance, global modulo gathers."""
+    """Reference scan: full-grid distance, global modulo gathers, on the 4x
+    refined lattice over the cells between offsets -half and half + 1."""
     d = np.where(np.isfinite(dist), dist, 1e18)
-    offs = np.arange(-4 * half, 4 * half + 1)
+    offs = np.arange(-4 * half, 4 * half + 4)
     gx = ((ic * 4 + offs)[:, None] / 4.0) % n
     gy = ((jc * 4 + offs)[None, :] / 4.0) % n
     i0 = np.floor(gx).astype(np.int64) % n
@@ -301,15 +303,14 @@ def oracle_growth_field_curved(pair, metric, k0, m):
 @pytest.mark.parametrize("n, ic, jc, half", [(40, 1, 38, 5), (64, 30, 0, 9),
                                               (24, 5, 20, 12)])
 def test_local_metric_sups_equal_full_grid_scan(n, ic, jc, half):
-    # random fields and distances (with unreached cells) make every refined
-    # point, up to the window's edge, a candidate; half = 12 > n / 2 wraps
+    # random fields and distances make every refined point of the block, up
+    # to its last row and column, a candidate; half = 12 > n / 2 wraps
     rng = np.random.default_rng(n)
     values = rng.standard_normal((n, n))
     span = np.arange(2 * half + 2) - half
     block = np.ix_((ic + span) % n, (jc + span) % n)
     for _ in range(5):
         dist = rng.random((n, n))
-        dist[rng.random((n, n)) < 0.2] = np.inf
         radii = (0.9, 0.5, 0.05)
         got = _local_metric_sups(values[block], dist[block], radii)
         assert got == [oracle_local_metric_sup(values, dist, rad, ic, jc, half, n)
@@ -384,35 +385,24 @@ def test_shared_march_growth_equals_per_pair_oracle(case, wave_metric_256,
 @pytest.mark.parametrize("profile, n", [("wave", 96), ("stripe", 64),
                                         ("flat", 64)])
 def test_geodesic_distance_equals_oracle_march(profile, n):
-    # one sweep in the window of the largest radius, masked to each radius's
-    # window and stop, is the march stopped and windowed there: the same
-    # reached nodes, equal to 4 ulp within the stop.  Nodes reached but not
-    # expanded saw fewer neighbors in the march, so agree to 1e-6 only; the
-    # 0.02 stop lies inside the 7 x 7 seeds, which the march leaves at
-    # their straight-line length where it does not expand them.
+    # one sweep in the window of the largest radius gives each radius's
+    # window the march confined to that window: equal to 4 ulp at every node
     metric = make_metric(profile, n)
     radii = (0.02, 0.05, 0.1, 0.2)
-    halves = [int(np.ceil(r / np.sqrt(metric.q_minus) / metric.spacing)) + 3
-              for r in radii]
-    disks = [(half, 1.05 * r) for r, half in zip(radii, halves)]
+    halves = _window_halves(metric, radii)
     for p in ((0.0, 0.5), (0.995, 0.004), (0.41, 0.77)):
-        swept = list(_swept_distances(metric, [p], disks))
+        swept = list(_swept_distances(metric, [p], halves))
         assert [(lo, k) for lo, k, *_ in swept] == [(0, k) for k in range(4)]
         ic = int(np.floor(p[0] * n))
         jc = int(np.floor(p[1] * n))
-        for r, half, (_, _, [got], [rows], [cols]) in zip(radii, halves, swept):
+        for half, (_, _, [got], [rows], [cols]) in zip(halves, swept):
             span = np.arange(-half - 1, half + 2)
             np.testing.assert_array_equal(rows, (ic + span) % n)
             np.testing.assert_array_equal(cols, (jc + span) % n)
-            want = oracle_fast_march(metric, p, 1.05 * r, half + 1)[
+            want = oracle_fast_march(metric, p, window=half + 1)[
                 np.ix_(rows, cols)]
-            np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
-            inside = want <= 1.05 * r
-            np.testing.assert_array_max_ulp(got[inside], want[inside], maxulp=4)
-            beyond = np.isfinite(want) & ~inside
-            if r > 0.02:
-                np.testing.assert_allclose(got[beyond], want[beyond],
-                                           rtol=1e-6, atol=0.0)
+            assert np.isfinite(want).all()
+            np.testing.assert_array_max_ulp(got, want, maxulp=4)
 
 
 # --------------------------------------------------------------- sup kernel

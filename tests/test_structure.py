@@ -179,6 +179,31 @@ def test_one_definition_of_each_resolution_formula():
                             ("schrodinger.py", "patch_grid_need")], hits
 
 
+def test_one_window_rule_for_wavelength_disks():
+    # a disk's window half-width, ceil(r / sqrt(q_minus) / h) + 3, has one
+    # definition (growth._window_halves), which both growth_fields branches
+    # and the curved growth_exponent call for the wrap check; the sweep is a
+    # plain distance solver: no stop radius, no unreached-node placeholder,
+    # no config key in its messages
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                hits += [(path.name, func.name)
+                         for node in _calls_of(func, "ceil")
+                         if "q_minus" in ast.unparse(node)]
+    assert hits == [("growth.py", "_window_halves")], hits
+    growth = ast.parse((SRC / "growth.py").read_text(encoding="utf-8"))
+    for name in ("growth_fields", "growth_exponent"):
+        [func] = [node for node in ast.walk(growth)
+                  if isinstance(node, ast.FunctionDef) and node.name == name]
+        assert len(_calls_of(func, "_window_halves")) == 1, name
+    surface = (SRC / "surface.py").read_text(encoding="utf-8")
+    for word in ("1e18", "stop", "1.05", "growth.k0"):
+        assert word not in surface, word
+
+
 def test_profile_parameters_live_in_surface():
     # each profile's parameter name, default and range is declared once, in
     # surface._PROFILES; the CLI reads q- and q+ off a probe metric

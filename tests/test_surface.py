@@ -333,10 +333,11 @@ def test_sup_rejects_planar_grid_fields_and_other_regions():
 
 
 def test_sup_metric_disk_matches_euclidean_on_flat(sin_x_256):
+    from ngl.growth import _window_halves
     from ngl.surface import _geodesic_disk_sups
     m = make_metric("flat", 256)
     [(outer, inner)] = _geodesic_disk_sups([sin_x_256.values], m, (0.25, 0.5),
-                                           [0.1], 0.5)
+                                           [0.1], _window_halves(m, [0.1]), 0.5)
     # fast marching error can only dilate/shrink the disk by O(h)
     assert outer == pytest.approx(1.0, abs=1e-4)
     assert inner == pytest.approx(1.0, abs=1e-4)

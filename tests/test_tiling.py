@@ -6,7 +6,7 @@ import pytest
 from ngl.errors import ConstraintError
 from ngl.nodal import NodalSet, clip_lengths, extract_nodal_set, singular_points
 from ngl.schrodinger import CORE_RADIUS, core_field, planar_field_from_function
-from ngl.tiling import (P_SIDE, Square, _level0_side, coverage_check, default_delta0,
+from ngl.tiling import (P_SIDE, Square, _level0_side, default_delta0,
                         level_counts, run_tiling, slow_square_budgets,
                         tiling_to_csv, total_bound_report)
 
@@ -79,9 +79,6 @@ def test_zero_threshold_all_rapid_capped():
     assert st.level == 3
     assert st.covered_area() == 0
     assert st.rapid_area() == P_SIDE ** 2
-    cov = coverage_check(st)
-    assert cov.uncovered_area == P_SIDE ** 2
-    assert not cov.terminated
 
 
 def test_area_partition_exact_at_every_level():
@@ -148,13 +145,15 @@ def test_coverage_reports_singular_proximity():
     pf = high_degree_field()
     st = run_tiling(pf, m_threshold=10.0, k_max=4)
     core = core_field(pf, grid_n=513)
-    pts = singular_points(core)
-    cov = coverage_check(st, pts)
-    assert not cov.terminated
-    assert cov.uncovered_area == st.rapid_area()
-    assert cov.rapid_rows
-    for row in cov.rapid_rows:
-        assert row["nearest_singular_distance"] <= 6 * float(st.delta(st.level)) + 1e-3
+    pts = np.asarray(singular_points(core), dtype=float)
+    assert st.capped
+    assert st.rapid and len(pts)
+    for sq in st.rapid:
+        ox, oy = sq.origin(st.delta0)
+        s = sq.side(st.delta0)
+        nearest = np.hypot(pts[:, 0] - float(ox + s / 2),
+                           pts[:, 1] - float(oy + s / 2)).min()
+        assert nearest <= 6 * float(st.delta(st.level)) + 1e-3
 
 
 # --------------------------------------------------------------- budgets
