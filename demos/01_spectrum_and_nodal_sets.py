@@ -21,7 +21,7 @@ metric = make_metric("wave", 128)
 print(f"metric: q in [{metric.q_minus:.3f}, {metric.q_plus:.3f}], "
       f"Vol = {metric.volume:.6f}, alpha0 = {metric.alpha0:.4f}")
 
-spectrum = solve_spectrum(metric, 8, seed=0)
+spectrum = solve_spectrum(metric, 8)
 print("\nlowest eigenvalues (flat-torus shells sit at 4 pi^2 k):")
 for k, pair in enumerate(spectrum.pairs):
     print(f"  lambda_{k} = {pair.lam:10.4f}   residual = {pair.residual:.2e}")

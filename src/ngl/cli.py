@@ -27,7 +27,8 @@ from .errors import (ConfigError, ConstraintError, CorruptFileError, NglError,
 DEFAULT_CONFIG = {
     "schema_version": 1,
     "metric": {"profile": "flat", "grid_n": 320, "params": {}},
-    "eigen": {"count": 20, "tol": 1e-8, "seed": 0, "maxiter": None},
+    # no solve reads eigen.seed; --seed sets it, and it keys the cache
+    "eigen": {"count": 20, "tol": 1e-8, "seed": 0},
     "growth": {"k0": 0.5, "sample_grid_m": 64, "k0_sweep": []},
     "localize": {"p": [0.0, 0.0], "eps0": 0.1, "planar_grid_n": 1024,
                  "index": 2},
@@ -128,7 +129,7 @@ _LOCALIZE_COMMANDS = ("localize", "tile", "rapid", "all")
 _INDEX_COMMANDS = ("nodal", "growth") + _LOCALIZE_COMMANDS
 
 # integer keys but the seeds, which are uint64 and have their own rule
-_INT64_KEYS = ("eigen.maxiter",) + tuple(
+_INT64_KEYS = tuple(
     f"{section}.{key}" for section, keys in DEFAULT_CONFIG.items()
     if isinstance(keys, dict)
     for key, ref in keys.items() if type(ref) is int and key != "seed")
@@ -141,8 +142,6 @@ _RULES = (
        f"{key} must lie within the int64 range") for key in _INT64_KEYS),
     ("metric.grid_n", lambda v: v >= 16, "metric.grid_n must be at least 16"),
     ("eigen.tol", lambda v: v >= 1e-10, "eigen.tol must be at least 1e-10"),
-    ("eigen.maxiter", lambda v: v is None or (type(v) is int and v >= 1),
-     "eigen.maxiter must be null or an integer of at least 1"),
     ("growth.k0", lambda v: v > 0, "growth.k0 must be positive"),
     ("growth.k0_sweep", lambda v: all(k > 0 for k in v),
      "growth.k0_sweep entries must be positive"),
@@ -370,8 +369,7 @@ class Run:
             spectrum.metric = metric
         else:
             spectrum = solve_spectrum(metric, eigen["count"] + 1,
-                                      tol=eigen["tol"], seed=eigen["seed"],
-                                      maxiter=eigen["maxiter"])
+                                      tol=eigen["tol"])
         os.makedirs(self.cache_dir, exist_ok=True)
         index = []
         for k, pair in enumerate(spectrum.pairs[:eigen["count"] + 1]):

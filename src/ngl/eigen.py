@@ -3,7 +3,11 @@
 In the conformal chart the Laplace-Beltrami eigenvalue equation turns into a
 flat equation with the conformal factor as a mass weight, so the discrete
 problem is L phi = lambda Q phi with L the 5-point periodic stencil (negated,
-positive semidefinite) and Q the diagonal of q samples.
+positive semidefinite) and Q the diagonal of q samples.  The grid's Fourier
+modes diagonalize L, and Q acts on them as a convolution by q's DFT, which
+has a handful of coefficients for a smooth factor; the low eigenvectors
+decay fast in |k|, so the problem is solved densely on the modes of a box
+|k|_inf <= K and each pair is certified by its residual on the grid.
 """
 
 from __future__ import annotations
@@ -12,15 +16,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError
 from .surface import ConformalMetric, GridField, TORUS, make_metric
 
 _LAMBDA_ZERO_TOL = 1e-6  # below this a computed eigenvalue is the constant mode
 _DEGENERATE_RTOL = 1e-10  # eigenvalues this close (relative) share an eigenspace
-_PROBE_KEY = 0x6E676C    # fixed, so the eigenspace bases never see eigen.seed
+_PROBE_KEY = 0x6E676C    # fixed probe block of the canonical eigenspace bases
+_TAIL_MASS = 1e-30      # mass a solved vector may leave on the box's outer shells
+_TAIL_DROP = 1e-3       # a wider box that cuts the tail less is at rounding
+_MAX_UNKNOWNS = 4096    # the largest dense problem solve_spectrum sets up
 
 
 @dataclass
@@ -63,10 +70,8 @@ def assemble_operators(metric: ConformalMetric):
     n = metric.grid_n
     h = metric.spacing
     e = np.ones(n)
-    second = sp.diags([2 * e, -e[:-1], -e[:-1]], [0, 1, -1], format="lil")
-    second[0, n - 1] = -1.0
-    second[n - 1, 0] = -1.0
-    second = second.tocsr() / (h * h)
+    second = sp.diags([2 * e, -e[1:], -e[1:], -e[:1], -e[:1]],
+                      [0, 1, -1, n - 1, 1 - n], format="csr") / (h * h)
     eye = sp.identity(n, format="csr")
     # index = i*n + j with values[i, j] = f(x_i, y_j)
     lap = sp.kron(second, eye, format="csr") + sp.kron(eye, second, format="csr")
@@ -74,30 +79,23 @@ def assemble_operators(metric: ConformalMetric):
     return lap, mass
 
 
-def _residuals(lap, mass, lams, vecs):
-    out = []
-    for k in range(vecs.shape[1]):
-        v = vecs[:, k]
-        r = lap @ v - lams[k] * (mass @ v)
-        out.append(float(np.linalg.norm(r) / np.linalg.norm(v)))
-    return out
+def _eigenspaces(lams):
+    """Start of each eigenspace in the ascending ``lams``, then len(lams);
+    eigenvalues within ``_DEGENERATE_RTOL`` (relative) share one."""
+    scale = np.maximum(np.abs(lams[1:]), np.abs(lams[:-1]))
+    starts = np.flatnonzero(np.abs(np.diff(lams)) > _DEGENERATE_RTOL * scale)
+    return [0, *(starts + 1).tolist(), len(lams)]
 
 
 def _canonical_basis(lams, vecs, mass):
-    """One basis per eigenspace, independent of the solver and its seed.
+    """One basis per eigenspace, independent of the solver.
 
-    Eigenvalues within ``_DEGENERATE_RTOL`` of their neighbor (relative)
-    span one eigenspace; a singleton is a group too, which fixes its sign.
-    Each group V (Q-orthonormal columns) becomes the Q-orthonormalized
-    Q-projection V (V^T Q R) of a fixed probe block R, which depends only on
-    span V.
+    Each eigenspace (:func:`_eigenspaces`) is a group, a singleton too,
+    which fixes its sign.  Each group V (Q-orthonormal columns) becomes the
+    Q-orthonormalized Q-projection V (V^T Q R) of a fixed probe block R,
+    which depends only on span V.
     """
-    bounds = [0]
-    for k in range(1, len(lams)):
-        scale = max(abs(lams[k]), abs(lams[k - 1]))
-        if abs(lams[k] - lams[k - 1]) > _DEGENERATE_RTOL * scale:
-            bounds.append(k)
-    bounds.append(len(lams))
+    bounds = _eigenspaces(lams)
     width = max(b - a for a, b in zip(bounds, bounds[1:]))
     rng = np.random.Generator(np.random.Philox(key=_PROBE_KEY))
     probes = rng.standard_normal((vecs.shape[0], width))
@@ -109,17 +107,53 @@ def _canonical_basis(lams, vecs, mass):
     return out
 
 
-def solve_spectrum(metric: ConformalMetric, count, tol=1e-8, seed=0,
-                   maxiter=None) -> Spectrum:
-    """Smallest ``count`` eigenpairs by shift-invert Lanczos.
+def _fourier_operators(metric, box):
+    """(L, Q, synthesis, outer) on the Fourier modes |k|_inf <= ``box``.
 
-    L + q_+ Q is factored once by SuperLU under a minimum-degree ordering of
-    its (symmetric) pattern, which fills in far less than the default
-    column ordering.  Eigenvectors are Q-orthonormal before
-    sup-normalization, in the canonical basis of each eigenspace
-    (:func:`_canonical_basis`); every returned pair carries a recomputed
-    residual certificate, and the solve errors out (with the best residual)
-    if any certificate exceeds ``tol``.
+    The columns are the constant, then a cosine and a sine per pair {k, -k}
+    (``unitary`` maps them to the complex modes), where L (the stencil's
+    symbol) and Q (the convolution by q's DFT) are real symmetric for every
+    real q.  ``synthesis`` maps coefficient columns to grid fields by inverse
+    FFT, keeping Q-orthonormality; ``outer`` flags the columns on the shells
+    that q's DFT couples to modes beyond the box.
+    """
+    n, side = metric.grid_n, 2 * box + 1
+    qhat = np.fft.fft2(metric.q) / (n * n)
+    freq = np.abs(np.fft.fftfreq(n, 1.0 / n))
+    reach = np.maximum(freq[:, None], freq)[
+        np.abs(qhat) > 1e-15 * abs(qhat[0, 0])].max()
+    kx, ky = np.array(np.divmod(np.arange(side * side), side)) - box
+    mid = side * side // 2   # modes mid + j and mid - j are k and -k
+    hi, lo, r = mid + 1 + np.arange(mid), mid - 1 - np.arange(mid), \
+        np.full(mid, np.sqrt(0.5))
+    unitary = sp.csr_matrix(
+        (np.r_[1.0, r, r, -1j * r, 1j * r],
+         (np.r_[mid, hi, lo, hi, lo], np.r_[0, hi - mid, hi - mid, hi, hi])))
+    conv = qhat[(kx[:, None] - kx) % n, (ky[:, None] - ky) % n]
+    modes = np.r_[mid, hi, hi]
+    symbol = 4 * n * n * (np.sin(np.pi * kx / n) ** 2 + np.sin(np.pi * ky / n) ** 2)
+    half = ky >= 0
+
+    def synthesis(coefs):
+        spec = np.zeros((coefs.shape[1], n, n // 2 + 1), dtype=complex)
+        spec[:, kx[half] % n, ky[half]] = (unitary @ coefs)[half].T
+        return n * np.fft.irfft2(spec, s=(n, n)).reshape(-1, n * n).T
+
+    return (np.diag(symbol[modes]),
+            (unitary.conj().T @ (conv @ unitary)).real, synthesis,
+            np.maximum(abs(kx), abs(ky))[modes] > box - max(reach, 1))
+
+
+def solve_spectrum(metric: ConformalMetric, count, tol=1e-8) -> Spectrum:
+    """Smallest ``count`` eigenpairs by one dense generalized solve.
+
+    It runs on the box of :func:`_fourier_operators`, K = 8 + sqrt(count)
+    grown by 4 while a kept vector leaves ``_TAIL_MASS`` of its mass on the
+    outer shells above rounding, or on the grid once the box would cover
+    it, and past ``count`` until pair ``count - 1``'s eigenspace is closed.
+    Eigenvectors are Q-orthonormal before sup-normalization, in the canonical
+    basis of each eigenspace (:func:`_canonical_basis`); a grid residual
+    above ``tol``, or NaN, raises ConvergenceError carrying the worst one.
     """
     n = metric.grid_n
     if count > n * n // 4:
@@ -127,50 +161,45 @@ def solve_spectrum(metric: ConformalMetric, count, tol=1e-8, seed=0,
     if tol < 1e-10:
         raise ValueError("tol must be at least 1e-10")
     lap, mass = assemble_operators(metric)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    v0 = rng.standard_normal(n * n)
-    sigma = -float(metric.q_plus)
-    shifted = (lap - sigma * mass).tocsc()
-    lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
-    opinv = spla.LinearOperator(shifted.shape, matvec=lu.solve,
-                                dtype=shifted.dtype)
-    try:
-        lams, vecs = spla.eigsh(lap, k=count, M=mass, sigma=sigma,
-                                which="LM", v0=v0, maxiter=maxiter,
-                                OPinv=opinv)
-    except spla.ArpackNoConvergence as exc:
-        best = None
-        if exc.eigenvalues is not None and len(exc.eigenvalues):
-            res = _residuals(lap, mass, exc.eigenvalues, exc.eigenvectors)
-            best = min(res)
-        raise ConvergenceError("eigensolver did not converge", residual=best) from exc
-    except spla.ArpackError as exc:   # e.g. a starting vector ARPACK zeroes
-        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-
-    order = np.argsort(lams)
-    lams = lams[order]
-    vecs = vecs[:, order]
-    lams = np.where(np.abs(lams) < _LAMBDA_ZERO_TOL, np.abs(lams), lams)
-
-    gram = vecs.T @ (mass @ vecs)
-    if float(np.max(np.abs(gram - np.eye(count)))) > 1e-8:
-        vecs = _mass_gram_schmidt(vecs, mass)
-    vecs = _canonical_basis(lams, vecs, mass)
-    gram = vecs.T @ (mass @ vecs)
-    ortho_err = float(np.max(np.abs(gram - np.eye(count))))
-
-    residuals = _residuals(lap, mass, lams, vecs)
-    worst = max(residuals)
-    if worst > tol:
+    box, extra, last_tail = 8 + math.isqrt(count), 4, np.inf
+    while True:
+        side = min(2 * box + 1, n)   # the grid itself once the box covers it
+        if side * side > _MAX_UNKNOWNS:
+            raise ConvergenceError(f"the spectrum needs a dense solve of "
+                                   f"{side * side} > {_MAX_UNKNOWNS} unknowns")
+        a, b, synthesis, outer = (_fourier_operators(metric, box) if side < n else
+                                  (lap.toarray(), mass.toarray(), lambda v: v,
+                                   np.zeros(n * n, dtype=bool)))
+        wanted = min(count + extra, len(a))
+        try:
+            lams, coefs = la.eigh(a, b, subset_by_index=(0, wanted - 1))
+        except la.LinAlgError as exc:
+            raise ConvergenceError(f"eigensolver failed: {exc}") from exc
+        found = int(np.isfinite(lams).sum())
+        if found != wanted:
+            raise ConvergenceError(f"eigensolver found {found} finite "
+                                   f"eigenvalues of {wanted}")
+        closed = next(end for end in _eigenspaces(lams) if end >= count)
+        kept = (coefs[:, :closed] / np.max(np.abs(coefs[:, :closed]), axis=0)) ** 2
+        tail = np.max(kept[outer].sum(axis=0) / kept.sum(axis=0))
+        if closed == wanted < len(a):
+            extra *= 2
+        elif _TAIL_MASS <= tail < _TAIL_DROP * last_tail:
+            box, last_tail = box + 4, tail
+        else:   # below _TAIL_MASS, or at the dense solve's rounding floor
+            break
+    lams = np.where(np.abs(lams) < _LAMBDA_ZERO_TOL, np.abs(lams), lams)[:closed]
+    vecs = _canonical_basis(lams, synthesis(coefs[:, :closed]), mass)[:, :count]
+    ortho_err = float(np.max(np.abs(vecs.T @ (mass @ vecs) - np.eye(count))))
+    defect = lap @ vecs - (mass @ vecs) * lams[:count]
+    residuals = np.linalg.norm(defect, axis=0) / np.linalg.norm(vecs, axis=0)
+    worst = float(np.max(residuals))
+    if not worst <= tol:   # a NaN certificate fails too
         raise ConvergenceError(
             f"residual {worst:.3e} exceeds tolerance {tol:.3e}", residual=worst)
-
-    pairs = []
-    for k in range(count):
-        v = vecs[:, k] / np.max(np.abs(vecs[:, k]))
-        pairs.append(EigenPair(lam=float(lams[k]),
-                               field=GridField(v.reshape(n, n), domain=TORUS),
-                               residual=residuals[k]))
+    pairs = [EigenPair(lam=float(lam), residual=float(res), field=GridField(
+        (v / np.max(np.abs(v))).reshape(n, n), domain=TORUS))
+        for lam, v, res in zip(lams, vecs.T, residuals)]
     return Spectrum(pairs=pairs, metric=metric, orthogonality_error=ortho_err)
 
 

@@ -29,8 +29,7 @@ bit-identical outputs is checked against digests recorded before it:
 * every file that ``all`` writes at a small ``wave`` config, the spectrum
   cache included, so that the stages its commands share (one spectrum, its
   nodal sets, its growth fields and the localized field) leave every output
-  as the commands would write it one by one (``localize.index`` 1, because
-  pair 2 of that spectrum is a member of a cut-off eigenspace).
+  as the commands would write it one by one (``localize.index`` 1).
 
 The digests hold for one BLAS thread (outputs are byte-identical only in
 single-threaded mode), so this script pins the thread variables before numpy

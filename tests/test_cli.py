@@ -86,11 +86,15 @@ def test_main_exit_codes(tmp_path):
     cfg_path.write_text(json.dumps({"metric": {"grid_n": 4}}))
     assert main(["spectrum", "--config", str(cfg_path)]) == 2
 
-    # numerical failure: iteration cap of 1 cannot converge
+    cfg_path.write_text(json.dumps({"eigen": {"maxiter": 1}}))
+    assert main(["spectrum", "--config", str(cfg_path)]) == 2
+
+    # numerical failure: a conformal factor of 1e-310 overflows every
+    # nonconstant eigenvalue
     cfg_path = tmp_path / "hard.json"
     cfg_path.write_text(json.dumps({
-        "metric": {"grid_n": 32, "profile": "wave"},
-        "eigen": {"count": 4, "maxiter": 1},
+        "metric": {"grid_n": 32, "params": {"value": 1e-310}},
+        "eigen": {"count": 4},
         "output": {"dir": str(tmp_path / "out")},
     }))
     assert main(["spectrum", "--config", str(cfg_path)]) == 3
@@ -338,18 +342,30 @@ def test_geodesic_window_wrapping_the_torus_exits_3_with_one_line(
         assert err.count("\n") == 1
 
 
-def test_arpack_failure_exits_3_with_one_line(tmp_path, capsys):
-    # a conformal factor of 1e-300 makes ARPACK zero its starting vector
+def test_overflowing_spectrum_exits_3_with_one_line(tmp_path, capsys):
+    # a conformal factor of 1e-310 puts every eigenvalue beyond the float range
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"metric": {"profile": "flat", "grid_n": 32,
-                                           "params": {"value": 1e-300}},
+                                           "params": {"value": 1e-310}},
                                 "eigen": {"count": 2}}))
     code = main(["spectrum", "--config", str(path),
                  "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 3
-    assert err == ("numerical failure: eigensolver failed: ARPACK error -9: "
-                   "Starting vector is zero.\n")
+    assert err == ("numerical failure: eigensolver found 0 finite "
+                   "eigenvalues of 7\n")
+
+
+def test_tiny_conformal_factor_solves(tmp_path):
+    # 1e-300 keeps lambda * q in range: lambda * 1e-300 is the flat spectrum
+    cfg = load_config(overrides={"metric": {"grid_n": 32,
+                                            "params": {"value": 1e-300}},
+                                 "eigen": {"count": 2}}, command="spectrum")
+    rows = run("spectrum", cfg, str(tmp_path)).rows
+    mu = 4 * 32 ** 2 * math.sin(math.pi / 32) ** 2
+    assert [r["lambda"] * 1e-300 for r in rows] == pytest.approx(
+        [0.0, mu, mu], rel=1e-12, abs=1e-12)
+    assert max(r["residual"] for r in rows) < 1e-10
 
 
 def test_all_command_aggregates(tmp_path):
@@ -509,13 +525,12 @@ def test_all_fails_its_patch_check_before_growing(tmp_path, capsys):
     ('{"tiling": {"delta0": -0.25}}',
      "tiling.delta0 must be null or a positive number"),
     ('{"tiling": {"delta0": NaN}}', "tiling.delta0 must be finite: nan"),
-    ('{"eigen": {"maxiter": 0}}',
-     "eigen.maxiter must be null or an integer of at least 1"),
-    ('{"eigen": {"maxiter": -1}}',
-     "eigen.maxiter must be null or an integer of at least 1"),
-    ('{"eigen": {"maxiter": 1.5}}',
-     "eigen.maxiter must be null or an integer of at least 1"),
-    ('{"eigen": {"maxiter": NaN}}', "eigen.maxiter must be finite: nan"),
+    # no solve iterates: the key is gone, whatever its value
+    ('{"eigen": {"maxiter": 0}}', "unknown config key 'eigen.maxiter'"),
+    ('{"eigen": {"maxiter": -1}}', "unknown config key 'eigen.maxiter'"),
+    ('{"eigen": {"maxiter": 1.5}}', "unknown config key 'eigen.maxiter'"),
+    ('{"eigen": {"maxiter": NaN}}', "unknown config key 'eigen.maxiter'"),
+    ('{"eigen": {"maxiter": null}}', "unknown config key 'eigen.maxiter'"),
     ('{"localize": {"eps0": NaN}}', "localize.eps0 must be finite: nan"),
     ('{"growth": {"k0": Infinity}}', "growth.k0 must be finite: inf"),
     ('{"carleman": {"t_values": [1.0, NaN]}}',
@@ -562,8 +577,7 @@ def test_all_fails_its_patch_check_before_growing(tmp_path, capsys):
                  "metric.grid_n must lie within the int64 range",
                  id="grid_n-10^400"),
     pytest.param(("spectrum", '{"eigen": {"maxiter": 9223372036854775808}}'),
-                 "eigen.maxiter must lie within the int64 range",
-                 id="maxiter-2^63"),
+                 "unknown config key 'eigen.maxiter'", id="maxiter-2^63"),
     pytest.param('{"tiling": {"k_max": -9223372036854775809}}',
                  "tiling.k_max must lie within the int64 range",
                  id="k_max-below-int64"),
@@ -779,7 +793,6 @@ def test_config_accepts_documented_types():
     cfg = load_config(overrides={
         "growth": {"k0": 1},                     # int where a float is expected
         "tiling": {"delta0": 0.004},             # number where None is the default
-        "eigen": {"maxiter": None},
         "metric": {"params": {"value": 1}},      # int where a float is expected
     })
     assert cfg["growth"]["k0"] == 1

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ngl import eigen
+from ngl.cli import load_config, run
 from ngl.errors import ConvergenceError
 from ngl.eigen import (analytic_eigenpair, analytic_spectrum,
                        assemble_operators, flat_modes, solve_spectrum)
@@ -47,7 +48,7 @@ def test_mass_matrix_matches_samples(wave_metric_96):
 
 def test_solve_flat_spectrum_multiplicity():
     metric = make_metric("flat", 128)
-    spec = solve_spectrum(metric, 11, tol=1e-8, seed=0)
+    spec = solve_spectrum(metric, 11, tol=1e-8)
     lams = [p.lam for p in spec.pairs]
     assert lams[0] == pytest.approx(0.0, abs=1e-6)
     # constant eigenfunction present
@@ -63,7 +64,7 @@ def test_solve_flat_spectrum_multiplicity():
 
 
 def test_solved_residual_certificates_recompute(flat_metric_64):
-    spec = solve_spectrum(flat_metric_64, 5, tol=1e-8, seed=1)
+    spec = solve_spectrum(flat_metric_64, 5, tol=1e-8)
     lap, mass = assemble_operators(flat_metric_64)
     for pair in spec.pairs:
         v = pair.field.values.ravel()
@@ -78,8 +79,8 @@ def test_eigenvalue_scaling_under_metric_scaling():
     q4.q_minus *= 4
     q4.q_plus *= 4
     q4.volume *= 4
-    s1 = solve_spectrum(q1, 4, seed=2)
-    s4 = solve_spectrum(q4, 4, seed=2)
+    s1 = solve_spectrum(q1, 4)
+    s4 = solve_spectrum(q4, 4)
     for p1, p4 in zip(s1.pairs[1:], s4.pairs[1:]):
         assert p4.lam == pytest.approx(p1.lam / 4.0, rel=1e-6)
 
@@ -130,7 +131,7 @@ def _rayleigh_descent_oracle(lap, mass, seed, iters=2500):
 
 def test_wave_ground_state_against_rayleigh_oracle():
     metric = make_metric("wave", 32)
-    spec = solve_spectrum(metric, 3, seed=0)
+    spec = solve_spectrum(metric, 3)
     lam1 = spec.pairs[1].lam
     lap, mass = assemble_operators(metric)
     oracle = min(_rayleigh_descent_oracle(lap, mass, seed=s)
@@ -138,9 +139,10 @@ def test_wave_ground_state_against_rayleigh_oracle():
     assert lam1 == pytest.approx(oracle, rel=0.005)
 
 
-# ------------------------------------------------- ordering and eigenspace basis
-# the oracle is the shift-invert call with scipy's own factorization (the
-# default COLAMD ordering), followed by the same canonical basis
+# ------------------------------------------------- oracle and eigenspace basis
+# the oracle is an independent solve on the whole grid: shift-invert ARPACK
+# with scipy's own factorization (the default COLAMD ordering), followed by
+# the same canonical basis
 
 
 def default_ordering_oracle(metric, count, seed):
@@ -156,8 +158,8 @@ def default_ordering_oracle(metric, count, seed):
 
 
 @functools.lru_cache(maxsize=None)
-def solved(profile, grid_n, seed):
-    return solve_spectrum(make_metric(profile, grid_n), 9, seed=seed)
+def solved(profile, grid_n, count=9):
+    return solve_spectrum(make_metric(profile, grid_n), count)
 
 
 def fields(spec):
@@ -167,7 +169,7 @@ def fields(spec):
 @pytest.mark.parametrize("profile, grid_n", [("wave", 160), ("wave", 224),
                                              ("stripe", 128)])
 def test_solve_matches_default_ordering_oracle(profile, grid_n):
-    spec = solved(profile, grid_n, 0)
+    spec = solved(profile, grid_n)
     lams, vecs = default_ordering_oracle(spec.metric, 9, seed=0)
     got = np.array([p.lam for p in spec.pairs])
     # the constant mode's eigenvalue is rounding noise around 0
@@ -176,22 +178,38 @@ def test_solve_matches_default_ordering_oracle(profile, grid_n):
     assert np.max(np.abs(fields(spec) - vecs)) < 1e-8
 
 
-def test_degenerate_wave_eigenspaces_independent_of_seed():
-    s0, s7 = solved("wave", 224, 0), solved("wave", 224, 7)
-    lams = [p.lam for p in s0.pairs]
+def test_degenerate_wave_eigenspaces_independent_of_seed(tmp_path):
+    spec = solved("wave", 224)
+    lams = [p.lam for p in spec.pairs]
     # lambda_2 = lambda_3 and lambda_5 = lambda_6 by the metric's symmetries
     assert lams[3] - lams[2] < 1e-12 * lams[2]
     assert lams[6] - lams[5] < 1e-12 * lams[5]
-    np.testing.assert_allclose(lams[1:], [p.lam for p in s7.pairs][1:],
-                               rtol=1e-12, atol=0)
-    assert np.max(np.abs(fields(s0) - fields(s7))) < 1e-8
-    assert s0.orthogonality_error < 1e-12
+    assert spec.orthogonality_error < 1e-12
+    # eigen.seed keys the spectrum cache, but no solve reads it
+    cached = []
+    for seed in (0, 7):
+        cfg = load_config(overrides={
+            "metric": {"profile": "wave", "grid_n": 224},
+            "eigen": {"count": 8, "seed": seed}}, command="spectrum")
+        run("spectrum", cfg, str(tmp_path / str(seed)))
+        [cache] = (tmp_path / str(seed) / "spectrum_cache").iterdir()
+        cached.append({f.name: f.read_bytes() for f in cache.iterdir()})
+    assert cached[0] == cached[1]
+
+
+def test_solve_closes_the_last_eigenspace():
+    # pair 2 of wave 224 shares its eigenspace with pair 3, which the
+    # 3-pair solve does not return; it is still that eigenspace's basis
+    three, nine = solved("wave", 224, 3), solved("wave", 224)
+    np.testing.assert_allclose([p.lam for p in three.pairs][1:],
+                               [p.lam for p in nine.pairs][1:3], rtol=1e-12)
+    assert np.max(np.abs(fields(three) - fields(nine)[:, :3])) < 1e-12
 
 
 def test_canonical_basis_fixes_rotation_and_sign():
     metric = make_metric("wave", 64)
     _, mass = assemble_operators(metric)
-    spec = solve_spectrum(metric, 5, seed=0)
+    spec = solve_spectrum(metric, 5)
     lams = np.array([p.lam for p in spec.pairs])
     assert lams[3] - lams[2] < 1e-12 * lams[2]
     vecs = fields(spec)
@@ -207,9 +225,27 @@ def test_canonical_basis_fixes_rotation_and_sign():
 
 
 def test_solve_nonconvergence_carries_residual():
-    metric = make_metric("wave", 32)
-    with pytest.raises(ConvergenceError):
-        solve_spectrum(metric, 6, seed=0, maxiter=1)
+    # rounding in the 5-point operator (norm about 8 n^2) leaves residuals
+    # near 1e-9 on the flat 256 grid
+    metric = make_metric("flat", 256, value=2.0)
+    with pytest.raises(ConvergenceError) as info:
+        solve_spectrum(metric, 21, tol=1e-10)
+    assert 1e-10 < info.value.residual < 1e-8
+    # a conformal factor of 1e-310 puts every eigenvalue beyond the float range
+    with pytest.raises(ConvergenceError, match="finite eigenvalues"):
+        solve_spectrum(make_metric("flat", 32, value=1e-310), 3)
+
+
+def test_nan_residual_fails_closed(monkeypatch):
+    # a NaN certificate is not within tol: the solve raises, it does not pass
+    def poisoned(metric):
+        lap, mass = assemble_operators(metric)
+        lap = lap.tolil()
+        lap[5, 5] = np.nan
+        return lap.tocsr(), mass
+    monkeypatch.setattr(eigen, "assemble_operators", poisoned)
+    with pytest.raises(ConvergenceError, match="residual nan exceeds"):
+        solve_spectrum(make_metric("wave", 64), 4)
 
 
 def test_preconditions():
@@ -218,6 +254,10 @@ def test_preconditions():
         solve_spectrum(metric, 100)  # count > n^2/4
     with pytest.raises(ValueError):
         solve_spectrum(metric, 4, tol=1e-12)
+    # 600 pairs start from the box |k|_inf <= 32, 65^2 unknowns: more than
+    # the dense solve takes
+    with pytest.raises(ConvergenceError, match="4225 > 4096 unknowns"):
+        solve_spectrum(make_metric("wave", 96), 600)
 
 
 def test_analytic_eigenpair_values():
@@ -257,7 +297,7 @@ def test_weyl_counting_function_exact():
 
 def test_weyl_counting_function_solved():
     metric = make_metric("flat", 128)
-    spec = solve_spectrum(metric, 45, seed=0)
+    spec = solve_spectrum(metric, 45)
     threshold = 4 * np.pi ** 2 * 10
     # discrete eigenvalues sit slightly below their continuum shells
     assert sum(p.lam <= threshold for p in spec.pairs) == lattice_count(threshold)

@@ -206,7 +206,7 @@ def full_grid_geodesic_sup(values, dist, center, r):
 
 @pytest.fixture(scope="module")
 def wave_spectrum_256(wave_metric_256):
-    return solve_spectrum(wave_metric_256, 4, seed=0)
+    return solve_spectrum(wave_metric_256, 4)
 
 
 def test_geodesic_growth_matches_full_grid_oracle(wave_metric_256,
@@ -347,13 +347,13 @@ def test_refined_window_equals_modulo_blend():
 @pytest.fixture(scope="module")
 def stripe_spectrum_160():
     metric = make_metric("stripe", 160)
-    return metric, solve_spectrum(metric, 4, seed=0)
+    return metric, solve_spectrum(metric, 4)
 
 
 @pytest.fixture(scope="module")
 def wave_spectrum_224():
     metric = make_metric("wave", 224)
-    return metric, solve_spectrum(metric, 4, seed=0)
+    return metric, solve_spectrum(metric, 4)
 
 
 @pytest.mark.parametrize("case", ["wave", "stripe", "large"])

@@ -118,23 +118,28 @@ def test_one_bilinear_blend():
 
 
 def test_one_sparse_factorization_and_eigensolve():
-    # solve_spectrum factors the shifted operator once under its fill-reducing
-    # ordering and hands the factor to eigsh; scipy's default-ordering path
-    # lives only in tests/test_eigen.py, as the oracle
+    # solve_spectrum makes the one eigendecomposition, a dense eigh on the
+    # truncated Fourier (or the grid) operators; no sparse factorization,
+    # operator wrapper or Krylov solve is left, and scipy's shift-invert
+    # path lives only in tests/test_eigen.py, as the oracle
+    solvers = ("eig", "eigh", "eigvals", "eigvalsh", "eigs", "eigsh", "lobpcg",
+               "eig_banded", "eigh_tridiagonal", "splu", "spilu",
+               "factorized")
     hits = []
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for func in ast.walk(tree):
+        text = path.read_text(encoding="utf-8")
+        for word in ("splu", "eigsh", "LinearOperator", "ARPACK", "Arpack"):
+            assert word not in text, (path.name, word)
+        for func in ast.walk(ast.parse(text)):
             if not isinstance(func, ast.FunctionDef):
                 continue
             for node in ast.walk(func):
                 if (isinstance(node, ast.Call)
                         and isinstance(node.func, (ast.Attribute, ast.Name))):
                     name = getattr(node.func, "attr", None) or node.func.id
-                    if name in ("splu", "eigsh"):
+                    if name in solvers:
                         hits.append((path.name, func.name, name))
-    assert sorted(hits) == [("eigen.py", "solve_spectrum", "eigsh"),
-                            ("eigen.py", "solve_spectrum", "splu")], hits
+    assert hits == [("eigen.py", "solve_spectrum", "eigh")], hits
 
 
 def test_one_euclidean_disk_sup_kernel():
