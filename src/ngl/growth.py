@@ -104,7 +104,7 @@ def _window_halves(metric, radii):
                      / metric.spacing) + 3
     width = 2 * halves.max(initial=0) + 3
     if width >= metric.grid_n:
-        raise ResolutionError(f"a geodesic disk's {width:.0f}-cell window "
+        raise ResolutionError(f"a geodesic disk's {width:.4g}-cell window "
                               f"wraps the {metric.grid_n}-cell torus; decrease "
                               f"growth.k0 or the growth.k0_sweep entry")
     return halves.astype(int).tolist()

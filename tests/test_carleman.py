@@ -601,3 +601,156 @@ def test_evaluate_returns_requested_quantities_in_order():
     assert np.array_equal(both[1], u.evaluate(x, 0.3, "value")[0])
     with pytest.raises(ValueError):
         u.evaluate(x, 0.3, "hessian")
+
+
+# --------------------------------------------------------------- dense oracle
+# the quadrature before it was restricted to the test fields' supports:
+# every weight on every grid and band node, every component at every point
+# and every band, kept as the bitwise reference for both checks
+
+
+def dense_subharmonic(u, weight):
+    from ngl.carleman import _BAND_NODES, SubharmonicReport, _split_domain
+    from ngl.surface import polar_quadrature
+    t = weight.t
+    X, Y, w, bands = _split_domain(u, weight)
+    e_t = np.exp(t * (X * X + Y * Y))
+    dbar_sq = np.abs(oracle_field(u, "dbar", X, Y)) ** 2
+    u_sq = np.abs(oracle_field(u, "value", X, Y)) ** 2
+    lhs = float(np.sum(dbar_sq * e_t) * w)
+    rhs = float(np.sum(t * u_sq * e_t) * w)
+    u_mass = float(np.sum(u_sq * e_t) * w)
+    for center, r_in, r_out in bands:
+        Xb, Yb, Wb = polar_quadrature(center, r_in, r_out, *_BAND_NODES)
+        phi = np.exp(weight.log_phi0(Xb, Yb) + t * (Xb * Xb + Yb * Yb))
+        db = np.abs(oracle_field(u, "dbar", Xb, Yb)) ** 2
+        ub = np.abs(oracle_field(u, "value", Xb, Yb)) ** 2
+        lhs += float(np.sum(db * phi * Wb))
+        rhs += float(np.sum(0.25 * weight.delta_log_phi(Xb, Yb) * ub * phi * Wb))
+        u_mass += float(np.sum(ub * phi * Wb))
+    return SubharmonicReport(lhs=lhs, rhs=rhs, margin=lhs - rhs,
+                             scale=lhs + abs(rhs) + u_mass)
+
+
+def dense_c1(f, weight):
+    from ngl.carleman import _BAND_NODES, C1Report, _split_domain
+    from ngl.surface import polar_quadrature
+    t = weight.t
+
+    def singular(x, y):
+        return np.exp(weight.log_p_sq_inv(x, y) + t * (x * x + y * y))
+
+    X, Y, w, bands = _split_domain(f, weight)
+    fval = np.real(oracle_field(f, "value", X, Y))
+    lap = np.real(oracle_field(f, "laplacian", X, Y))
+    wgt = singular(X, Y)
+    lhs = float(np.sum(lap * lap * wgt) * w)
+    l2 = float(np.sum(fval * fval * wgt) * w)
+    for center, r_in, r_out in bands:
+        Xb, Yb, Wb = polar_quadrature(center, r_in, r_out, *_BAND_NODES)
+        wgt_b = singular(Xb, Yb)
+        lap_b = np.real(oracle_field(f, "laplacian", Xb, Yb))
+        f_b = np.real(oracle_field(f, "value", Xb, Yb))
+        lhs += float(np.sum(lap_b * lap_b * wgt_b * Wb))
+        l2 += float(np.sum(f_b * f_b * wgt_b * Wb))
+    t2_term = t * t * l2
+    grad_term = 0.0
+    for center in weight.centers:
+        Xb, Yb, Wb = polar_quadrature(center, (1 - 2 * weight.a) * weight.delta,
+                                      (1 - weight.a) * weight.delta,
+                                      *_BAND_NODES)
+        grad_term += float(np.sum(oracle_field(f, "grad_sq", Xb, Yb)
+                                  * singular(Xb, Yb) * Wb))
+    if weight.centers:
+        grad_term /= weight.delta ** 2
+    denom = t2_term + grad_term
+    if denom <= 0.0 or lhs <= 0.0:
+        return C1Report(lhs, t2_term, grad_term, float("nan"), degenerate=True)
+    return C1Report(lhs, t2_term, grad_term, lhs / denom, degenerate=False)
+
+
+@pytest.mark.parametrize("n_centers", [1, 3, 5])
+def test_checks_equal_the_dense_quadrature(radial, n_centers):
+    centers = [(0.01 * np.cos(2 * np.pi * k / n_centers),
+                0.01 * np.sin(2 * np.pi * k / n_centers))
+               for k in range(n_centers)]
+    comps = []
+    for t in (1.0, 5.0, 20.0):
+        w = build_weight(centers, 1e-3, t=t, radial=radial)
+        for k in range(2):
+            rng = np.random.Generator(np.random.Philox(key=(41, 10 * n_centers + k)))
+            u = random_test_field(rng, weight=w, ring_fraction=0.5)
+            comps += u.components
+            assert check_subharmonic_inequality(u, w) == dense_subharmonic(u, w)
+        rng = np.random.Generator(np.random.Philox(key=(42, n_centers)))
+        for f in c1_test_family(rng, w, 3):
+            comps += f.components
+            rep = carleman_c1_check(f, w)
+            assert not rep.degenerate
+            assert rep == dense_c1(f, w)
+    # the family exercises ring bumps (live disk and gradient bands) and
+    # holomorphic factors
+    assert any(c.ring_radius > 0 for c in comps)
+    assert any(c.poly is not None for c in comps)
+
+
+def test_bands_out_of_reach_are_skipped_not_lost(radial):
+    # a plain bump whose support disk clears every band by 2e-4 (their
+    # outer radius is at most delta), and a ring bump on them: the bands
+    # are skipped for the first field and integrated for the second
+    w = build_weight([(0.0, 0.0)], 1e-3, t=1.0, radial=radial)
+    ring = BumpComponent((0.0, 0.0), sigma=0.55 * w.a * w.delta,
+                         support=0.55 * w.a * w.delta,
+                         ring_radius=(1 - 1.4 * w.a) * w.delta)
+    near = BumpComponent((0.3 + 1.2e-3, 0.0), sigma=0.1, support=0.3)
+    assert not near.reaches((0.0, 0.0), 1.199e-3)
+    assert near.reaches((0.0, 0.0), 1.2e-3)
+    assert ring.reaches((0.0, 0.0), 1e-3)
+    for u in (TestField([near]), TestField([near, ring])):
+        assert check_subharmonic_inequality(u, w) == dense_subharmonic(u, w)
+        assert carleman_c1_check(u, w) == dense_c1(u, w)
+
+
+def test_weight_kept_where_only_the_value_is_nonzero(radial):
+    # 129 midpoint nodes a side put one node on the bump's center, where
+    # dbar u = 0 but u = 1: the mass terms still need the weight there
+    from ngl.carleman import _split_domain
+    w = build_weight((), 0.0, t=1.0, radial=radial)
+    u = TestField([BumpComponent((0.0, 0.0), sigma=0.2, support=0.5375)])
+    X, Y, _, _ = _split_domain(u, w)
+    at = np.hypot(X, Y) == 0.0
+    dbar, val = u.evaluate(X[at], Y[at], "dbar", "value")
+    assert list(dbar) == [0.0] and list(val) == [1.0]
+    assert check_subharmonic_inequality(u, w) == dense_subharmonic(u, w)
+
+
+# --------------------------------------------------------------- work counts
+
+
+def test_carleman_work_counts(tmp_path, monkeypatch):
+    """Nodes at which ``ngl carleman`` evaluates the singular weight and the
+    bump components, at the fingerprint config.  The counts are exact: a
+    return to evaluating weights or components off the supports fails here
+    without timing anything.  The parent of the support-restricted
+    quadrature evaluated 1,673,545 weight and 1,283,117 component nodes."""
+    import ngl.carleman as carleman
+    from ngl.cli import load_config, run
+    counts = {"weight": 0, "parts": 0}
+    log_p_sq_inv = carleman.CarlemanWeight.log_p_sq_inv
+    parts = carleman.BumpComponent.parts
+
+    def counted_weight(self, x, y):
+        counts["weight"] += np.broadcast(np.asarray(x), np.asarray(y)).size
+        return log_p_sq_inv(self, x, y)
+
+    def counted_parts(self, x, y, rho, names):
+        counts["parts"] += np.asarray(x).size
+        return parts(self, x, y, rho, names)
+
+    monkeypatch.setattr(carleman.CarlemanWeight, "log_p_sq_inv", counted_weight)
+    monkeypatch.setattr(carleman.BumpComponent, "parts", counted_parts)
+    cfg = load_config(overrides={"carleman": {"pairs": 2, "t_values": [1.0]},
+                                 "output": {"dir": str(tmp_path)}},
+                      command="carleman")
+    run("carleman", cfg)
+    assert counts == {"weight": 262_768, "parts": 456_282}

@@ -340,6 +340,24 @@ def test_geodesic_window_wrapping_the_torus_exits_3_with_one_line(
         assert err.endswith(f"-cell window wraps the {n}-cell torus; decrease "
                             f"growth.k0 or the growth.k0_sweep entry\n")
         assert err.count("\n") == 1
+        # the width is rounded to 4 digits, never printed in full
+        assert len(err) < 200
+
+
+def test_overflowing_carleman_weight_exits_2_with_one_line(tmp_path, capsys):
+    # exp(t |z|^2) overflows at t = 400, and the inf and NaN integrals it
+    # makes would drop out of the minimum over the margins unseen
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"carleman": {"pairs": 2, "t_values": [400.0]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no RuntimeWarning on the way either
+        code = main(["carleman", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "configuration error: the weighted integrals at t = 400 are not "
+        "finite (exp(t |z|^2) overflows); lower carleman.t_values\n")
+    assert not (tmp_path / "out" / "carleman_report.json").exists()
 
 
 def test_overflowing_spectrum_exits_3_with_one_line(tmp_path, capsys):
