@@ -11,7 +11,15 @@ the disk plus a dense bilinear ring on the circle.  Each cell's interpolant
 is bilinear, hence harmonic, so the maximum principle puts its sup at one or
 the other.  The geodesic distance solver lives here too: Gauss-Seidel fast
 sweeping of the first-order upwind update, on the windows of a stack of
-centers at once; ``_geodesic_disk_sups`` takes geodesic-disk sups on them.
+centers at once; ``_geodesic_disk_sups`` takes geodesic-disk sups on them,
+the max over the 4 x 4 refined lattice of each window's cells in the disk.
+It refines only the cells that two corner bounds cannot skip: a cell whose
+corner distances all exceed the radius holds no refined point of the disk,
+and one whose largest |corner| is at most the sup over the disk's nodes
+cannot raise it.  A refined value is a blend of its cell's corners, and
+each of the blend's lerps rounds into the range of its two ends at the
+phases 0 .. 3/4, so both bounds are exact and the sups are the whole
+lattice's bit for bit.
 """
 
 from __future__ import annotations
@@ -356,27 +364,61 @@ def _swept_distances(metric: ConformalMetric, points, halves):
 _PHASES = np.arange(4) / 4.0   # cell fractions of the 4 x 4 refinement
 
 
-def _refine(a):
-    """Bilinear 4x refinement of the cells of a block: entry [u, v, k, l] is
-    the interpolant at (k + u / 4, l + v / 4); v10, v11 are copied per u."""
-    return _blend(a[:-1, :-1], np.repeat(a[None, None, 1:, :-1], 4, axis=0),
-                  a[:-1, 1:], np.repeat(a[None, None, 1:, 1:], 4, axis=0),
-                  _PHASES[:, None, None, None], _PHASES[:, None, None])
+def _refined_cells(cells, *blocks):
+    """Bilinear 4x refinement of the cells ``cells = (b, k, l)`` of stacks
+    of window blocks: entry [u, v, c] of each block's result is the
+    interpolant of block[b] at (k + u / 4, l + v / 4) for the c-th cell;
+    v10, v11 are copied per u."""
+    b, k, l = cells
+    return [_blend(block[b, k, l],
+                   np.repeat(block[b, k + 1, l][None, None], 4, axis=0),
+                   block[b, k, l + 1],
+                   np.repeat(block[b, k + 1, l + 1][None, None], 4, axis=0),
+                   _PHASES[:, None, None], _PHASES[:, None])
+            for block in blocks]
 
 
-def _local_metric_sups(values, dist, radii):
+def _window_sups(values, dist, radii):
     """Sups of |values| over {dist <= rad}, rad in radii, on the 4x refined
-    lattice over the cells of a window block: both blocks hold the nodes at
-    offsets -half .. half + 1 from the center's cell, and are refined once."""
-    dd = _refine(dist)
-    absval = np.abs(_refine(values))
-    sups = []
-    for rad in radii:
-        keep = dd <= rad
-        if not keep.any():
-            raise EmptyRegionError(
-                f"geodesic disk of radius {rad:g} contains no refined lattice point")
-        sups.append(float(np.max(absval[keep])))
+    lattice over the cells of a stack of window blocks: entry [r, b] is the
+    sup at radii[r] on the nodes values[b] and dist[b].
+
+    Only the cells that no corner bound skips are refined.  Each lerp of
+    the blend, fl(a + fl(t fl(b - a))) at a phase t <= 3/4, rounds into
+    [a, b]: in the normal range fl(b - a) is off by at most a factor 1 + u,
+    fl(t d) by another, and 3/4 (1 + u)^2 < 1, so the sum lies between a
+    and b before its own (monotone) rounding.  So every refined value lies in its cell's corner
+    range, exactly, and a cell is skipped when either bound holds:
+
+    * its smallest corner distance is above rad: none of its refined points
+      is in the disk;
+    * its largest |corner| is at most the node sup, the max |values| over
+      the nodes in the disk that start a cell (the phase-(0, 0) refined
+      points, which the blend returns as they are): none of its points in
+      the disk raises the sup.
+
+    The rest are refined on the same operands and phases as the whole
+    lattice, so every sup is the whole lattice's bit for bit.
+    """
+    absval = np.abs(values)
+    d_lo = np.minimum(dist[:, :-1], dist[:, 1:])      # corner ranges per cell
+    d_lo = np.minimum(d_lo[:, :, :-1], d_lo[:, :, 1:])
+    f_hi = np.maximum(absval[:, :-1], absval[:, 1:])
+    f_hi = np.maximum(f_hi[:, :, :-1], f_hi[:, :, 1:])
+    sups = np.empty((len(radii), len(dist)))
+    for sup, rad in zip(sups, radii):
+        sup[:] = np.max(absval[:, :-1, :-1], axis=(1, 2), initial=-np.inf,
+                        where=dist[:, :-1, :-1] <= rad)
+        live = (d_lo <= rad) & (f_hi > sup[:, None, None])
+        cells = np.unravel_index(np.flatnonzero(live), live.shape)
+        dd, ff = _refined_cells(cells, dist, values)
+        np.maximum.at(sup, cells[0], np.max(np.abs(ff), axis=(0, 1),
+                                            initial=-np.inf, where=dd <= rad))
+    empty = np.isneginf(sups)
+    if empty.any():   # the first empty window, outer disk first
+        rad = radii[empty[:, empty.any(axis=0).argmax()].argmax()]
+        raise EmptyRegionError(
+            f"geodesic disk of radius {rad:g} contains no refined lattice point")
     return sups
 
 
@@ -384,14 +426,17 @@ def _geodesic_disk_sups(fields, metric, points, radii, halves, alpha):
     """Sups of |fields[k]| over the geodesic disks of radii radii[k] and
     alpha radii[k] at each point: entry [k, 0, c] is the outer sup at
     points[c], and [k, 1, c] the inner one, read off one sweep's distances
-    on the windows of half-widths halves[k] (``growth._window_halves``)."""
+    on the windows of half-widths halves[k] (``growth._window_halves``).
+    A disk is the 4 x 4 refined lattice over the cells of its window's
+    nodes at offsets -half .. half + 1 from the point's cell, and each sweep
+    batch's windows are scanned at once by ``_window_sups``, which refines
+    only the cells whose refined points could change a sup."""
     points = np.reshape(points, (-1, 2))
     sups = np.empty((len(fields), 2, len(points)))
     for lo, k, dist, rows, cols in _swept_distances(metric, points, halves):
-        for b in range(len(dist)):
-            sups[k, :, lo + b] = _local_metric_sups(
-                fields[k][rows[b, 1:, None], cols[b, None, 1:]],
-                dist[b, 1:, 1:], (radii[k], alpha * radii[k]))
+        sups[k, :, lo:lo + len(dist)] = _window_sups(
+            fields[k][rows[:, 1:, None], cols[:, None, 1:]], dist[:, 1:, 1:],
+            (radii[k], alpha * radii[k]))
     return sups
 
 

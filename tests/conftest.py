@@ -3,7 +3,9 @@ import heapq
 import numpy as np
 import pytest
 
-from ngl.surface import GridField, flat_torus_distance, make_metric
+from ngl.errors import EmptyRegionError
+from ngl.surface import (GridField, _PHASES, _blend, _swept_distances,
+                         flat_torus_distance, make_metric)
 
 
 @pytest.fixture(scope="session")
@@ -106,3 +108,41 @@ def geodesic_distance(metric, p):
     px, py = p
     assert 0.0 <= px < 1.0 and 0.0 <= py < 1.0
     return GridField(oracle_fast_march(metric, p))
+
+
+def oracle_refine(a):
+    """Bilinear 4x refinement of every cell of a block: entry [u, v, k, l] is
+    the interpolant at (k + u / 4, l + v / 4); v10, v11 are copied per u."""
+    return _blend(a[:-1, :-1], np.repeat(a[None, None, 1:, :-1], 4, axis=0),
+                  a[:-1, 1:], np.repeat(a[None, None, 1:, 1:], 4, axis=0),
+                  _PHASES[:, None, None, None], _PHASES[:, None, None])
+
+
+def oracle_window_sups(values, dist, radii):
+    """Reference window sups: sups of |values| over {dist <= rad}, rad in
+    radii, on the 4x refined lattice over every cell of one window block,
+    refined whole."""
+    dd = oracle_refine(dist)
+    absval = np.abs(oracle_refine(values))
+    sups = []
+    for rad in radii:
+        keep = dd <= rad
+        if not keep.any():
+            raise EmptyRegionError(
+                f"geodesic disk of radius {rad:g} contains no refined lattice point")
+        sups.append(float(np.max(absval[keep])))
+    return sups
+
+
+def oracle_geodesic_disk_sups(fields, metric, points, radii, halves, alpha):
+    """Reference geodesic-disk sups: the swept windows of
+    ``surface._geodesic_disk_sups``, each window refined whole and scanned
+    on its own by ``oracle_window_sups``."""
+    points = np.reshape(points, (-1, 2))
+    sups = np.empty((len(fields), 2, len(points)))
+    for lo, k, dist, rows, cols in _swept_distances(metric, points, halves):
+        for b in range(len(dist)):
+            sups[k, :, lo + b] = oracle_window_sups(
+                fields[k][rows[b, 1:, None], cols[b, None, 1:]],
+                dist[b, 1:, 1:], (radii[k], alpha * radii[k]))
+    return sups

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,11 +12,14 @@ from ngl.growth import (_window_halves, average_local_growth,
                         donnelly_fefferman_constant, growth_exponent,
                         growth_fields, lq_growth_exponent,
                         quartile_trend_ratio, verify_length_growth_bound)
-from ngl.surface import (_bilinear_periodic, _disk_offsets, _local_metric_sups,
-                         _refine, _ring_points, _swept_distances,
-                         _sup_disks_flat, make_metric)
+from ngl.surface import (_bilinear_periodic, _disk_offsets,
+                         _geodesic_disk_sups, _refined_cells, _ring_points,
+                         _swept_distances, _sup_disks_flat, _window_sups,
+                         make_metric)
 
-from conftest import geodesic_distance, oracle_fast_march, torus_field
+from conftest import (geodesic_distance, oracle_fast_march,
+                      oracle_geodesic_disk_sups, oracle_window_sups,
+                      torus_field)
 
 
 def radial_power(n):
@@ -312,9 +320,10 @@ def test_local_metric_sups_equal_full_grid_scan(n, ic, jc, half):
     for _ in range(5):
         dist = rng.random((n, n))
         radii = (0.9, 0.5, 0.05)
-        got = _local_metric_sups(values[block], dist[block], radii)
-        assert got == [oracle_local_metric_sup(values, dist, rad, ic, jc, half, n)
-                       for rad in radii]
+        [got] = _window_sups(values[block][None], dist[block][None], radii).T
+        assert got.tolist() == [oracle_local_metric_sup(values, dist, rad, ic,
+                                                        jc, half, n)
+                                for rad in radii]
 
 
 def test_refined_window_equals_modulo_blend():
@@ -336,12 +345,101 @@ def test_refined_window_equals_modulo_blend():
     span = np.arange(2 * half + 2) - half
     block = values[np.ix_((ic + span) % n, (jc + span) % n)]
     kept = block.copy()
-    got = _refine(block)          # [u, v, k, l]
-    np.testing.assert_array_equal(block, kept)   # the blend writes copies only
     k = 2 * half + 1
-    got = got.transpose(2, 0, 3, 1).reshape(4 * k, 4 * k)[:want.shape[0],
-                                                          :want.shape[1]]
+    cells = np.nonzero(np.ones((1, k, k), dtype=bool))
+    [got] = _refined_cells(cells, block[None])    # [u, v, k * K + l]
+    np.testing.assert_array_equal(block, kept)   # the blend writes copies only
+    got = got.reshape(4, 4, k, k).transpose(2, 0, 3, 1).reshape(4 * k, 4 * k)
+    got = got[:want.shape[0], :want.shape[1]]
     np.testing.assert_array_equal(got, want)
+
+
+def test_refined_values_stay_in_their_corner_range():
+    # the window sups skip cells by their corner ranges, which is exact only
+    # because each lerp of the blend rounds into the range of its ends at
+    # the phases 0 .. 3/4; corners of mixed signs and scales, and corners
+    # within a few ulp of one another, are where rounding could stray
+    rng = np.random.default_rng(7)
+    count = 200_000
+    corners = (rng.standard_normal((3, count, 4))
+               * 10.0 ** rng.integers(-8, 9, (3, count, 4)))
+    corners[1] = np.abs(corners[1])
+    corners[2] = corners[2, :, :1] * (1 + rng.integers(-4, 5, (count, 4))
+                                      * np.finfo(float).eps)
+    for quad in corners:
+        block = quad.reshape(count, 2, 2).transpose(0, 2, 1)  # [c, i, j]
+        cells = (np.arange(count), np.zeros(count, int), np.zeros(count, int))
+        [got] = _refined_cells(cells, block)
+        np.testing.assert_array_equal(got[0, 0], quad[:, 0])
+        assert (got >= quad.min(axis=1)).all()
+        assert (got <= quad.max(axis=1)).all()
+
+
+def test_window_sups_read_points_rounded_onto_the_radius():
+    # the nearest corner of a cell sits at the radius and the next one a ulp
+    # beyond it: the lerp at phase 1/4 rounds back onto the radius, so the
+    # disk holds a refined point that reads the far corner's value, and the
+    # distance bound may skip only cells whose nearest corner is beyond it
+    rad = 0.3
+    dist = np.ones((1, 3, 3))
+    dist[0, :2, 0] = rad, np.nextafter(rad, 1)
+    values = np.zeros((1, 3, 3))
+    values[0, :2, 0] = 1.0, 100.0
+    [[got]] = _window_sups(values, dist, (rad,))
+    assert [got] == oracle_window_sups(values[0], dist[0], (rad,))
+    assert got > 1.0
+
+
+@pytest.mark.parametrize("kind", ["white", "tied", "smooth"])
+def test_geodesic_disk_sups_equal_full_refinement_oracle(kind, wave_metric_96):
+    # radii at a node's exact distance and at its np.nextafter neighbours
+    # put refined points on the disk's edge, where the distance bound's
+    # comparison decides; integer samples tie |values|, so many cells have
+    # a largest corner equal to the node sup
+    metric = wave_metric_96
+    n = metric.grid_n
+    rng = np.random.default_rng(30)
+    if kind == "white":
+        values = rng.standard_normal((n, n))
+    elif kind == "tied":
+        values = rng.integers(-3, 4, (n, n)).astype(float)
+    else:
+        values = torus_field(lambda x, y: np.sin(6 * np.pi * x)
+                             * np.cos(4 * np.pi * y), n).values
+    points = [(0.0, 0.5), (0.995, 0.004), (0.41, 0.77), (0.5 + 0.5 / n, 0.25)]
+    [half] = _window_halves(metric, [0.12])
+    [(_, _, dist, _, _)] = _swept_distances(metric, points, [half])
+    nodes = dist[0, 1:-1, 1:-1]            # the nodes that start a cell
+    d_out = nodes[nodes <= 0.1].max()
+    d_in = nodes[nodes <= 0.05].max()
+    # alpha 1/2: the inner radii of the last three are d_in and its
+    # neighbours exactly
+    radii = [np.nextafter(d_out, 0), d_out, np.nextafter(d_out, 1),
+             2 * np.nextafter(d_in, 0), 2 * d_in, 2 * np.nextafter(d_in, 1)]
+    args = ([values] * 6, metric, points, radii, [half] * 6, 0.5)
+    got = _geodesic_disk_sups(*args)
+    assert np.array_equal(got, oracle_geodesic_disk_sups(*args))
+
+
+@pytest.mark.parametrize("rad, alpha, cells", [
+    (1e-6, 0.5, [(28.8, 28.8), (48.5, 48.5)]),
+    (0.012, 0.1, [(28.8, 28.8), (48.5, 48.5)]),
+    (0.5 / 96, 0.1, [(48.25, 10.25), (20.5, 30.5)])])
+def test_geodesic_disk_sups_empty_disk_message(rad, alpha, cells,
+                                               wave_metric_96):
+    # empty outer disks; full outer disks with an empty inner one; and an
+    # empty inner disk in the first window before an empty outer one in the
+    # second: each names the radius of the oracle's window-by-window scan
+    metric = wave_metric_96
+    values = np.random.default_rng(3).standard_normal((96, 96))
+    points = np.divide(cells, 96)
+    args = ([values], metric, points, [rad], _window_halves(metric, [rad]),
+            alpha)
+    with pytest.raises(EmptyRegionError) as want:
+        oracle_geodesic_disk_sups(*args)
+    with pytest.raises(EmptyRegionError) as got:
+        _geodesic_disk_sups(*args)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.fixture(scope="module")
@@ -544,3 +642,68 @@ def test_report_csv_header(tmp_path):
     report_to_csv(report, path)
     header = path.read_text().splitlines()[0]
     assert header == "lambda,A,H1_metric,lower_ratio,upper_ratio"
+
+
+# --------------------------------------------------------------- work counts
+
+# counts windows, their cells and the refined cells of every ``ngl thm1`` run
+# named in argv[1] (a JSON object of configs)
+_WORK_COUNT_SCRIPT = """
+import json, sys
+import ngl.surface as surface
+from ngl.cli import load_config, run
+
+counts = {}
+window_sups, refined_cells = surface._window_sups, surface._refined_cells
+
+def counted_sups(values, dist, radii):
+    counts["windows"] += len(dist)
+    counts["cells"] += len(dist) * (dist.shape[1] - 1) * (dist.shape[2] - 1)
+    return window_sups(values, dist, radii)
+
+def counted_cells(cells, *blocks):
+    counts["refined"] += len(cells[0])
+    return refined_cells(cells, *blocks)
+
+surface._window_sups, surface._refined_cells = counted_sups, counted_cells
+got = {}
+for name, cfg in json.loads(sys.argv[1]).items():
+    counts.update(windows=0, cells=0, refined=0)
+    run("thm1", load_config(overrides=cfg, command="thm1"))
+    got[name] = dict(counts)
+print(json.dumps(got))
+"""
+
+
+def test_geodesic_window_work_counts(tmp_path):
+    """Windows scanned, their cells, and the cells refined 4 x 4 (once per
+    radius) by ``ngl thm1``, which makes every growth pass of its config (k0
+    and each k0_sweep entry), at the curved fingerprint configs and at the
+    ``curved-ratio-table`` benchmark config.  The counts are exact: a return
+    to refining every window cell fails here without timing anything.  The
+    parent of the corner bounds refined each of the ``cells`` once.  Which
+    cells a bound skips depends on the eigenfunctions' last bits, so the
+    counts are taken in a subprocess with one BLAS thread."""
+    from fingerprints import ALL_CONFIG, GROWTH_CONFIGS
+    configs = {"growth/wave": GROWTH_CONFIGS["wave"], "all": ALL_CONFIG,
+               "curved-ratio-table": {"metric": {"profile": "wave",
+                                                 "grid_n": 224},
+                                      "eigen": {"count": 8},
+                                      "growth": {"sample_grid_m": 4}}}
+    for k, (name, cfg) in enumerate(configs.items()):
+        configs[name] = {**cfg, "output": {"dir": str(tmp_path / str(k))}}
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
+                 else [])))
+    env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                              "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"), "1"))
+    proc = subprocess.run([sys.executable, "-c", _WORK_COUNT_SCRIPT,
+                           json.dumps(configs)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "growth/wave": {"windows": 80, "cells": 102_736, "refined": 1_304},
+        "all": {"windows": 64, "cells": 794_688, "refined": 1_744},
+        "curved-ratio-table": {"windows": 128, "cells": 229_120,
+                               "refined": 2_616}}

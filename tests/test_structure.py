@@ -86,9 +86,10 @@ def _computes_bilinear_blend(func):
 
 def test_one_bilinear_blend():
     # periodic bilinear interpolation, the flat ring and the geodesic 4 x 4
-    # refinement all call surface._blend; growth takes geodesic-disk sups
-    # from surface._geodesic_disk_sups and knows nothing of the sweep's
-    # windows (no blend, no phase table, no window slices)
+    # refinement of a window's live cells all call surface._blend; growth
+    # takes geodesic-disk sups from surface._geodesic_disk_sups and knows
+    # nothing of the sweep's windows (no blend, no phase table, no window
+    # slices); the whole-window refinement is the test oracle only
     blends = []
     for path in sorted(SRC.glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -97,12 +98,15 @@ def test_one_bilinear_blend():
                 blends.append((path.name, func.name))
     assert blends == [("surface.py", "_blend")], blends
     surface = ast.parse((SRC / "surface.py").read_text(encoding="utf-8"))
-    for caller in ("_bilinear_periodic", "_sup_disks_flat", "_refine"):
+    for caller in ("_bilinear_periodic", "_sup_disks_flat", "_refined_cells"):
         [func] = [node for node in ast.walk(surface)
                   if isinstance(node, ast.FunctionDef) and node.name == caller]
         assert len(_calls_of(func, "_blend")) == 1, caller
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not {"_refine", "_local_metric_sups"} & _names_defined(tree)
     growth = ast.parse((SRC / "growth.py").read_text(encoding="utf-8"))
-    for name in ("_refine", "_local_metric_sups", "_geodesic_disk_sups",
+    for name in ("_refined_cells", "_window_sups", "_geodesic_disk_sups",
                  "_blend"):
         assert name not in _names_defined(growth), name
     for node in growth.body:
