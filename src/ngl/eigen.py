@@ -7,7 +7,8 @@ positive semidefinite) and Q the diagonal of q samples.  The grid's Fourier
 modes diagonalize L, and Q acts on them as a convolution by q's DFT, which
 has a handful of coefficients for a smooth factor; the low eigenvectors
 decay fast in |k|, so the problem is solved densely on the modes of a box
-|k|_inf <= K and each pair is certified by its residual on the grid.
+|k|_inf <= K, one block of modes that q couples at a time, and each pair
+is certified by its residual on the grid.
 """
 
 from __future__ import annotations
@@ -18,16 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceError
 from .surface import ConformalMetric, GridField, TORUS, make_metric
 
 _LAMBDA_ZERO_TOL = 1e-6  # below this a computed eigenvalue is the constant mode
-_DEGENERATE_RTOL = 1e-10  # eigenvalues this close (relative) share an eigenspace
+_DEGENERATE_RTOL = 1e-12  # eigenvalues this close (relative) share an eigenspace
 _PROBE_KEY = 0x6E676C    # fixed probe block of the canonical eigenspace bases
 _TAIL_MASS = 1e-30      # mass a solved vector may leave on the box's outer shells
 _TAIL_DROP = 1e-3       # a wider box that cuts the tail less is at rounding
-_MAX_UNKNOWNS = 4096    # the largest dense problem solve_spectrum sets up
+_MAX_UNKNOWNS = 4096    # the largest dense block solve_spectrum sets up
 
 
 @dataclass
@@ -113,15 +115,20 @@ def _fourier_operators(metric, box):
     The columns are the constant, then a cosine and a sine per pair {k, -k}
     (``unitary`` maps them to the complex modes), where L (the stencil's
     symbol) and Q (the convolution by q's DFT) are real symmetric for every
-    real q.  ``synthesis`` maps coefficient columns to grid fields by inverse
-    FFT, keeping Q-orthonormality; ``outer`` flags the columns on the shells
-    that q's DFT couples to modes beyond the box.
+    real q.  Both are sparse: q's DFT keeps the real and imaginary parts
+    above 1e-15 |q^(0)|, the rest being FFT rounding, so Q couples a mode
+    only to its shifts by the kept offsets.  ``synthesis`` maps coefficient
+    columns to grid fields by inverse FFT, keeping Q-orthonormality;
+    ``outer`` flags the columns on the shells that q's DFT couples to modes
+    beyond the box.
     """
     n, side = metric.grid_n, 2 * box + 1
     qhat = np.fft.fft2(metric.q) / (n * n)
+    qhat.real[np.abs(qhat.real) <= 1e-15 * abs(qhat[0, 0])] = 0.0
+    qhat.imag[np.abs(qhat.imag) <= 1e-15 * abs(qhat[0, 0])] = 0.0
+    ox, oy = np.nonzero(qhat)
     freq = np.abs(np.fft.fftfreq(n, 1.0 / n))
-    reach = np.maximum(freq[:, None], freq)[
-        np.abs(qhat) > 1e-15 * abs(qhat[0, 0])].max()
+    reach = np.maximum(freq[ox], freq[oy]).max()
     kx, ky = np.array(np.divmod(np.arange(side * side), side)) - box
     mid = side * side // 2   # modes mid + j and mid - j are k and -k
     hi, lo, r = mid + 1 + np.arange(mid), mid - 1 - np.arange(mid), \
@@ -129,7 +136,12 @@ def _fourier_operators(metric, box):
     unitary = sp.csr_matrix(
         (np.r_[1.0, r, r, -1j * r, 1j * r],
          (np.r_[mid, hi, lo, hi, lo], np.r_[0, hi - mid, hi - mid, hi, hi])))
-    conv = qhat[(kx[:, None] - kx) % n, (ky[:, None] - ky) % n]
+    # mode j meets the one box mode k with k_j - k = (ox, oy) modulo n
+    px, py = (kx[:, None] - ox + box) % n - box, (ky[:, None] - oy + box) % n - box
+    hit = (px <= box) & (py <= box)
+    conv = sp.csr_matrix((np.broadcast_to(qhat[ox, oy], hit.shape)[hit],
+                          (np.nonzero(hit)[0], ((px + box) * side + py + box)[hit])),
+                         shape=(side * side, side * side))
     modes = np.r_[mid, hi, hi]
     symbol = 4 * n * n * (np.sin(np.pi * kx / n) ** 2 + np.sin(np.pi * ky / n) ** 2)
     half = ky >= 0
@@ -139,21 +151,24 @@ def _fourier_operators(metric, box):
         spec[:, kx[half] % n, ky[half]] = (unitary @ coefs)[half].T
         return n * np.fft.irfft2(spec, s=(n, n)).reshape(-1, n * n).T
 
-    return (np.diag(symbol[modes]),
-            (unitary.conj().T @ (conv @ unitary)).real, synthesis,
+    return (sp.diags(symbol[modes], format="csr"),
+            (unitary.conj().T @ conv @ unitary).real.tocsr(), synthesis,
             np.maximum(abs(kx), abs(ky))[modes] > box - max(reach, 1))
 
 
 def solve_spectrum(metric: ConformalMetric, count, tol=1e-8) -> Spectrum:
-    """Smallest ``count`` eigenpairs by one dense generalized solve.
+    """Smallest ``count`` eigenpairs by dense generalized solves.
 
     It runs on the box of :func:`_fourier_operators`, K = 8 + sqrt(count)
     grown by 4 while a kept vector leaves ``_TAIL_MASS`` of its mass on the
     outer shells above rounding, or on the grid once the box would cover
     it, and past ``count`` until pair ``count - 1``'s eigenspace is closed.
-    Eigenvectors are Q-orthonormal before sup-normalization, in the canonical
-    basis of each eigenspace (:func:`_canonical_basis`); a grid residual
-    above ``tol``, or NaN, raises ConvergenceError carrying the worst one.
+    The unknowns split into the connected components of the operators'
+    pattern; each block, at most ``_MAX_UNKNOWNS``, gets its own dense
+    solve, and the blocks' pairs are merged ascending.  Eigenvectors are
+    Q-orthonormal before sup-normalization, in the canonical basis of each
+    eigenspace (:func:`_canonical_basis`); a grid residual above ``tol``, or
+    NaN, raises ConvergenceError carrying the worst one.
     """
     n = metric.grid_n
     if count > n * n // 4:
@@ -163,18 +178,27 @@ def solve_spectrum(metric: ConformalMetric, count, tol=1e-8) -> Spectrum:
     lap, mass = assemble_operators(metric)
     box, extra, last_tail = 8 + math.isqrt(count), 4, np.inf
     while True:
-        side = min(2 * box + 1, n)   # the grid itself once the box covers it
-        if side * side > _MAX_UNKNOWNS:
+        a, b, synthesis, outer = (   # the grid itself once the box covers it
+            _fourier_operators(metric, box) if 2 * box + 1 < n else
+            (lap, mass, lambda v: v, np.zeros(n * n, dtype=bool)))
+        labels = connected_components(abs(a) + abs(b), directed=False)[1]
+        sizes, order = np.bincount(labels), np.argsort(labels, kind="stable")
+        if sizes.max() > _MAX_UNKNOWNS:
             raise ConvergenceError(f"the spectrum needs a dense solve of "
-                                   f"{side * side} > {_MAX_UNKNOWNS} unknowns")
-        a, b, synthesis, outer = (_fourier_operators(metric, box) if side < n else
-                                  (lap.toarray(), mass.toarray(), lambda v: v,
-                                   np.zeros(n * n, dtype=bool)))
-        wanted = min(count + extra, len(a))
-        try:
-            lams, coefs = la.eigh(a, b, subset_by_index=(0, wanted - 1))
-        except la.LinAlgError as exc:
-            raise ConvergenceError(f"eigensolver failed: {exc}") from exc
+                                   f"{sizes.max()} > {_MAX_UNKNOWNS} unknowns")
+        wanted, parts = min(count + extra, len(labels)), []
+        ends, a, b = np.cumsum(sizes), a[order][:, order], b[order][:, order]
+        for start, end in zip(ends - sizes, ends):   # the blocks, contiguous
+            try:
+                parts.append(la.eigh(a[start:end, start:end].toarray(),
+                                     b[start:end, start:end].toarray(),
+                                     subset_by_index=(0, min(wanted, end - start) - 1)))
+            except la.LinAlgError as exc:
+                raise ConvergenceError(f"eigensolver failed: {exc}") from exc
+        lams = np.concatenate([lam for lam, _ in parts])
+        merged = np.argsort(lams, kind="stable")[:wanted]
+        lams = lams[merged]
+        coefs = la.block_diag(*(vec for _, vec in parts))[:, merged][np.argsort(order)]
         found = int(np.isfinite(lams).sum())
         if found != wanted:
             raise ConvergenceError(f"eigensolver found {found} finite "
@@ -182,7 +206,7 @@ def solve_spectrum(metric: ConformalMetric, count, tol=1e-8) -> Spectrum:
         closed = next(end for end in _eigenspaces(lams) if end >= count)
         kept = (coefs[:, :closed] / np.max(np.abs(coefs[:, :closed]), axis=0)) ** 2
         tail = np.max(kept[outer].sum(axis=0) / kept.sum(axis=0))
-        if closed == wanted < len(a):
+        if closed == wanted < len(labels):
             extra *= 2
         elif _TAIL_MASS <= tail < _TAIL_DROP * last_tail:
             box, last_tail = box + 4, tail
@@ -190,8 +214,9 @@ def solve_spectrum(metric: ConformalMetric, count, tol=1e-8) -> Spectrum:
             break
     lams = np.where(np.abs(lams) < _LAMBDA_ZERO_TOL, np.abs(lams), lams)[:closed]
     vecs = _canonical_basis(lams, synthesis(coefs[:, :closed]), mass)[:, :count]
-    ortho_err = float(np.max(np.abs(vecs.T @ (mass @ vecs) - np.eye(count))))
-    defect = lap @ vecs - (mass @ vecs) * lams[:count]
+    weighted = mass.diagonal()[:, None] * vecs   # Q vecs: Q is diagonal
+    ortho_err = float(np.max(np.abs(vecs.T @ weighted - np.eye(count))))
+    defect = lap @ vecs - weighted * lams[:count]
     residuals = np.linalg.norm(defect, axis=0) / np.linalg.norm(vecs, axis=0)
     worst = float(np.max(residuals))
     if not worst <= tol:   # a NaN certificate fails too

@@ -1,11 +1,15 @@
 import heapq
+import math
 
 import numpy as np
 import pytest
+import scipy.linalg as la
+import scipy.sparse as sp
 
+from ngl import eigen
 from ngl.errors import EmptyRegionError
-from ngl.surface import (GridField, _PHASES, _blend, _swept_distances,
-                         flat_torus_distance, make_metric)
+from ngl.surface import (ConformalMetric, GridField, _PHASES, _blend,
+                         _swept_distances, flat_torus_distance, make_metric)
 
 
 @pytest.fixture(scope="session")
@@ -146,3 +150,74 @@ def oracle_geodesic_disk_sups(fields, metric, points, radii, halves, alpha):
                 fields[k][rows[b, 1:, None], cols[b, None, 1:]],
                 dist[b, 1:, 1:], (radii[k], alpha * radii[k]))
     return sups
+
+
+def generic_metric(grid_n):
+    """A smooth conformal factor with no symmetry that decouples Fourier
+    modes: its q^ couples every mode of the box to every other."""
+    coords = np.arange(grid_n) / grid_n
+    x, y = np.meshgrid(coords, coords, indexing="ij")
+    q = (1.0 + 0.2 * np.sin(2 * np.pi * (x + 2 * y)) + 0.1 * np.cos(2 * np.pi * x)
+         + 0.1 * np.sin(2 * np.pi * y))
+    return ConformalMetric(q=q, q_minus=float(q.min()), q_plus=float(q.max()),
+                           volume=float(q.mean()),
+                           alpha0=float(q.min() / (5.0 * q.max())))
+
+
+def oracle_fourier_operators(metric, box):
+    """Dense (L, Q, synthesis, outer) on the modes |k|_inf <= ``box``, with
+    Q gathered from every entry of q's DFT, rounding included."""
+    n, side = metric.grid_n, 2 * box + 1
+    qhat = np.fft.fft2(metric.q) / (n * n)
+    freq = np.abs(np.fft.fftfreq(n, 1.0 / n))
+    reach = np.maximum(freq[:, None], freq)[
+        np.abs(qhat) > 1e-15 * abs(qhat[0, 0])].max()
+    kx, ky = np.array(np.divmod(np.arange(side * side), side)) - box
+    mid = side * side // 2
+    hi, lo, r = mid + 1 + np.arange(mid), mid - 1 - np.arange(mid), \
+        np.full(mid, np.sqrt(0.5))
+    unitary = sp.csr_matrix(
+        (np.r_[1.0, r, r, -1j * r, 1j * r],
+         (np.r_[mid, hi, lo, hi, lo], np.r_[0, hi - mid, hi - mid, hi, hi])))
+    conv = qhat[(kx[:, None] - kx) % n, (ky[:, None] - ky) % n]
+    modes = np.r_[mid, hi, hi]
+    symbol = 4 * n * n * (np.sin(np.pi * kx / n) ** 2 + np.sin(np.pi * ky / n) ** 2)
+    half = ky >= 0
+
+    def synthesis(coefs):
+        spec = np.zeros((coefs.shape[1], n, n // 2 + 1), dtype=complex)
+        spec[:, kx[half] % n, ky[half]] = (unitary @ coefs)[half].T
+        return n * np.fft.irfft2(spec, s=(n, n)).reshape(-1, n * n).T
+
+    return (np.diag(symbol[modes]),
+            (unitary.conj().T @ (conv @ unitary)).real, synthesis,
+            np.maximum(abs(kx), abs(ky))[modes] > box - max(reach, 1))
+
+
+def oracle_dense_spectrum(metric, count):
+    """Reference spectrum by one dense generalized solve of the whole box
+    (or grid), box growth and eigenspace closure as in
+    ``eigen.solve_spectrum``, with no cap: (lams, sup-normalized fields in
+    the canonical basis)."""
+    n = metric.grid_n
+    lap, mass = eigen.assemble_operators(metric)
+    box, extra, last_tail = 8 + math.isqrt(count), 4, np.inf
+    while True:
+        a, b, synthesis, outer = (
+            oracle_fourier_operators(metric, box) if 2 * box + 1 < n else
+            (lap.toarray(), mass.toarray(), lambda v: v,
+             np.zeros(n * n, dtype=bool)))
+        wanted = min(count + extra, len(a))
+        lams, coefs = la.eigh(a, b, subset_by_index=(0, wanted - 1))
+        closed = next(end for end in eigen._eigenspaces(lams) if end >= count)
+        kept = (coefs[:, :closed] / np.max(np.abs(coefs[:, :closed]), axis=0)) ** 2
+        tail = np.max(kept[outer].sum(axis=0) / kept.sum(axis=0))
+        if closed == wanted < len(a):
+            extra *= 2
+        elif eigen._TAIL_MASS <= tail < eigen._TAIL_DROP * last_tail:
+            box, last_tail = box + 4, tail
+        else:
+            break
+    vecs = eigen._canonical_basis(lams[:closed], synthesis(coefs[:, :closed]),
+                                  mass)[:, :count]
+    return lams[:count], vecs / np.max(np.abs(vecs), axis=0)

@@ -361,7 +361,8 @@ def test_overflowing_carleman_weight_exits_2_with_one_line(tmp_path, capsys):
 
 
 def test_overflowing_spectrum_exits_3_with_one_line(tmp_path, capsys):
-    # a conformal factor of 1e-310 puts every eigenvalue beyond the float range
+    # a conformal factor of 1e-310 puts every eigenvalue but the constant
+    # mode's 0 beyond the float range
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"metric": {"profile": "flat", "grid_n": 32,
                                            "params": {"value": 1e-310}},
@@ -370,7 +371,7 @@ def test_overflowing_spectrum_exits_3_with_one_line(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 3
-    assert err == ("numerical failure: eigensolver found 0 finite "
+    assert err == ("numerical failure: eigensolver found 1 finite "
                    "eigenvalues of 7\n")
 
 

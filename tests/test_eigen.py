@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from conftest import generic_metric, oracle_dense_spectrum, oracle_fourier_operators
 from ngl import eigen
 from ngl.cli import load_config, run
 from ngl.errors import ConvergenceError
@@ -178,6 +179,86 @@ def test_solve_matches_default_ordering_oracle(profile, grid_n):
     assert np.max(np.abs(fields(spec) - vecs)) < 1e-8
 
 
+# ------------------------------------------------------- coupling blocks
+# q^ keeps only the entries above its rounding, so the box's modes split into
+# blocks that q does not couple; each block is solved on its own
+
+
+@pytest.mark.parametrize("metric", [make_metric("wave", 160),
+                                    make_metric("wave", 224),
+                                    make_metric("stripe", 128),
+                                    generic_metric(128)],
+                         ids=["wave-160", "wave-224", "stripe-128", "generic-128"])
+def test_solve_matches_one_block_oracle(metric):
+    spec = solve_spectrum(metric, 9)
+    lams, vecs = oracle_dense_spectrum(metric, 9)
+    got = np.array([p.lam for p in spec.pairs])
+    np.testing.assert_allclose(got[1:], lams[1:], rtol=1e-12, atol=0)
+    assert np.max(np.abs(fields(spec) - vecs)) < 1e-8
+
+
+@pytest.mark.parametrize("profile, kept", [("wave", 5), ("stripe", 3)])
+def test_sampled_profiles_keep_their_exact_dft(profile, kept):
+    # q^ of a sampled 1 + A sin sin (stripe: 1 + A sin) is exactly 5 (3)
+    # entries; a cosine or sine column meets one partner per kept entry,
+    # so a row of Q far from k = 0 holds exactly that many
+    metric = make_metric(profile, 224)
+    _, q, _, _ = eigen._fourier_operators(metric, 11)
+    _, dense, _, _ = oracle_fourier_operators(metric, 11)
+    assert np.max(np.diff(q.indptr)) == kept
+    assert np.max(np.abs(q.toarray() - dense)) < 1e-15
+
+
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """The order of each dense eigh that solve_spectrum makes, in call order."""
+    sizes, eigh = [], eigen.la.eigh
+
+    def counting(a, b, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, b, **kwargs)
+    monkeypatch.setattr(eigen.la, "eigh", counting)
+    return sizes
+
+
+def test_solve_block_work_counts(eigh_sizes, tmp_path):
+    # the curved-ratio-table config: K 11, 529 unknowns in one pass, split by
+    # the parity of kx + ky and by cosine/sine
+    cfg = load_config(overrides={"metric": {"profile": "wave", "grid_n": 224},
+                                 "eigen": {"count": 8},
+                                 "growth": {"sample_grid_m": 4}},
+                      command="spectrum")
+    run("spectrum", cfg, str(tmp_path))
+    assert eigh_sizes == [133, 132, 132, 132]
+    eigh_sizes.clear()
+    solve_spectrum(make_metric("stripe", 224), 9)
+    assert len(eigh_sizes) == 24 and sum(eigh_sizes) == 529
+
+
+def test_wave_300_pairs_certify():
+    # distinct eigenvalues 5.8e-11 apart (relative) near pair 254 and
+    # 7.4e-11 near pair 134 are eigenspaces of their own; a grouping
+    # tolerance of 1e-10 mixed them and broke the residual certificate
+    spec = solve_spectrum(make_metric("wave", 224), 300)
+    lams = np.array([p.lam for p in spec.pairs])
+    assert np.all(np.diff(lams) >= 0)
+    assert {135, 254} <= set(eigen._eigenspaces(lams))
+    assert max(p.residual for p in spec.pairs) <= 1e-8
+    assert spec.orthogonality_error < 1e-10
+
+
+def test_576_pairs_solve_under_the_cap_per_block(eigh_sizes):
+    # box 32 has 4225 unknowns, more than one dense solve takes; wave's four
+    # blocks each stay under the cap.  Its tail sits at rounding, so the
+    # last bits (one BLAS thread or two) decide whether the box grows once,
+    # to 36 and 5329 unknowns
+    spec = solve_spectrum(make_metric("wave", 96), 576)
+    assert len(spec) == 576
+    assert max(p.residual for p in spec.pairs) <= 1e-8
+    assert eigh_sizes[:4] == [1057, 1056, 1056, 1056]
+    assert eigh_sizes[4:] in ([], [1333, 1332, 1332, 1332])
+
+
 def test_degenerate_wave_eigenspaces_independent_of_seed(tmp_path):
     spec = solved("wave", 224)
     lams = [p.lam for p in spec.pairs]
@@ -231,8 +312,9 @@ def test_solve_nonconvergence_carries_residual():
     with pytest.raises(ConvergenceError) as info:
         solve_spectrum(metric, 21, tol=1e-10)
     assert 1e-10 < info.value.residual < 1e-8
-    # a conformal factor of 1e-310 puts every eigenvalue beyond the float range
-    with pytest.raises(ConvergenceError, match="finite eigenvalues"):
+    # a conformal factor of 1e-310 puts every eigenvalue but the constant
+    # mode's 0 beyond the float range
+    with pytest.raises(ConvergenceError, match="found 1 finite eigenvalues"):
         solve_spectrum(make_metric("flat", 32, value=1e-310), 3)
 
 
@@ -254,10 +336,10 @@ def test_preconditions():
         solve_spectrum(metric, 100)  # count > n^2/4
     with pytest.raises(ValueError):
         solve_spectrum(metric, 4, tol=1e-12)
-    # 600 pairs start from the box |k|_inf <= 32, 65^2 unknowns: more than
-    # the dense solve takes
+    # 600 pairs start from the box |k|_inf <= 32, 65^2 unknowns, which a
+    # generic q couples into one block: more than a dense solve takes
     with pytest.raises(ConvergenceError, match="4225 > 4096 unknowns"):
-        solve_spectrum(make_metric("wave", 96), 600)
+        solve_spectrum(generic_metric(96), 600)
 
 
 def test_analytic_eigenpair_values():

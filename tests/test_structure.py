@@ -371,7 +371,8 @@ def test_one_run_object_in_the_cli():
 def test_nodal_neighbour_search_from_scipy():
     # probe-segment pairs come from one k-d tree query, and singular-point
     # clusters from one connected-components call; neither a hand-built
-    # spatial hash nor a union-find over the torus seams is left
+    # spatial hash nor a union-find over the torus seams is left (eigen's
+    # one call splits the spectrum's unknowns into coupling blocks)
     defined, sites, ndimage = set(), [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -392,7 +393,8 @@ def test_nodal_neighbour_search_from_scipy():
     for gone in ("_bins", "_cell_coords", "_MIN_BINS", "_merge_wrap_labels"):
         assert gone not in defined, gone
     assert ndimage == []
-    assert sorted(sites) == [("nodal.py", "cKDTree"),
+    assert sorted(sites) == [("eigen.py", "connected_components"),
+                             ("nodal.py", "cKDTree"),
                              ("nodal.py", "connected_components")], sites
 
 
